@@ -21,7 +21,10 @@ def _parse_number(text: str) -> float:
     """Accept plain floats and a/b fractions like 1/128."""
     if "/" in text:
         num, den = text.split("/", 1)
-        return float(num) / float(den)
+        try:
+            return float(num) / float(den)
+        except ZeroDivisionError:
+            raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
     return float(text)
 
 
@@ -79,10 +82,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    try:
+        grid = Grid(args.m)
+        n = experiments.steps_for(args.t_end, args.k)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     lam, mu = experiments.coefficient_pair(args.coeff)
-    grid = Grid(args.m)
     op = assemble_split_operator(lam, mu, grid)
-    n = experiments.steps_for(args.t_end, args.k)
 
     kind = args.initial[0]
     if kind == "paper":
@@ -124,15 +131,19 @@ def _cmd_convergence(args) -> int:
     if not rows:
         print("error: give --paper-rows or at least one --row", file=sys.stderr)
         return 2
-    config = experiments.ExperimentConfig(
-        scheme=_SCHEMES[args.scheme],
-        rows=rows,
-        reference=experiments.ReferenceSpec(
-            m=args.ref_m, k=args.ref_k, scheme=_SCHEMES[args.ref_scheme]
-        ),
-        t_end=args.t_end,
-        coeff=args.coeff,
-    )
+    try:
+        config = experiments.ExperimentConfig(
+            scheme=_SCHEMES[args.scheme],
+            rows=rows,
+            reference=experiments.ReferenceSpec(
+                m=args.ref_m, k=args.ref_k, scheme=_SCHEMES[args.ref_scheme]
+            ),
+            t_end=args.t_end,
+            coeff=args.coeff,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = experiments.run_convergence(config)
     print(report.render())
     if args.csv:

@@ -9,9 +9,7 @@ schemes.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -42,8 +40,7 @@ PAPER_LAMBDA = ScalarFunction(
 PAPER_MU = ScalarFunction(
     lambda y: np.cos(2.0 * np.pi * y) + 1.1, name="cos(2*pi*y)+1.1"
 )
-CONSTANT_ONE = ScalarFunction(lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                              name="1")
+CONSTANT_ONE = ScalarFunction(lambda x: 1.0, name="1")
 ETA0 = ScalarFunction(
     lambda x, y: np.sin(3.0 * np.pi * x) * np.cos(2.0 * np.pi * y),
     name="sin(3*pi*x)*cos(2*pi*y)",
@@ -67,18 +64,10 @@ def coefficient_pair(name: str):
     raise ValueError(f"unknown coefficient selector {name!r}")
 
 
-def worker_count() -> int:
-    env = os.environ.get("THREADS")
-    if env is not None:
-        n = int(env)
-        if n < 1:
-            raise ValueError(f"THREADS must be a positive integer, got {env}")
-        return n
-    return os.cpu_count() or 1
-
-
 def steps_for(t_end: float, k: float) -> int:
     """Number of steps for final time t_end; k must divide t_end exactly."""
+    if k <= 0.0:
+        raise ValueError(f"step size must be positive, got {k}")
     n = round(t_end / k)
     if n < 1 or abs(n * k - t_end) > 1e-12 * t_end:
         raise ValueError(f"step size {k} does not divide final time {t_end}")
@@ -101,8 +90,10 @@ class ExperimentConfig:
     coeff: str = "paper"
 
     def __post_init__(self):
+        Grid(self.reference.m)
         steps_for(self.t_end, self.reference.k)
-        for k, _m in self.rows:
+        for k, m in self.rows:
+            Grid(m)
             steps_for(self.t_end, k)
 
 
@@ -205,8 +196,7 @@ def compute_reference(ref: ReferenceSpec, t_end: float, coeff: str):
 
 
 def run_convergence(config: ExperimentConfig, reference_data=None) -> ConvergenceReport:
-    """Reference run plus one trajectory per row; rows execute in parallel
-    (THREADS caps the worker count).
+    """Reference run plus one trajectory per row.
 
     Initial data is built once on the reference grid and restricted to each
     row's grid by nodal interpolation.  Building fresh smoothed data per
@@ -226,19 +216,16 @@ def run_convergence(config: ExperimentConfig, reference_data=None) -> Convergenc
     u_ref, eta_ref = reference_data
     report.reference_wall_time = time.perf_counter() - t0
 
-    def run_row(row):
-        k, m = row
+    results = []
+    for k, m in config.rows:
         t0 = time.perf_counter()
         grid = Grid(m)
         op = assemble_split_operator(lam, mu, grid)
         eta = prolong_to(eta_ref, grid)
         u = steppers.evolve(op, config.scheme, k, steps_for(config.t_end, k), eta)
         err = measure_error(u, u_ref)
-        return RowResult(k=k, h=grid.h, m=m, error=err,
-                         wall_time=time.perf_counter() - t0)
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        results = list(pool.map(run_row, config.rows))
+        results.append(RowResult(k=k, h=grid.h, m=m, error=err,
+                                 wall_time=time.perf_counter() - t0))
 
     orders = observed_order([r.error for r in results])
     for r, p in zip(results, orders):

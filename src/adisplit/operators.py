@@ -4,8 +4,8 @@ The 2D operator splits as L = A + B where A acts along x with coefficient
 lambda(x)*mu(y) and B along y.  With trapezoidal quadrature the mass matrix
 is h^2*I and the stiffness matrices factor into Kronecker products of a 1D
 tridiagonal stiffness matrix and a diagonal coefficient matrix, so A and B
-apply line by line and their resolvents reduce to batched tridiagonal
-solves.
+apply line by line and each resolvent reduces to one block-diagonal SPD
+tridiagonal solve (LAPACK dpttrf/dpttrs).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .grid import Field, Grid
 
@@ -45,6 +46,11 @@ class TridiagonalMatrix:
         )
 
 
+def _sample(c, x: np.ndarray) -> np.ndarray:
+    """Values of coefficient c at x; a scalar result is broadcast to x's shape."""
+    return np.broadcast_to(np.asarray(c(x), dtype=float), x.shape)
+
+
 def assemble_1d_stiffness(c, grid: Grid) -> TridiagonalMatrix:
     """1D trapezoidal-quadrature stiffness matrix for coefficient c.
 
@@ -54,47 +60,10 @@ def assemble_1d_stiffness(c, grid: Grid) -> TridiagonalMatrix:
     for interior nodes i = 1..m-1.  There is no 1/h factor: the scaling
     pairs with the lumped mass matrix h^2*I.
     """
-    cv = np.asarray(c(grid.nodes()), dtype=float)
+    cv = _sample(c, grid.nodes())
     diag = 0.5 * (cv[:-2] + 2.0 * cv[1:-1] + cv[2:])
     off = -0.5 * (cv[1:-2] + cv[2:-1])
     return TridiagonalMatrix(diag, off)
-
-
-class _BatchedThomasFactors:
-    """Prefactored batch of shifted tridiagonal systems I + gamma[r] * K.
-
-    Each system in the batch is symmetric positive definite (K is PSD and
-    gamma > 0), so the Thomas algorithm needs no pivoting.  Work arrays are
-    stored transposed, shape (n, batch), so each elimination step touches a
-    contiguous row.
-    """
-
-    def __init__(self, k1d: TridiagonalMatrix, gamma: np.ndarray):
-        n = k1d.n
-        b = 1.0 + np.outer(k1d.diag, gamma)        # (n, batch)
-        a = np.outer(k1d.off, gamma)               # (n-1, batch)
-        inv = np.empty_like(b)
-        cp = np.empty_like(a)
-        inv[0] = 1.0 / b[0]
-        for i in range(1, n):
-            cp[i - 1] = a[i - 1] * inv[i - 1]
-            inv[i] = 1.0 / (b[i] - a[i - 1] * cp[i - 1])
-        self.n = n
-        self.a = a
-        self.cp = cp
-        self.inv = inv
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve all systems; ``rhs`` has one line per row, shape (batch, n)."""
-        n = self.n
-        d = np.empty((n, rhs.shape[0]))
-        r = rhs.T
-        d[0] = r[0] * self.inv[0]
-        for i in range(1, n):
-            d[i] = (r[i] - self.a[i - 1] * d[i - 1]) * self.inv[i]
-        for i in range(n - 2, -1, -1):
-            d[i] -= self.cp[i] * d[i + 1]
-        return np.ascontiguousarray(d.T)
 
 
 @dataclass
@@ -116,7 +85,7 @@ class SplitDiffusionOperator:
     mu_inf: float
     lambda_0: float
     mu_0: float
-    _thomas_cache: dict = dc_field(default_factory=dict, repr=False)
+    _factor_cache: dict = dc_field(default_factory=dict, repr=False)
     _kron_factorization: object = dc_field(default=None, repr=False)
 
     # -- forward applications -------------------------------------------------
@@ -125,7 +94,7 @@ class SplitDiffusionOperator:
         """A u: per x-line, -(mu(y_j)/h^2) * K_lambda acting along i."""
         self._check(u)
         h2 = self.grid.h ** 2
-        out = self.k_lambda.matvec(u.values.copy())
+        out = self.k_lambda.matvec(u.values)
         out *= -self.d_mu[:, None] / h2
         return Field(self.grid, out)
 
@@ -133,8 +102,9 @@ class SplitDiffusionOperator:
         """B u: per y-line, -(lambda(x_i)/h^2) * K_mu acting along j."""
         self._check(u)
         h2 = self.grid.h ** 2
-        out = self.k_mu.matvec(np.ascontiguousarray(u.values.T)).T
-        out = out * (-self.d_lambda[None, :] / h2)
+        # matvec on the transposed view works along axis 0 without a copy
+        out = self.k_mu.matvec(u.values.T).T
+        out *= -self.d_lambda[None, :] / h2
         return Field(self.grid, out)
 
     def apply_l(self, u: Field) -> Field:
@@ -144,30 +114,47 @@ class SplitDiffusionOperator:
     # -- resolvents -----------------------------------------------------------
 
     def solve_resolvent_a(self, kappa: float, rhs: Field) -> Field:
-        """Solve (I - kappa*A) w = rhs via one Thomas sweep per x-line."""
+        """Solve (I - kappa*A) w = rhs, one tridiagonal system per x-line."""
         self._check(rhs)
-        fac = self._factors("a", kappa)
-        return Field(self.grid, fac.solve(rhs.values))
+        return Field(self.grid, self._solve_lines("a", kappa, rhs.values))
 
     def solve_resolvent_b(self, kappa: float, rhs: Field) -> Field:
-        """Solve (I - kappa*B) w = rhs via one Thomas sweep per y-line."""
+        """Solve (I - kappa*B) w = rhs, one tridiagonal system per y-line."""
         self._check(rhs)
-        fac = self._factors("b", kappa)
-        out = fac.solve(np.ascontiguousarray(rhs.values.T))
+        out = self._solve_lines("b", kappa, rhs.values.T)
         return Field(self.grid, np.ascontiguousarray(out.T))
 
-    def _factors(self, axis: str, kappa: float) -> _BatchedThomasFactors:
+    def _solve_lines(self, axis: str, kappa: float, lines: np.ndarray) -> np.ndarray:
+        """Solve every row of ``lines`` against its line system in one dpttrs call."""
+        d, e = self._factors(axis, kappa)
+        if d.size == 1:
+            return lines / d
+        x, info = lapack.dpttrs(d, e, lines.ravel())
+        _check_lapack("dpttrs", info)
+        return x.reshape(lines.shape)
+
+    def _factors(self, axis: str, kappa: float) -> tuple:
+        """L D L^T factor of I - kappa*A (axis "a") or I - kappa*B (axis "b").
+
+        All n line systems I + gamma_r K are concatenated into one SPD
+        tridiagonal matrix of order n^2 whose off-diagonal is zero where one
+        line meets the next, so the factor never couples two lines.
+        """
         if kappa <= 0.0:
             raise ValueError(f"resolvent step kappa must be positive, got {kappa}")
         key = (axis, kappa)
-        fac = self._thomas_cache.get(key)
+        fac = self._factor_cache.get(key)
         if fac is None:
-            h2 = self.grid.h ** 2
-            if axis == "a":
-                fac = _BatchedThomasFactors(self.k_lambda, kappa * self.d_mu / h2)
-            else:
-                fac = _BatchedThomasFactors(self.k_mu, kappa * self.d_lambda / h2)
-            self._thomas_cache[key] = fac
+            k1d, coef = (
+                (self.k_lambda, self.d_mu) if axis == "a" else (self.k_mu, self.d_lambda)
+            )
+            gamma = kappa * coef / self.grid.h ** 2
+            d = (1.0 + np.outer(gamma, k1d.diag)).ravel()
+            e = np.outer(gamma, np.append(k1d.off, 0.0)).ravel()[:-1]
+            if d.size > 1:  # the LAPACK wrapper rejects the empty off-diagonal
+                d, e, info = lapack.dpttrf(d, e)
+                _check_lapack("dpttrf", info)
+            fac = self._factor_cache[key] = (d, e)
         return fac
 
     def _check(self, u: Field) -> None:
@@ -177,6 +164,14 @@ class SplitDiffusionOperator:
             )
 
 
+def _check_lapack(routine: str, info: int) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"LAPACK {routine} failed with info={info}"
+            + (" (matrix not positive definite)" if info > 0 else "")
+        )
+
+
 def assemble_split_operator(lam, mu, grid: Grid) -> SplitDiffusionOperator:
     """Build the split operator for coefficients lambda(x) and mu(y).
 
@@ -184,8 +179,8 @@ def assemble_split_operator(lam, mu, grid: Grid) -> SplitDiffusionOperator:
     COEFF_SAMPLE_POINTS points; a non-positive sample is rejected.
     """
     xs = np.linspace(0.0, 1.0, COEFF_SAMPLE_POINTS)
-    lam_s = np.asarray(lam(xs), dtype=float)
-    mu_s = np.asarray(mu(xs), dtype=float)
+    lam_s = _sample(lam, xs)
+    mu_s = _sample(mu, xs)
     if np.min(lam_s) <= 0.0 or np.min(mu_s) <= 0.0:
         raise ValueError("coefficients must be strictly positive on [0,1]")
     xi = grid.interior_nodes()
@@ -193,8 +188,8 @@ def assemble_split_operator(lam, mu, grid: Grid) -> SplitDiffusionOperator:
         grid=grid,
         k_lambda=assemble_1d_stiffness(lam, grid),
         k_mu=assemble_1d_stiffness(mu, grid),
-        d_lambda=np.asarray(lam(xi), dtype=float),
-        d_mu=np.asarray(mu(xi), dtype=float),
+        d_lambda=_sample(lam, xi),
+        d_mu=_sample(mu, xi),
         lambda_inf=float(np.max(lam_s)),
         mu_inf=float(np.max(mu_s)),
         lambda_0=float(np.min(lam_s)),

@@ -19,11 +19,6 @@ class SchemeKind(enum.Enum):
     PEACEMAN_RACHFORD = "pr"
     CRANK_NICOLSON = "cn"
 
-    @property
-    def classical_order(self) -> int:
-        # CN is the (non-splitting) reference method, second order
-        return {"dr": 1, "pr": 2, "cn": 2}[self.value]
-
 
 def _check_step(k: float) -> None:
     if k <= 0.0:
@@ -33,13 +28,15 @@ def _check_step(k: float) -> None:
 def dr_step(op, k: float, u: Field) -> Field:
     """Douglas-Rachford step: (I-kB)^{-1} (I-kA)^{-1} (I + k^2 A B) u.
 
-    The product term applies B first, then A, matching the literal operator
-    order; A and B do not commute for variable coefficients.
+    Evaluated in the Douglas form v = kBu, u' = (I-kB)^{-1}((I-kA)^{-1}(u+v) - v).
+    It is the same map, since (I-kA)^{-1}(u+v) - v = (I-kA)^{-1}(u + k^2 A B u),
+    but it applies one operator per step instead of two.  A and B do not
+    commute for variable coefficients, so their order matters.
     """
     _check_step(k)
-    w1 = u + (k * k) * op.apply_a(op.apply_b(u))
-    w2 = op.solve_resolvent_a(k, w1)
-    return op.solve_resolvent_b(k, w2)
+    v = k * op.apply_b(u)
+    w = op.solve_resolvent_a(k, u + v)
+    return op.solve_resolvent_b(k, w - v)
 
 
 def pr_step(op, k: float, u: Field) -> Field:

@@ -17,7 +17,6 @@ from adisplit.experiments import (
     run_convergence,
     steps_for,
     verify_assumptions,
-    worker_count,
 )
 from adisplit.grid import Field, Grid, discrete_inner_product, discrete_norm, \
     interpolate, max_norm, prolong_to, write_field
@@ -55,23 +54,10 @@ class TestHelpers:
         assert steps_for(0.5, 2.0 ** -13) == 4096
         assert steps_for(1.0, 0.125) == 8
 
-    @pytest.mark.parametrize("k", [0.3, 0.7, 1.1])
+    @pytest.mark.parametrize("k", [0.3, 0.7, 1.1, 0.0])
     def test_steps_for_nondivisor(self, k):
         with pytest.raises(ValueError):
             steps_for(0.5, k)
-
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.setenv("THREADS", "3")
-        assert worker_count() == 3
-
-    def test_worker_count_invalid(self, monkeypatch):
-        monkeypatch.setenv("THREADS", "0")
-        with pytest.raises(ValueError):
-            worker_count()
-
-    def test_worker_count_default(self, monkeypatch):
-        monkeypatch.delenv("THREADS", raising=False)
-        assert worker_count() >= 1
 
 
 class TestObservedOrder:
@@ -286,6 +272,25 @@ class TestCli:
                      "--initial", "random"])
         assert code == 2
 
+    def test_run_zero_denominator(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--scheme", "pr", "--m", "8", "--k", "1/0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "zero denominator" in err and "Traceback" not in err
+
+    def test_run_grid_too_coarse(self, capsys):
+        code = main(["run", "--scheme", "pr", "--m", "1", "--k", "1/16"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: grid needs m >= 2 subintervals, got m=1\n")
+
+    def test_run_step_not_dividing_t_end(self, capsys):
+        code = main(["run", "--scheme", "pr", "--m", "8", "--k", "0.3"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: step size 0.3 does not divide final time 0.5\n")
+
     def test_convergence_rows_and_csv(self, tmp_path, capsys):
         path = tmp_path / "table.csv"
         code = main([
@@ -305,6 +310,12 @@ class TestCli:
         code = main(["convergence", "--scheme", "pr",
                      "--ref-m", "16", "--ref-k", "1/64"])
         assert code == 2
+
+    def test_convergence_row_grid_too_coarse(self, capsys):
+        code = main(["convergence", "--scheme", "pr", "--row", "1/8,1",
+                     "--ref-m", "16", "--ref-k", "1/64"])
+        assert code == 2
+        assert "m=1" in capsys.readouterr().err
 
     def test_verify_exit_zero(self, capsys):
         code = main(["verify", "--m", "8", "--coeff", "constant"])

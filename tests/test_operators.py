@@ -5,6 +5,7 @@ from adisplit import oracle
 from adisplit.experiments import PAPER_LAMBDA, PAPER_MU, coefficient_pair
 from adisplit.grid import Field, Grid, discrete_inner_product, discrete_norm
 from adisplit.operators import (
+    TridiagonalMatrix,
     assemble_1d_stiffness,
     assemble_split_operator,
     stability_bound,
@@ -56,6 +57,17 @@ class TestOperatorAssembly:
         assert np.allclose(op.d_lambda, 1.0)
         assert np.allclose(op.d_mu, 1.0)
         assert op.lambda_0 == op.lambda_inf == 1.0
+
+    def test_scalar_coefficient_broadcasts(self):
+        array_form = assemble_split_operator(ONE, ONE, Grid(6))
+        scalar_form = assemble_split_operator(lambda x: 1.0, lambda y: 1.0, Grid(6))
+        for name in ("k_lambda", "k_mu"):
+            assert np.array_equal(getattr(scalar_form, name).diag,
+                                  getattr(array_form, name).diag)
+            assert np.array_equal(getattr(scalar_form, name).off,
+                                  getattr(array_form, name).off)
+        for name in ("d_lambda", "d_mu", "lambda_inf", "mu_inf", "lambda_0", "mu_0"):
+            assert np.array_equal(getattr(scalar_form, name), getattr(array_form, name))
 
     def test_paper_coefficient_extrema(self):
         op = paper_operator(16)
@@ -131,6 +143,30 @@ class TestResolvents:
         u = Field(op.grid, np.array([[1.0]]))
         w = op.solve_resolvent_a(0.1, u)
         assert w.values[0, 0] == pytest.approx(1.0 / 1.8, rel=1e-15)
+
+    def test_lines_do_not_couple(self):
+        # the factor concatenates all lines into one tridiagonal matrix; its
+        # zero off-diagonal entries at line ends must keep the lines apart
+        op = paper_operator(8)
+        n = op.grid.n
+        for j in (0, 3, n - 1):
+            x_line = np.zeros((n, n))
+            x_line[j, :] = np.arange(1.0, n + 1)
+            w = op.solve_resolvent_a(10.0, Field(op.grid, x_line)).values
+            assert np.all(np.delete(w, j, axis=0) == 0.0)
+            assert np.all(w[j] != 0.0)
+            y_line = x_line.T.copy()
+            w = op.solve_resolvent_b(10.0, Field(op.grid, y_line)).values
+            assert np.all(np.delete(w, j, axis=1) == 0.0)
+            assert np.all(w[:, j] != 0.0)
+
+    def test_indefinite_system_raises(self):
+        # a negated stiffness makes I - kappa*A indefinite for large kappa;
+        # the factorization must report it instead of returning garbage
+        op = paper_operator(8)
+        op.k_lambda = TridiagonalMatrix(-op.k_lambda.diag, -op.k_lambda.off)
+        with pytest.raises(np.linalg.LinAlgError):
+            op.solve_resolvent_a(10.0, random_field(op.grid))
 
     def test_zero_rhs(self):
         op = paper_operator(8)

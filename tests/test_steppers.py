@@ -125,29 +125,30 @@ class TestStepContracts:
             assert np.allclose(step(op, 0.05, 3.0 * u).values, 3.0 * su.values,
                                rtol=1e-13, atol=1e-13)
 
-    def test_matches_dense_compositions(self, op):
-        a, b, l = oracle.dense_assemble(op)
-        eye = np.eye(op.grid.interior_count)
-        k = 1e-3
-        s_dr = np.linalg.solve(
-            eye - k * b, np.linalg.solve(eye - k * a, eye + k * k * a @ b)
-        )
-        s_pr = np.linalg.solve(
-            eye - 0.5 * k * b,
-            (eye + 0.5 * k * a)
-            @ np.linalg.solve(eye - 0.5 * k * a, eye + 0.5 * k * b),
-        )
-        for seed in range(5):
-            u = random_field(op.grid, seed)
-            for step, s in ((dr_step, s_dr), (pr_step, s_pr)):
-                want = oracle.dense_apply(s, u)
-                rel = discrete_norm(step(op, k, u) - want) / discrete_norm(want)
-                assert rel <= 1e-11
-            want = oracle.dense_solve(
-                eye - 0.5 * k * l, oracle.dense_apply(eye + 0.5 * k * l, u)
+    def test_matches_dense_compositions(self, op8, op16):
+        # k = 0.3 at m = 16 is a large step: k * rho(B) is about 322
+        for op, k in ((op8, 1e-3), (op16, 0.3)):
+            a, b, l = oracle.dense_assemble(op)
+            eye = np.eye(op.grid.interior_count)
+            s_dr = np.linalg.solve(
+                eye - k * b, np.linalg.solve(eye - k * a, eye + k * k * a @ b)
             )
-            rel = discrete_norm(cn_step(op, k, u) - want) / discrete_norm(want)
-            assert rel <= 1e-9
+            s_pr = np.linalg.solve(
+                eye - 0.5 * k * b,
+                (eye + 0.5 * k * a)
+                @ np.linalg.solve(eye - 0.5 * k * a, eye + 0.5 * k * b),
+            )
+            for seed in range(5):
+                u = random_field(op.grid, seed)
+                for step, s in ((dr_step, s_dr), (pr_step, s_pr)):
+                    want = oracle.dense_apply(s, u)
+                    rel = discrete_norm(step(op, k, u) - want) / discrete_norm(want)
+                    assert rel <= 1e-11
+                want = oracle.dense_solve(
+                    eye - 0.5 * k * l, oracle.dense_apply(eye + 0.5 * k * l, u)
+                )
+                rel = discrete_norm(cn_step(op, k, u) - want) / discrete_norm(want)
+                assert rel <= 1e-9
 
 
 class TestStability:
