@@ -8,6 +8,7 @@ iteration estimates operator 2-norms.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Callable
 
@@ -15,6 +16,8 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .grid import Field, Grid
+
+logger = logging.getLogger(__name__)
 
 
 class NonConvergenceError(RuntimeError):
@@ -27,7 +30,12 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass
 class LinearSolverHandle:
-    """Solver selection for (sigma*I - L)-type SPD systems."""
+    """Solver selection for (sigma*I - L)-type SPD systems.
+
+    ``solve_lh`` reads every field.  ``cn_step`` reads ``tol`` and
+    ``max_iter`` and accepts only ``method="cg"``: its system I - k/2 L is
+    solved by CG preconditioned with the ADI resolvents.
+    """
 
     method: str = "cg"  # "cg" | "kronecker"
     tol: float = 1e-12
@@ -40,43 +48,64 @@ class LinearSolverHandle:
             raise ValueError(f"tol must be in (0, 1e-2], got {self.tol}")
 
 
+def _identity(r: np.ndarray) -> np.ndarray:
+    return r
+
+
 def conjugate_gradient(
     matvec: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
     tol: float = 1e-12,
     max_iter: int | None = None,
+    precondition: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Plain CG for an SPD operator, relative-residual stopping rule.
+    """CG for an SPD operator, relative-residual stopping rule.
 
-    Dot products use numpy's fixed pairwise reduction, so a given system
-    solves to bitwise-identical iterates on repeated runs.
+    ``precondition`` applies an SPD approximation of the inverse to a
+    residual, which makes this preconditioned CG; the stopping rule still
+    measures the plain residual ||b - A x|| / ||b||.  With ``None`` it is
+    plain CG.  Dot products use numpy's fixed pairwise reduction, so a given
+    system solves to bitwise-identical iterates on repeated runs.  Each
+    solve's iteration count and final relative residual are logged at DEBUG.
     """
     b = np.asarray(b, dtype=float)
     bnorm = float(np.linalg.norm(b))
+    if not np.isfinite(bnorm):
+        raise ValueError(f"CG right-hand side is not finite (norm {bnorm})")
     if bnorm == 0.0:
         return np.zeros_like(b)
     if max_iter is None:
         max_iter = 10 * b.size
+    if precondition is None:
+        precondition = _identity
     x = np.zeros_like(b)
     r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    history = [np.sqrt(rs) / bnorm]
-    for _ in range(max_iter):
-        if history[-1] <= tol:
-            return x
+    z = precondition(r)
+    p = z.copy()
+    rz = float(r @ z)
+    history = [np.sqrt(float(r @ r)) / bnorm]
+    iterations = 0
+    while history[-1] > tol and iterations < max_iter:
+        iterations += 1
         Ap = matvec(p)
-        alpha = rs / float(p @ Ap)
+        alpha = rz / float(p @ Ap)
         x = x + alpha * p
         r = r - alpha * Ap
-        rs_new = float(r @ r)
-        history.append(np.sqrt(rs_new) / bnorm)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+        rr = float(r @ r)
+        history.append(np.sqrt(rr) / bnorm)
+        if history[-1] <= tol or not np.isfinite(rr):
+            break
+        z = precondition(r)
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug("CG: %d iterations, relative residual %.3e",
+                     iterations, history[-1])
     if history[-1] <= tol:
         return x
     raise NonConvergenceError(
-        f"CG did not reach relative residual {tol} in {max_iter} iterations "
+        f"CG did not reach relative residual {tol} in {iterations} iterations "
         f"(last residual {history[-1]:.3e})",
         residuals=history,
     )

@@ -10,6 +10,7 @@ tridiagonal solve (LAPACK dpttrf/dpttrs).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -18,6 +19,11 @@ from scipy.linalg import lapack
 from .grid import Field, Grid
 
 COEFF_SAMPLE_POINTS = 10_001
+# Resolvent factors kept per operator, least recently used evicted first.
+# One step size needs two (DR), two (PR) or three (CN, whose preconditioner
+# adds R_B(k/4)) keys, five with all three schemes; at m=1024 a factor
+# holds about 16 MB.
+FACTOR_CACHE_CAPACITY = 6
 
 
 @dataclass(frozen=True)
@@ -85,7 +91,7 @@ class SplitDiffusionOperator:
     mu_inf: float
     lambda_0: float
     mu_0: float
-    _factor_cache: dict = dc_field(default_factory=dict, repr=False)
+    _factor_cache: OrderedDict = dc_field(default_factory=OrderedDict, repr=False)
     _kron_factorization: object = dc_field(default=None, repr=False)
 
     # -- forward applications -------------------------------------------------
@@ -110,6 +116,14 @@ class SplitDiffusionOperator:
     def apply_l(self, u: Field) -> Field:
         self._check(u)
         return Field(self.grid, self.apply_a(u).values + self.apply_b(u).values)
+
+    def diagonal_l(self) -> Field:
+        """The diagonal of L as a field (for Jacobi-type preconditioning)."""
+        h2 = self.grid.h ** 2
+        diag = np.outer(self.d_mu, self.k_lambda.diag)
+        diag += np.outer(self.k_mu.diag, self.d_lambda)
+        diag /= -h2
+        return Field(self.grid, diag)
 
     # -- resolvents -----------------------------------------------------------
 
@@ -144,7 +158,9 @@ class SplitDiffusionOperator:
             raise ValueError(f"resolvent step kappa must be positive, got {kappa}")
         key = (axis, kappa)
         fac = self._factor_cache.get(key)
-        if fac is None:
+        if fac is not None:
+            self._factor_cache.move_to_end(key)
+        else:
             k1d, coef = (
                 (self.k_lambda, self.d_mu) if axis == "a" else (self.k_mu, self.d_lambda)
             )
@@ -155,6 +171,8 @@ class SplitDiffusionOperator:
                 d, e, info = lapack.dpttrf(d, e)
                 _check_lapack("dpttrf", info)
             fac = self._factor_cache[key] = (d, e)
+            if len(self._factor_cache) > FACTOR_CACHE_CAPACITY:
+                self._factor_cache.popitem(last=False)
         return fac
 
     def _check(self, u: Field) -> None:

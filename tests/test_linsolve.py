@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,32 @@ def random_field(grid, seed=0):
 
 def paper_operator(m):
     return assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(m))
+
+
+def reference_cg(matvec, b, tol):
+    """Textbook unpreconditioned CG with the same arithmetic order."""
+    bnorm = float(np.linalg.norm(b))
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rs = float(r @ r)
+    while np.sqrt(rs) / bnorm > tol:
+        Ap = matvec(p)
+        alpha = rs / float(p @ Ap)
+        x = x + alpha * p
+        r = r - alpha * Ap
+        rs_new = float(r @ r)
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    return x
+
+
+def ill_conditioned_system(n=60, seed=2):
+    """SPD matrix with a diagonal spread of 1e6 plus a small coupling."""
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((n, n))
+    mat = np.diag(np.logspace(0, 6, n)) + 0.1 * (q @ q.T) / n
+    return mat, rng.standard_normal(n)
 
 
 class TestHandle:
@@ -56,6 +84,72 @@ class TestConjugateGradient:
         x = conjugate_gradient(lambda v: v, np.zeros(5))
         assert np.all(x == 0.0)
 
+    def test_no_preconditioner_is_plain_cg_bit_for_bit(self):
+        mat, b = ill_conditioned_system()
+        want = reference_cg(lambda v: mat @ v, b, 1e-12)
+        got = conjugate_gradient(lambda v: mat @ v, b, tol=1e-12, precondition=None)
+        assert np.array_equal(got, want)
+
+    def test_identity_preconditioner_is_plain_cg_bit_for_bit(self):
+        mat, b = ill_conditioned_system()
+        plain = conjugate_gradient(lambda v: mat @ v, b, tol=1e-12)
+        pcg = conjugate_gradient(lambda v: mat @ v, b, tol=1e-12,
+                                 precondition=lambda r: r)
+        assert np.array_equal(plain, pcg)
+
+    def test_jacobi_preconditioner_cuts_iterations(self):
+        mat, b = ill_conditioned_system()
+        counts = {}
+        for name, pc in (("plain", None), ("jacobi", lambda r: r / np.diag(mat))):
+            calls = []
+
+            def matvec(v):
+                calls.append(1)
+                return mat @ v
+
+            x = conjugate_gradient(matvec, b, tol=1e-12, precondition=pc)
+            assert np.linalg.norm(mat @ x - b) <= 1e-11 * np.linalg.norm(b)
+            counts[name] = len(calls)
+        assert counts["jacobi"] < counts["plain"] / 3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rhs_rejected_before_iterating(self, bad):
+        b = np.ones(16)
+        b[5] = bad
+
+        def matvec(v):
+            raise AssertionError("CG must not iterate on a non-finite right-hand side")
+
+        with pytest.raises(ValueError, match="not finite"):
+            conjugate_gradient(matvec, b)
+
+    def test_nonfinite_residual_stops_at_once(self):
+        calls = []
+
+        def matvec(v):
+            calls.append(1)
+            return np.full_like(v, np.nan)
+
+        with pytest.raises(NonConvergenceError):
+            conjugate_gradient(matvec, np.ones(400))
+        assert len(calls) == 1
+
+    def test_logs_iterations_and_residual_at_debug(self, caplog):
+        mat, b = ill_conditioned_system()
+        with caplog.at_level(logging.DEBUG, logger="adisplit.linsolve"):
+            conjugate_gradient(lambda v: mat @ v, b, tol=1e-12)
+        records = [r for r in caplog.records if r.name == "adisplit.linsolve"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.DEBUG
+        iterations, residual = records[0].args
+        assert iterations > 0 and residual <= 1e-12
+
+    def test_silent_above_debug(self, caplog):
+        mat, b = ill_conditioned_system()
+        with caplog.at_level(logging.INFO, logger="adisplit.linsolve"):
+            conjugate_gradient(lambda v: mat @ v, b, tol=1e-12)
+        assert not [r for r in caplog.records if r.name == "adisplit.linsolve"]
+
     def test_nonconvergence_carries_history(self):
         rng = np.random.default_rng(1)
         q = rng.standard_normal((20, 20))
@@ -73,6 +167,18 @@ class TestSolveLh:
         f = op.apply_l(v0)
         v = solve_lh(op, f, LinearSolverHandle("cg"))
         assert discrete_norm(v - v0) <= 1e-10 * discrete_norm(v0)
+
+    def test_cg_result_is_plain_cg_bit_for_bit(self):
+        op = paper_operator(16)
+        f = random_field(op.grid, 5)
+        n = op.grid.n
+        want = reference_cg(
+            lambda v: linsolve.stiffness_matvec(op, v.reshape(n, n)).ravel(),
+            -(op.grid.h ** 2) * f.values.ravel(),
+            1e-12,
+        )
+        got = solve_lh(op, f, LinearSolverHandle("cg"))
+        assert np.array_equal(got.values.ravel(), want)
 
     def test_zero(self):
         op = paper_operator(8)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from adisplit import oracle
+from adisplit import operators, oracle, steppers
 from adisplit.experiments import PAPER_LAMBDA, PAPER_MU, coefficient_pair
 from adisplit.grid import Field, Grid, discrete_inner_product, discrete_norm
 from adisplit.operators import (
+    FACTOR_CACHE_CAPACITY,
     TridiagonalMatrix,
     assemble_1d_stiffness,
     assemble_split_operator,
@@ -214,6 +215,71 @@ class TestResolvents:
         op = paper_operator(4)
         with pytest.raises(ValueError):
             op.solve_resolvent_a(kappa, random_field(op.grid))
+
+
+class TestDiagonal:
+    def test_matches_dense(self):
+        op = paper_operator(9)
+        _, _, l = oracle.dense_assemble(op)
+        got = op.diagonal_l().values.ravel()
+        assert np.allclose(got, np.diag(l), rtol=1e-14, atol=0.0)
+
+
+def count_dpttrf(monkeypatch):
+    calls = []
+    dpttrf = operators.lapack.dpttrf
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return dpttrf(*args, **kwargs)
+
+    monkeypatch.setattr(operators.lapack, "dpttrf", counting)
+    return calls
+
+
+class TestFactorCache:
+    def test_never_exceeds_capacity(self):
+        op = paper_operator(8)
+        u = random_field(op.grid)
+        for i in range(3 * FACTOR_CACHE_CAPACITY):
+            kappa = 0.01 * (i + 1)
+            op.solve_resolvent_a(kappa, u)
+            op.solve_resolvent_b(kappa, u)
+            assert len(op._factor_cache) <= FACTOR_CACHE_CAPACITY
+        assert len(op._factor_cache) == FACTOR_CACHE_CAPACITY
+
+    def test_evicts_least_recently_used(self, monkeypatch):
+        op = paper_operator(8)
+        u = random_field(op.grid)
+        op.solve_resolvent_a(0.5, u)
+        for i in range(FACTOR_CACHE_CAPACITY - 1):
+            op.solve_resolvent_b(0.01 * (i + 1), u)
+        op.solve_resolvent_a(0.5, u)  # touch: now the most recent
+        op.solve_resolvent_b(10.0, u)  # evicts the oldest b factor instead
+        calls = count_dpttrf(monkeypatch)
+        op.solve_resolvent_a(0.5, u)
+        assert calls == []
+        op.solve_resolvent_b(0.01, u)
+        assert len(calls) == 1
+
+    def test_scheme_loop_factors_once(self, monkeypatch):
+        # CN needs R_A(k/2) and R_B(k/4), PR R_A(k/2) and R_B(k/2), DR
+        # R_A(k) and R_B(k): five factors, all kept across passes
+        op = paper_operator(16)
+        u = random_field(op.grid)
+        calls = count_dpttrf(monkeypatch)
+        k = 2.0 ** -6
+        per_pass = []
+        for _ in range(4):
+            steppers.evolve(op, steppers.SchemeKind.CRANK_NICOLSON, k, 3, u)
+            steppers.evolve(op, steppers.SchemeKind.PEACEMAN_RACHFORD, k, 3, u)
+            per_pass.append(len(calls))
+        for _ in range(3):
+            steppers.evolve(op, steppers.SchemeKind.DOUGLAS_RACHFORD, k, 3, u)
+            steppers.evolve(op, steppers.SchemeKind.CRANK_NICOLSON, k, 3, u)
+            steppers.evolve(op, steppers.SchemeKind.PEACEMAN_RACHFORD, k, 3, u)
+            per_pass.append(len(calls))
+        assert per_pass == [3, 3, 3, 3, 5, 5, 5]
 
 
 class TestStabilityNorm:

@@ -2,10 +2,18 @@ import numpy as np
 import pytest
 
 from adisplit import linsolve, oracle
-from adisplit.experiments import PAPER_LAMBDA, PAPER_MU
+from adisplit.experiments import PAPER_LAMBDA, PAPER_MU, prepare_initial_data
 from adisplit.grid import Field, Grid, discrete_norm, zero_field
 from adisplit.operators import assemble_split_operator
-from adisplit.steppers import SchemeKind, cn_step, dr_step, evolve, pr_step
+from adisplit.steppers import (
+    CN_JACOBI_WEIGHT,
+    SchemeKind,
+    cn_preconditioner,
+    cn_step,
+    dr_step,
+    evolve,
+    pr_step,
+)
 
 ONE = lambda x: np.ones_like(np.asarray(x, dtype=float))
 
@@ -45,6 +53,21 @@ class ZeroATestDouble:
 
     def solve_resolvent_b(self, kappa, rhs):
         return self.op.solve_resolvent_b(kappa, rhs)
+
+
+class ApplyLCounter:
+    """Delegates to a real operator and counts apply_l calls."""
+
+    def __init__(self, op):
+        self.op = op
+        self.apply_l_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.op, name)
+
+    def apply_l(self, u):
+        self.apply_l_calls += 1
+        return self.op.apply_l(u)
 
 
 class TestScalarSurrogate:
@@ -207,3 +230,89 @@ class TestZeroADegeneration:
         got = pr_step(op, k, u)
         # with A = 0: S = (I - k/2 B)^{-1} (I + k/2 B)
         assert got.values[0, 0] == pytest.approx(0.95 / 1.05, rel=1e-14)
+
+
+def dense_cn(op, k):
+    _, _, l = oracle.dense_assemble(op)
+    eye = np.eye(op.grid.interior_count)
+    return np.linalg.solve(eye - 0.5 * k * l, eye + 0.5 * k * l)
+
+
+class TestCrankNicolsonSolve:
+    def test_preconditioner_is_spd_and_the_documented_product(self):
+        op = assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(24))
+        k = 100.0
+        a, b, l = oracle.dense_assemble(op)
+        eye = np.eye(op.grid.interior_count)
+        precondition = cn_preconditioner(op, k)
+        got = np.column_stack([precondition(col.copy()) for col in eye])
+        r_b = np.linalg.inv(eye - 0.25 * k * b)
+        r_a = np.linalg.inv(eye - 0.5 * k * a)
+        jacobi = CN_JACOBI_WEIGHT / np.diag(eye - 0.5 * k * l)
+        want = r_b @ r_a @ r_b + np.diag(jacobi)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        assert np.max(np.abs(got - got.T)) <= 1e-13 * scale
+        assert np.min(np.linalg.eigvalsh(0.5 * (got + got.T))) > 0.0
+
+    @pytest.mark.parametrize("m,k", [(24, 100.0), (16, 0.5)])
+    def test_matches_dense_map(self, m, k):
+        op = assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(m))
+        s_cn = dense_cn(op, k)
+        for seed in range(3):
+            u = random_field(op.grid, seed)
+            want = oracle.dense_apply(s_cn, u)
+            rel = discrete_norm(cn_step(op, k, u) - want) / discrete_norm(want)
+            assert rel <= 1e-9
+
+    def test_few_operator_applications_on_smooth_data(self):
+        # the paper's initial data at m=128, k=2^-10: the unpreconditioned
+        # solve needs about 30 applications of L, this one at most 12
+        op = assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(128))
+        counter = ApplyLCounter(op)
+        cn_step(counter, 2.0 ** -10, prepare_initial_data(op))
+        assert counter.apply_l_calls <= 12
+
+    def test_rough_data_needs_fewer_applications_than_plain_cg(self):
+        # the ADI product alone needs about twice as many iterations as
+        # plain CG here; its Jacobi term restores the gain
+        op = assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(128))
+        k = 2.0 ** -10
+        u = random_field(op.grid, 11)
+        counter = ApplyLCounter(op)
+        got = cn_step(counter, k, u)
+        n = op.grid.n
+        plain = []
+
+        def matvec(v):
+            plain.append(1)
+            f = Field(op.grid, v.reshape(n, n))
+            return (f - 0.5 * k * op.apply_l(f)).values.ravel()
+
+        rhs = u + 0.5 * k * op.apply_l(u)
+        want = linsolve.conjugate_gradient(matvec, rhs.values.ravel())
+        assert counter.apply_l_calls - 1 < len(plain) / 2
+        assert np.max(np.abs(got.values.ravel() - want)) <= 1e-9
+
+    def test_rejects_kronecker_handle(self, op8):
+        with pytest.raises(ValueError, match="kronecker"):
+            cn_step(op8, 0.01, random_field(op8.grid),
+                    linsolve.LinearSolverHandle("kronecker"))
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize(
+        "scheme", [SchemeKind.PEACEMAN_RACHFORD, SchemeKind.DOUGLAS_RACHFORD]
+    )
+    def test_nan_initial_field_raises(self, op8, scheme):
+        values = random_field(op8.grid).values
+        values[2, 3] = np.nan
+        message = rf"{scheme.value}.*k=0\.01.*5 steps"
+        with pytest.raises(FloatingPointError, match=message):
+            evolve(op8, scheme, 0.01, 5, Field(op8.grid, values))
+
+    def test_nan_initial_field_crank_nicolson(self, op8):
+        values = random_field(op8.grid).values
+        values[0, 0] = np.nan
+        with pytest.raises(ValueError, match="not finite"):
+            evolve(op8, SchemeKind.CRANK_NICOLSON, 0.01, 2, Field(op8.grid, values))
