@@ -98,7 +98,11 @@ def _cmd_run(args) -> int:
         if len(args.initial) != 2:
             print("error: --initial file needs a path", file=sys.stderr)
             return 2
-        u0 = read_field(args.initial[1])
+        try:
+            u0 = read_field(args.initial[1])
+        except (ValueError, OSError) as exc:
+            print(f"error: cannot read initial field: {exc}", file=sys.stderr)
+            return 2
         if u0.grid != grid:
             print(
                 f"error: initial field has m={u0.grid.m}, run uses m={grid.m}",
@@ -153,6 +157,12 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    try:
+        for m in args.m:
+            Grid(m)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     m_list = args.m or None
     report = experiments.verify_assumptions(m_list=m_list, coeff=args.coeff)
     print(report.render())

@@ -14,13 +14,15 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import linsolve, oracle, steppers
+from . import linsolve, steppers
 from .grid import (
     Field,
     Grid,
     ScalarFunction,
     discrete_norm,
+    exact_l2_norm,
     interpolate,
+    l2_distance_to_function,
     max_norm,
     prolong_to,
 )
@@ -347,7 +349,7 @@ def verify_assumptions(m_list=None, coeff: str = "paper") -> VerificationReport:
         ratios = []
         for _ in range(100):
             u = _random_field(grid, rng)
-            ratios.append(discrete_norm(u) / oracle.exact_l2_norm(u))
+            ratios.append(discrete_norm(u) / exact_l2_norm(u))
         mean_by_m.append(float(np.mean(ratios)))
         lo = min(lo, min(ratios))
         hi = max(hi, max(ratios))
@@ -364,7 +366,7 @@ def verify_assumptions(m_list=None, coeff: str = "paper") -> VerificationReport:
     errs = []
     for m in (8, 16, 32, 64):
         u = interpolate(g, Grid(m))
-        errs.append(oracle.l2_distance_to_function(u, g))
+        errs.append(l2_distance_to_function(u, g))
     orders = observed_order(errs)
     ok = all(abs(p - 2.0) <= 0.1 for p in orders)
     report.add("interpolation L2 order", ok,

@@ -1,9 +1,9 @@
 """Small-scale dense reference implementations, used only by the test suite.
 
 Everything here trades efficiency for directness: literal Kronecker
-expansion of the stiffness matrices, dense linear algebra, exact per-element
-integration of bilinear functions.  Production code paths never import this
-module.
+expansion of the stiffness matrices, dense linear algebra, and a Gauss
+quadrature cross-check of the exact L2 norm in :mod:`adisplit.grid`.
+Production code paths never import this module.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .grid import Field, padded_values
+from .grid import Field, l2_distance_to_function
 
 DENSE_BUDGET = 4096  # max (m-1)^2 entries per dense operator
 EXPM_DIM_BUDGET = 128
@@ -56,69 +56,6 @@ def dense_operator_norm(matrix: np.ndarray) -> float:
     return float(np.linalg.norm(matrix, 2))
 
 
-# 1D element mass matrix for linear hats on [0, h] is (h/6) [[2,1],[1,2]];
-# the 2D bilinear element matrix is its Kronecker square.
-_M1 = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
-_M2 = np.kron(_M1, _M1)  # corner order (J, I) = (0,0),(0,1),(1,0),(1,1)
-
-
-def exact_l2_norm_squared(u: Field) -> float:
-    """Exact integral of u^2 over the unit square, element by element."""
-    h = u.grid.h
-    p = padded_values(u)
-    c00 = p[:-1, :-1]
-    c01 = p[:-1, 1:]
-    c10 = p[1:, :-1]
-    c11 = p[1:, 1:]
-    corners = np.stack([c00, c01, c10, c11])  # (4, m, m)
-    total = 0.0
-    for a in range(4):
-        for b in range(4):
-            total += _M2[a, b] * float(np.sum(corners[a] * corners[b]))
-    return h * h * total
-
-
-def exact_l2_norm(u: Field) -> float:
-    return float(np.sqrt(exact_l2_norm_squared(u)))
-
-
 def gauss_l2_norm(u: Field, points: int = 4) -> float:
     """L2 norm by per-element Gauss quadrature; cross-check for the exact form."""
     return l2_distance_to_function(u, lambda x, y: 0.0 * x, points=points)
-
-
-def l2_distance_to_function(u: Field, g, points: int = 6) -> float:
-    """||u - g||_{L2} by per-element tensor Gauss quadrature.
-
-    The FE function is evaluated exactly at the quadrature points (bilinear
-    per element); g must accept numpy arrays.  Exact for the FE part, high
-    order for smooth g.
-    """
-    m = u.grid.m
-    h = u.grid.h
-    xi, wi = np.polynomial.legendre.leggauss(points)
-    t = 0.5 * (xi + 1.0)  # nodes on [0,1]
-    w = 0.5 * wi          # weights summing to 1
-    p = padded_values(u)
-
-    # FE values at all sample points: interpolate along x, then along y
-    # tx: (m+1 rows, m elements, points) after the x pass
-    tx = (
-        p[:, :-1, None] * (1.0 - t)[None, None, :]
-        + p[:, 1:, None] * t[None, None, :]
-    )
-    fe = (
-        tx[:-1, None, :, :] * (1.0 - t)[None, :, None, None]
-        + tx[1:, None, :, :] * t[None, :, None, None]
-    )  # (m y-elements, points_y, m x-elements, points_x)
-
-    edges = np.arange(m) * h
-    gx = edges[:, None] + h * t[None, :]        # (m, points)
-    X = gx[None, None, :, :]
-    Y = gx[:, :, None, None]
-    gv = np.asarray(g(X, Y), dtype=float)
-    gv = np.broadcast_to(gv, fe.shape)
-
-    diff2 = (fe - gv) ** 2
-    quad = np.einsum("jqip,q,p->", diff2, w, w)
-    return float(np.sqrt(h * h * quad))

@@ -138,18 +138,39 @@ def evolve(
 ) -> Field:
     """n_steps-fold composition of the selected one-step map.
 
-    A non-finite final field raises FloatingPointError.
+    DR and PR run as recurrences that carry the right-hand side of the
+    B-resolvent between steps, with R_X = (I - kappa X)^{-1} and the Cayley
+    identity (I + kappa X) R_X = 2 R_X - I.  PR (kappa = k/2) sets
+    z = u0 + kappa B u0, then steps w = R_A(z), y = 2w - z, u = R_B(y),
+    z = 2u - y.  DR (kappa = k) sets v = k B u0, then steps
+    z = R_A(u + v) - v, u = R_B(z), v = u - z, as (I - kB) u = z.  A run
+    applies B once and A never, and equals the composed one-step maps up
+    to roundoff.  A non-finite final field raises FloatingPointError.
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be non-negative, got {n_steps}")
     u = u0
-    for _ in range(n_steps):
-        if scheme is SchemeKind.DOUGLAS_RACHFORD:
-            u = dr_step(op, k, u)
-        elif scheme is SchemeKind.PEACEMAN_RACHFORD:
-            u = pr_step(op, k, u)
-        else:
+    if n_steps == 0:
+        pass
+    elif scheme is SchemeKind.CRANK_NICOLSON:
+        for _ in range(n_steps):
             u = cn_step(op, k, u, handle)
+    elif scheme is SchemeKind.PEACEMAN_RACHFORD:
+        _check_step(k)
+        kappa = 0.5 * k
+        z = u0 + kappa * op.apply_b(u0)
+        for _ in range(n_steps):
+            w = op.solve_resolvent_a(kappa, z)
+            y = 2.0 * w - z
+            u = op.solve_resolvent_b(kappa, y)
+            z = 2.0 * u - y
+    else:
+        _check_step(k)
+        v = k * op.apply_b(u0)
+        for _ in range(n_steps):
+            z = op.solve_resolvent_a(k, u + v) - v
+            u = op.solve_resolvent_b(k, z)
+            v = u - z
     if not np.isfinite(u.values).all():
         raise FloatingPointError(
             f"{scheme.value} evolve with k={k} over {n_steps} steps "

@@ -267,6 +267,27 @@ class TestCli:
         assert code == 2
         assert "m=4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            ("2\nnan\n", "non-finite"),
+            ("3\n1\n2\n", "holds 2 values, expected 4"),
+            ("x\n1\n", "invalid literal"),
+            (None, "No such file"),
+        ],
+        ids=["nan", "too_few_values", "bad_header", "missing_path"],
+    )
+    def test_run_unreadable_initial_file(self, tmp_path, capsys, content, message):
+        path = tmp_path / "init.txt"
+        if content is not None:
+            path.write_text(content)
+        code = main(["run", "--scheme", "pr", "--m", "8", "--k", "0.125",
+                     "--initial", "file", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     def test_run_bad_initial_kind(self, capsys):
         code = main(["run", "--scheme", "pr", "--m", "8", "--k", "0.125",
                      "--initial", "random"])
@@ -316,6 +337,13 @@ class TestCli:
                      "--ref-m", "16", "--ref-k", "1/64"])
         assert code == 2
         assert "m=1" in capsys.readouterr().err
+
+    def test_verify_grid_too_coarse(self, capsys):
+        code = main(["verify", "--m", "8", "--m", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: grid needs m >= 2 subintervals, got m=1\n"
+        assert captured.out == ""
 
     def test_verify_exit_zero(self, capsys):
         code = main(["verify", "--m", "8", "--coeff", "constant"])

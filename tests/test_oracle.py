@@ -3,7 +3,15 @@ import pytest
 
 from adisplit import oracle
 from adisplit.experiments import PAPER_LAMBDA, PAPER_MU
-from adisplit.grid import Field, Grid, interpolate, zero_field
+from adisplit.grid import (
+    Field,
+    Grid,
+    exact_l2_norm,
+    exact_l2_norm_squared,
+    interpolate,
+    l2_distance_to_function,
+    zero_field,
+)
 from adisplit.operators import assemble_split_operator
 
 ONE = lambda x: np.ones_like(np.asarray(x, dtype=float))
@@ -72,27 +80,27 @@ class TestDenseExpm:
 
 class TestExactL2:
     def test_zero(self):
-        assert oracle.exact_l2_norm(zero_field(Grid(8))) == 0.0
+        assert exact_l2_norm(zero_field(Grid(8))) == 0.0
 
     def test_single_hat(self):
         # squared L2 norm of the 2D hat is (2h/3)^2
         g = Grid(2)
         u = Field(g, np.array([[1.0]]))
-        assert oracle.exact_l2_norm_squared(u) == pytest.approx(
+        assert exact_l2_norm_squared(u) == pytest.approx(
             4.0 * g.h ** 2 / 9.0, rel=1e-14
         )
 
     def test_matches_gauss_quadrature(self):
         for m in (4, 8):
             u = random_field(Grid(m), m)
-            exact = oracle.exact_l2_norm(u)
+            exact = exact_l2_norm(u)
             gauss = oracle.gauss_l2_norm(u, points=4)
             assert exact == pytest.approx(gauss, rel=1e-12)
 
     def test_interpolated_constant(self):
         # interior-ones field: exact value cross-checked by Gauss quadrature
         u = Field(Grid(4), np.ones((3, 3)))
-        assert oracle.exact_l2_norm(u) == pytest.approx(
+        assert exact_l2_norm(u) == pytest.approx(
             oracle.gauss_l2_norm(u), rel=1e-13
         )
 
@@ -102,7 +110,7 @@ class TestL2Distance:
         # a function already in the FE space has zero distance
         g = Grid(8)
         u = interpolate(lambda x, y: 0.0 * x, g)
-        assert oracle.l2_distance_to_function(u, lambda x, y: 0.0 * x) == 0.0
+        assert l2_distance_to_function(u, lambda x, y: 0.0 * x) == 0.0
 
     def test_known_interpolation_error_scale(self):
         def g(x, y):
@@ -111,7 +119,7 @@ class TestL2Distance:
         errs = []
         for m in (8, 16):
             u = interpolate(g, Grid(m))
-            errs.append(oracle.l2_distance_to_function(u, g))
+            errs.append(l2_distance_to_function(u, g))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
 
 

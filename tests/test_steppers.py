@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -55,19 +57,23 @@ class ZeroATestDouble:
         return self.op.solve_resolvent_b(kappa, rhs)
 
 
-class ApplyLCounter:
-    """Delegates to a real operator and counts apply_l calls."""
+class CallCounter:
+    """Delegates to a real operator and counts calls of each method."""
 
     def __init__(self, op):
         self.op = op
-        self.apply_l_calls = 0
+        self.calls = collections.Counter()
 
     def __getattr__(self, name):
-        return getattr(self.op, name)
+        attr = getattr(self.op, name)
+        if not callable(attr):
+            return attr
 
-    def apply_l(self, u):
-        self.apply_l_calls += 1
-        return self.op.apply_l(u)
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return attr(*args, **kwargs)
+
+        return counted
 
 
 class TestScalarSurrogate:
@@ -93,6 +99,21 @@ class TestScalarSurrogate:
         exact = (0.95 / 1.05) ** 80
         assert u.values[0, 0] == pytest.approx(exact, rel=1e-12)
         assert abs(u.values[0, 0] - np.exp(-8.0)) / np.exp(-8.0) < 1e-2
+
+
+def dense_split_steps(op, k):
+    """Dense DR and PR step matrices from their defining formulas."""
+    a, b, _ = oracle.dense_assemble(op)
+    eye = np.eye(op.grid.interior_count)
+    s_dr = np.linalg.solve(
+        eye - k * b, np.linalg.solve(eye - k * a, eye + k * k * a @ b)
+    )
+    s_pr = np.linalg.solve(
+        eye - 0.5 * k * b,
+        (eye + 0.5 * k * a)
+        @ np.linalg.solve(eye - 0.5 * k * a, eye + 0.5 * k * b),
+    )
+    return s_dr, s_pr
 
 
 @pytest.fixture(scope="module")
@@ -130,11 +151,28 @@ class TestStepContracts:
         with pytest.raises(ValueError):
             evolve(op, SchemeKind.DOUGLAS_RACHFORD, 0.1, -1, random_field(op.grid))
 
-    def test_evolve_is_composition(self, op):
-        u = random_field(op.grid, 1)
-        two = evolve(op, SchemeKind.DOUGLAS_RACHFORD, 0.01, 2, u)
-        manual = dr_step(op, 0.01, dr_step(op, 0.01, u))
-        assert np.array_equal(two.values, manual.values)
+    def test_evolve_is_composition(self, op8, op16):
+        # evolve runs the same map through the Cayley identity, so the two
+        # agree to roundoff, not bit for bit
+        for op, k, n in ((op8, 0.01, 2), (op16, 0.3, 64)):
+            u = random_field(op.grid, 1)
+            for scheme, step in ((SchemeKind.DOUGLAS_RACHFORD, dr_step),
+                                 (SchemeKind.PEACEMAN_RACHFORD, pr_step)):
+                manual = u
+                for _ in range(n):
+                    manual = step(op, k, manual)
+                got = evolve(op, scheme, k, n, u)
+                assert discrete_norm(got - manual) <= 1e-13 * discrete_norm(manual)
+
+    @pytest.mark.parametrize(
+        "scheme", [SchemeKind.DOUGLAS_RACHFORD, SchemeKind.PEACEMAN_RACHFORD]
+    )
+    def test_evolve_applies_one_operator_per_run(self, op, scheme):
+        counter = CallCounter(op)
+        evolve(counter, scheme, 0.05, 7, random_field(op.grid, 4))
+        assert counter.calls == {
+            "apply_b": 1, "solve_resolvent_a": 7, "solve_resolvent_b": 7
+        }
 
     def test_linearity(self, op):
         u = random_field(op.grid, 2)
@@ -151,16 +189,9 @@ class TestStepContracts:
     def test_matches_dense_compositions(self, op8, op16):
         # k = 0.3 at m = 16 is a large step: k * rho(B) is about 322
         for op, k in ((op8, 1e-3), (op16, 0.3)):
-            a, b, l = oracle.dense_assemble(op)
+            _, _, l = oracle.dense_assemble(op)
             eye = np.eye(op.grid.interior_count)
-            s_dr = np.linalg.solve(
-                eye - k * b, np.linalg.solve(eye - k * a, eye + k * k * a @ b)
-            )
-            s_pr = np.linalg.solve(
-                eye - 0.5 * k * b,
-                (eye + 0.5 * k * a)
-                @ np.linalg.solve(eye - 0.5 * k * a, eye + 0.5 * k * b),
-            )
+            s_dr, s_pr = dense_split_steps(op, k)
             for seed in range(5):
                 u = random_field(op.grid, seed)
                 for step, s in ((dr_step, s_dr), (pr_step, s_pr)):
@@ -172,6 +203,19 @@ class TestStepContracts:
                 )
                 rel = discrete_norm(cn_step(op, k, u) - want) / discrete_norm(want)
                 assert rel <= 1e-9
+
+    def test_evolve_matches_dense_powers(self, op16):
+        k, n = 0.3, 8
+        for scheme, s in zip(
+            (SchemeKind.DOUGLAS_RACHFORD, SchemeKind.PEACEMAN_RACHFORD),
+            dense_split_steps(op16, k),
+        ):
+            s_n = np.linalg.matrix_power(s, n)
+            for seed in range(3):
+                u = random_field(op16.grid, seed)
+                want = oracle.dense_apply(s_n, u)
+                got = evolve(op16, scheme, k, n, u)
+                assert discrete_norm(got - want) <= 1e-11 * discrete_norm(want)
 
 
 class TestStability:
@@ -269,9 +313,9 @@ class TestCrankNicolsonSolve:
         # the paper's initial data at m=128, k=2^-10: the unpreconditioned
         # solve needs about 30 applications of L, this one at most 12
         op = assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(128))
-        counter = ApplyLCounter(op)
+        counter = CallCounter(op)
         cn_step(counter, 2.0 ** -10, prepare_initial_data(op))
-        assert counter.apply_l_calls <= 12
+        assert counter.calls["apply_l"] <= 12
 
     def test_rough_data_needs_fewer_applications_than_plain_cg(self):
         # the ADI product alone needs about twice as many iterations as
@@ -279,7 +323,7 @@ class TestCrankNicolsonSolve:
         op = assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(128))
         k = 2.0 ** -10
         u = random_field(op.grid, 11)
-        counter = ApplyLCounter(op)
+        counter = CallCounter(op)
         got = cn_step(counter, k, u)
         n = op.grid.n
         plain = []
@@ -291,7 +335,7 @@ class TestCrankNicolsonSolve:
 
         rhs = u + 0.5 * k * op.apply_l(u)
         want = linsolve.conjugate_gradient(matvec, rhs.values.ravel())
-        assert counter.apply_l_calls - 1 < len(plain) / 2
+        assert counter.calls["apply_l"] - 1 < len(plain) / 2
         assert np.max(np.abs(got.values.ravel() - want)) <= 1e-9
 
     def test_rejects_kronecker_handle(self, op8):
