@@ -4,19 +4,34 @@ The 2D operator splits as L = A + B where A acts along x with coefficient
 lambda(x)*mu(y) and B along y.  With trapezoidal quadrature the mass matrix
 is h^2*I and the stiffness matrices factor into Kronecker products of a 1D
 tridiagonal stiffness matrix and a diagonal coefficient matrix, so A and B
-apply line by line and each resolvent reduces to one block-diagonal SPD
-tridiagonal solve (LAPACK dpttrf/dpttrs).
+apply line by line and each resolvent reduces to one SPD tridiagonal
+system per grid line.  The lines are factored by LAPACK dpttrf and solved
+by a small compiled kernel (``_tridiag.c``) that sweeps many lines side by
+side; it is built with ``cc`` on first use into a per-user cache, and where
+it cannot be built the solve falls back to LAPACK dpttrs with the same
+results.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import logging
+import os
+import platform
+import subprocess
+import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import lapack
 
 from .grid import Field, Grid
+
+logger = logging.getLogger(__name__)
 
 COEFF_SAMPLE_POINTS = 10_001
 # Resolvent factors kept per operator, least recently used evicted first.
@@ -129,30 +144,32 @@ class SplitDiffusionOperator:
 
     def solve_resolvent_a(self, kappa: float, rhs: Field) -> Field:
         """Solve (I - kappa*A) w = rhs, one tridiagonal system per x-line."""
-        self._check(rhs)
-        return Field(self.grid, self._solve_lines("a", kappa, rhs.values))
+        return self._line_solve("a", kappa, rhs, False)
 
     def solve_resolvent_b(self, kappa: float, rhs: Field) -> Field:
         """Solve (I - kappa*B) w = rhs, one tridiagonal system per y-line."""
+        return self._line_solve("b", kappa, rhs, False)
+
+    def cayley_a(self, kappa: float, u: Field) -> Field:
+        """Cayley transform (I + kappa*A)(I - kappa*A)^{-1} u = 2 R_A u - u."""
+        return self._line_solve("a", kappa, u, True)
+
+    def cayley_b(self, kappa: float, u: Field) -> Field:
+        """Cayley transform (I + kappa*B)(I - kappa*B)^{-1} u = 2 R_B u - u."""
+        return self._line_solve("b", kappa, u, True)
+
+    def _line_solve(self, axis: str, kappa: float, rhs: Field, reflect: bool) -> Field:
         self._check(rhs)
-        out = self._solve_lines("b", kappa, rhs.values.T)
-        return Field(self.grid, np.ascontiguousarray(out.T))
+        return Field(self.grid, self._factors(axis, kappa).solve(rhs.values, reflect))
 
-    def _solve_lines(self, axis: str, kappa: float, lines: np.ndarray) -> np.ndarray:
-        """Solve every row of ``lines`` against its line system in one dpttrs call."""
-        d, e = self._factors(axis, kappa)
-        if d.size == 1:
-            return lines / d
-        x, info = lapack.dpttrs(d, e, lines.ravel())
-        _check_lapack("dpttrs", info)
-        return x.reshape(lines.shape)
-
-    def _factors(self, axis: str, kappa: float) -> tuple:
+    def _factors(self, axis: str, kappa: float):
         """L D L^T factor of I - kappa*A (axis "a") or I - kappa*B (axis "b").
 
         All n line systems I + gamma_r K are concatenated into one SPD
         tridiagonal matrix of order n^2 whose off-diagonal is zero where one
-        line meets the next, so the factor never couples two lines.
+        line meets the next, so the factor never couples two lines.  It is
+        kept in the order the solver sweeps it: the compiled kernel's when
+        it loads, dpttrs's otherwise.
         """
         if kappa <= 0.0:
             raise ValueError(f"resolvent step kappa must be positive, got {kappa}")
@@ -170,7 +187,12 @@ class SplitDiffusionOperator:
             if d.size > 1:  # the LAPACK wrapper rejects the empty off-diagonal
                 d, e, info = lapack.dpttrf(d, e)
                 _check_lapack("dpttrf", info)
-            fac = self._factor_cache[key] = (d, e)
+            kernel = _kernel()
+            if kernel is None:
+                fac = _LapackFactor(axis, d, e)
+            else:
+                fac = _KernelFactor(kernel, axis, self.grid.n, d, e)
+            self._factor_cache[key] = fac
             if len(self._factor_cache) > FACTOR_CACHE_CAPACITY:
                 self._factor_cache.popitem(last=False)
         return fac
@@ -188,6 +210,125 @@ def _check_lapack(routine: str, info: int) -> None:
             f"LAPACK {routine} failed with info={info}"
             + (" (matrix not positive definite)" if info > 0 else "")
         )
+
+
+class _KernelFactor:
+    """A dpttrf factor in the compiled kernel's sweep order.
+
+    Axis "b" lines run along axis 0 of the C-ordered field, so the factor is
+    transposed to [position][line] and all lines sweep together, row by
+    row, directly on the field.  Axis "a" lines are contiguous; the kernel sweeps them in
+    tiles of ``adisplit_tile`` lines, so the factor is stored
+    [tile][position][line], padded with identity lines (d = 1, e = 0) to
+    whole tiles.
+    """
+
+    def __init__(self, kernel, axis: str, n: int, d: np.ndarray, e: np.ndarray):
+        d = d.reshape(n, n)
+        e = np.append(e, 0.0).reshape(n, n)  # e[line, n-1] is never read
+        if axis == "b":
+            self.d, self.e = d.T.copy(), e.T.copy()
+            self._solve = kernel.adisplit_solve_strided
+        else:
+            tile = ctypes.c_long.in_dll(kernel, "adisplit_tile").value
+            lines = -(-n // tile) * tile
+            self.d = np.ones((lines, n))
+            self.e = np.zeros((lines, n))
+            self.d[:n], self.e[:n] = d, e
+            self.d = self.d.reshape(-1, tile, n).transpose(0, 2, 1).copy()
+            self.e = self.e.reshape(-1, tile, n).transpose(0, 2, 1).copy()
+            self._solve = kernel.adisplit_solve_contiguous
+        self.n = n
+        self._d_ptr, self._e_ptr = self.d.ctypes.data, self.e.ctypes.data
+
+    def solve(self, rhs: np.ndarray, reflect: bool) -> np.ndarray:
+        """R rhs, or 2 R rhs - rhs with ``reflect``, in a new C-ordered array."""
+        r = np.ascontiguousarray(rhs, dtype=np.float64)
+        if r.shape != (self.n, self.n):
+            raise ValueError(f"line solve needs shape {(self.n, self.n)}, got {r.shape}")
+        x = np.empty_like(r)
+        if self._solve(self.n, self._d_ptr, self._e_ptr,
+                       r.ctypes.data, x.ctypes.data, reflect) != 0:
+            raise MemoryError("tridiagonal kernel could not allocate its tile")
+        return x
+
+
+class _LapackFactor:
+    """A dpttrf factor over contiguous lines, solved by one dpttrs call.
+
+    Used where the compiled kernel is unavailable; axis "b" lines are
+    transposed to contiguous rows and back around the solve.
+    """
+
+    def __init__(self, axis: str, d: np.ndarray, e: np.ndarray):
+        self.axis, self.d, self.e = axis, d, e
+
+    def solve(self, rhs: np.ndarray, reflect: bool) -> np.ndarray:
+        """R rhs, or 2 R rhs - rhs with ``reflect``, in a new C-ordered array."""
+        lines = rhs.T if self.axis == "b" else rhs
+        if self.d.size == 1:
+            x = lines / self.d
+        else:
+            x, info = lapack.dpttrs(self.d, self.e, lines.ravel())
+            _check_lapack("dpttrs", info)
+            x = x.reshape(lines.shape)
+        if self.axis == "b":
+            x = np.ascontiguousarray(x.T)
+        return 2.0 * x - rhs if reflect else x
+
+
+_KERNEL_SOURCE = Path(__file__).with_name("_tridiag.c")
+# -ffp-contract=off keeps dpttrs's rounding (no fused multiply-add); no
+# -march flag, so the cached library runs on any machine of its architecture
+_KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+@functools.cache
+def _kernel():
+    """The compiled line kernel, built on first use, or None.
+
+    None means it could not be built or loaded; the reason is logged once
+    and every resolvent then uses LAPACK dpttrs, with the same results.
+    """
+    try:
+        lib = ctypes.CDLL(str(_build_kernel()))
+    except (OSError, subprocess.CalledProcessError) as exc:
+        detail = getattr(exc, "stderr", None) or exc
+        logger.warning("compiled tridiagonal kernel unavailable, using LAPACK "
+                       "dpttrs: %s", detail)
+        return None
+    for fn in (lib.adisplit_solve_strided, lib.adisplit_solve_contiguous):
+        fn.argtypes = (ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
+                       ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int)
+        fn.restype = ctypes.c_int
+    return lib
+
+
+def _build_kernel() -> Path:
+    """Path of the kernel library in the per-user cache, compiling it if absent.
+
+    The file is named by a hash of the source, the flags and the machine
+    architecture and is compiled into a temporary file that is then renamed
+    into place, so concurrent builds never load a partial library.
+    """
+    key = " ".join((*_KERNEL_FLAGS, platform.machine())).encode()
+    tag = hashlib.sha256(_KERNEL_SOURCE.read_bytes() + key).hexdigest()[:16]
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    cache = Path(base if os.path.isabs(base) else Path.home() / ".cache") / "adisplit"
+    target = cache / f"_tridiag-{tag}.so"
+    if target.exists():
+        return target
+    cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=cache, suffix=".so")
+    os.close(fd)
+    try:
+        subprocess.run(["cc", *_KERNEL_FLAGS, "-o", tmp, str(_KERNEL_SOURCE)],
+                       check=True, capture_output=True, text=True)
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return target
 
 
 def assemble_split_operator(lam, mu, grid: Grid) -> SplitDiffusionOperator:

@@ -1,9 +1,11 @@
 """One-step time integrators over an abstract split operator.
 
 The step maps only require the capability set apply_a / apply_b / apply_l /
-solve_resolvent_a / solve_resolvent_b (and diagonal_l for the Crank-Nicolson
-preconditioner), so any pair of dissipative operators with computable
-resolvents plugs in; the diffusion instance lives in :mod:`adisplit.operators`.
+solve_resolvent_a / solve_resolvent_b, with cayley_a / cayley_b for
+``evolve`` and diagonal_l for the Crank-Nicolson preconditioner, so any pair
+of dissipative operators with computable resolvents plugs in; cayley_X(kappa,
+u) returns (I + kappa X)(I - kappa X)^{-1} u in a new field.  The diffusion
+instance lives in :mod:`adisplit.operators`.
 """
 
 from __future__ import annotations
@@ -138,12 +140,15 @@ def evolve(
 ) -> Field:
     """n_steps-fold composition of the selected one-step map.
 
-    DR and PR run as recurrences that carry the right-hand side of the
-    B-resolvent between steps, with R_X = (I - kappa X)^{-1} and the Cayley
-    identity (I + kappa X) R_X = 2 R_X - I.  PR (kappa = k/2) sets
-    z = u0 + kappa B u0, then steps w = R_A(z), y = 2w - z, u = R_B(y),
-    z = 2u - y.  DR (kappa = k) sets v = k B u0, then steps
-    z = R_A(u + v) - v, u = R_B(z), v = u - z, as (I - kB) u = z.  A run
+    DR and PR run as Cayley recurrences, with R_X = (I - kappa X)^{-1} and
+    C_X = (I + kappa X) R_X = 2 R_X - I, so every step is two Cayley
+    transforms and no operator application.  PR (kappa = k/2) sets
+    z = (I + kappa B) u0, applies z <- C_B C_A z for n_steps - 1 steps and
+    returns R_B C_A z; as (I + kappa B) R_B = C_B, that is the composed
+    ``pr_step`` map.  DR
+    (kappa = k) runs in Lions-Mercier form on t = (I - kB) u: it sets
+    t = u0 - k B u0, applies t <- (t + C_A C_B t) / 2 n_steps times and
+    returns R_B t, since R_A (I + k^2 A B) R_B = (I + C_A C_B) / 2.  A run
     applies B once and A never, and equals the composed one-step maps up
     to roundoff.  A non-finite final field raises FloatingPointError.
     """
@@ -159,18 +164,19 @@ def evolve(
         _check_step(k)
         kappa = 0.5 * k
         z = u0 + kappa * op.apply_b(u0)
-        for _ in range(n_steps):
-            w = op.solve_resolvent_a(kappa, z)
-            y = 2.0 * w - z
-            u = op.solve_resolvent_b(kappa, y)
-            z = 2.0 * u - y
+        for _ in range(n_steps - 1):
+            z = op.cayley_b(kappa, op.cayley_a(kappa, z))
+        u = op.solve_resolvent_b(kappa, op.cayley_a(kappa, z))
     else:
         _check_step(k)
-        v = k * op.apply_b(u0)
+        t = u0 - k * op.apply_b(u0)
         for _ in range(n_steps):
-            z = op.solve_resolvent_a(k, u + v) - v
-            u = op.solve_resolvent_b(k, z)
-            v = u - z
+            s = op.cayley_a(k, op.cayley_b(k, t))
+            v = s.values  # a new array, so it is updated in place
+            v += t.values
+            v *= 0.5
+            t = s
+        u = op.solve_resolvent_b(k, t)
     if not np.isfinite(u.values).all():
         raise FloatingPointError(
             f"{scheme.value} evolve with k={k} over {n_steps} steps "

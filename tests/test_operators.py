@@ -1,3 +1,11 @@
+import logging
+import os
+import shutil
+import stat
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +31,32 @@ def random_field(grid, seed=0):
 
 def paper_operator(m):
     return assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(m))
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+
+
+@pytest.fixture(params=["kernel", "lapack"])
+def line_path(request, monkeypatch):
+    """Solve the resolvents of operators made in the test with the compiled
+    kernel or with the LAPACK dpttrs fallback."""
+    if request.param == "lapack":
+        monkeypatch.setattr(operators, "_kernel", lambda: None)
+    elif shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    else:
+        assert operators._kernel() is not None
+    return request.param
+
+
+def on_both_paths(monkeypatch, compute):
+    """compute() with the compiled kernel and with the LAPACK fallback."""
+    assert operators._kernel() is not None
+    kernel = compute()
+    with monkeypatch.context() as mp:
+        mp.setattr(operators, "_kernel", lambda: None)
+        fallback = compute()
+    return kernel, fallback
 
 
 class TestStiffnessAssembly:
@@ -145,7 +179,7 @@ class TestResolvents:
         w = op.solve_resolvent_a(0.1, u)
         assert w.values[0, 0] == pytest.approx(1.0 / 1.8, rel=1e-15)
 
-    def test_lines_do_not_couple(self):
+    def test_lines_do_not_couple(self, line_path):
         # the factor concatenates all lines into one tridiagonal matrix; its
         # zero off-diagonal entries at line ends must keep the lines apart
         op = paper_operator(8)
@@ -161,7 +195,7 @@ class TestResolvents:
             assert np.all(np.delete(w, j, axis=1) == 0.0)
             assert np.all(w[:, j] != 0.0)
 
-    def test_indefinite_system_raises(self):
+    def test_indefinite_system_raises(self, line_path):
         # a negated stiffness makes I - kappa*A indefinite for large kappa;
         # the factorization must report it instead of returning garbage
         op = paper_operator(8)
@@ -169,11 +203,13 @@ class TestResolvents:
         with pytest.raises(np.linalg.LinAlgError):
             op.solve_resolvent_a(10.0, random_field(op.grid))
 
-    def test_zero_rhs(self):
+    def test_zero_rhs(self, line_path):
         op = paper_operator(8)
         z = Field(op.grid, np.zeros((7, 7)))
         assert np.all(op.solve_resolvent_a(1.0, z).values == 0.0)
         assert np.all(op.solve_resolvent_b(1.0, z).values == 0.0)
+        assert np.all(op.cayley_a(1.0, z).values == 0.0)
+        assert np.all(op.cayley_b(1.0, z).values == 0.0)
 
     def test_residual_and_dense_match(self):
         op = paper_operator(8)
@@ -215,6 +251,134 @@ class TestResolvents:
         op = paper_operator(4)
         with pytest.raises(ValueError):
             op.solve_resolvent_a(kappa, random_field(op.grid))
+
+
+@needs_cc
+class TestLinePaths:
+    """The compiled kernel against the LAPACK dpttrf/dpttrs fallback."""
+
+    # n = m - 1 lines per direction: 16 and 32 fill whole 16-line tiles,
+    # 1, 2, 17, 63 and 90 leave a partial one
+    @pytest.mark.parametrize("m", [2, 3, 17, 18, 33, 64, 91])
+    def test_solves_agree_bit_for_bit(self, monkeypatch, m):
+        u = random_field(Grid(m), m)
+        names = ("solve_resolvent_a", "solve_resolvent_b", "cayley_a", "cayley_b")
+
+        def compute():
+            op = paper_operator(m)
+            return [getattr(op, name)(kappa, u).values
+                    for kappa in (1e-3, 1.0, 1e3) for name in names]
+
+        for got, want in zip(*on_both_paths(monkeypatch, compute)):
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want)
+
+    def test_cayley_is_the_reflected_resolvent(self):
+        op = paper_operator(40)
+        u = random_field(op.grid, 2)
+        for kappa in (1e-3, 1.0, 1e3):
+            for solve, cayley in ((op.solve_resolvent_a, op.cayley_a),
+                                  (op.solve_resolvent_b, op.cayley_b)):
+                want = 2.0 * solve(kappa, u).values - u.values
+                assert np.array_equal(cayley(kappa, u).values, want)
+
+    def test_evolve_agrees(self, monkeypatch):
+        u = random_field(Grid(33), 3)
+        for scheme in (steppers.SchemeKind.PEACEMAN_RACHFORD,
+                       steppers.SchemeKind.DOUGLAS_RACHFORD):
+            got, want = on_both_paths(
+                monkeypatch,
+                lambda: steppers.evolve(paper_operator(33), scheme, 1.0 / 64, 20, u))
+            if scheme is steppers.SchemeKind.PEACEMAN_RACHFORD:
+                assert np.array_equal(got.values, want.values)
+            else:
+                assert discrete_norm(got - want) <= 1e-14 * discrete_norm(want)
+
+    def test_noncontiguous_and_integer_fields(self, line_path):
+        # the kernel gets C-ordered float64 copies of other layouts and types
+        op = paper_operator(20)
+        ints = np.arange(19 * 19).reshape(19, 19) % 7 - 3
+        floats = Field(op.grid, ints.astype(float))
+        for field in (Field(op.grid, np.asfortranarray(ints.astype(float))),
+                      Field(op.grid, ints)):
+            for name in ("solve_resolvent_a", "solve_resolvent_b",
+                         "cayley_a", "cayley_b"):
+                got = getattr(op, name)(0.5, field).values
+                assert np.array_equal(got, getattr(op, name)(0.5, floats).values)
+
+
+@pytest.fixture
+def fresh_loader():
+    """Forget the loaded kernel before and after the test."""
+    operators._kernel.cache_clear()
+    yield
+    operators._kernel.cache_clear()
+
+
+@needs_cc
+class TestKernelBuild:
+    def test_builds_once_into_the_user_cache(self, monkeypatch, tmp_path, fresh_loader):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        compiles = []
+        run = subprocess.run
+
+        def counting_run(args, **kwargs):
+            compiles.append(args[0])
+            return run(args, **kwargs)
+
+        monkeypatch.setattr(operators.subprocess, "run", counting_run)
+        u = random_field(Grid(20))
+        first = paper_operator(20).cayley_a(0.5, u).values
+        cache = tmp_path / "adisplit"
+        built = list(cache.iterdir())
+        assert compiles == ["cc"]
+        assert [p.name[:9] for p in built] == ["_tridiag-"]  # no temporary left
+        assert stat.S_IMODE(cache.stat().st_mode) & 0o077 == 0
+        operators._kernel.cache_clear()  # as in a new process
+        second = paper_operator(20).cayley_a(0.5, u).values
+        assert compiles == ["cc"]
+        assert operators._kernel()._name == str(built[0])
+        assert np.array_equal(first, second)
+
+    def test_missing_compiler_falls_back(self, monkeypatch, tmp_path, caplog,
+                                         fresh_loader):
+        u = random_field(Grid(20))
+        want = paper_operator(20).cayley_b(0.5, u).values
+        operators._kernel.cache_clear()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setenv("PATH", str(tmp_path))  # no cc on it
+        with caplog.at_level(logging.WARNING, logger="adisplit.operators"):
+            got = paper_operator(20).cayley_b(0.5, u).values
+            paper_operator(20).solve_resolvent_a(0.5, u)
+        assert operators._kernel() is None
+        assert len(caplog.records) == 1
+        assert "dpttrs" in caplog.records[0].getMessage()
+        assert np.array_equal(got, want)
+
+    def test_source_compiles_without_warnings(self, tmp_path):
+        subprocess.run(
+            ["cc", "-Wall", "-Wextra", "-Werror", *operators._KERNEL_FLAGS,
+             "-o", str(tmp_path / "kernel.so"), str(operators._KERNEL_SOURCE)],
+            check=True, capture_output=True,
+        )
+
+
+def test_import_starts_no_process():
+    # the kernel is built on the first resolvent solve, never on import
+    code = (
+        "import sys\n"
+        "seen = []\n"
+        "spawn = ('subprocess.Popen', 'os.system', 'os.posix_spawn', "
+        "'os.fork', 'os.exec', 'os.spawn')\n"
+        "sys.addaudithook(lambda event, args: event in spawn and seen.append(event))\n"
+        "import adisplit\n"
+        "print(seen, adisplit.operators._kernel.cache_info().currsize)\n"
+    )
+    src = str(Path(operators.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["[]", "0"]
 
 
 class TestDiagonal:

@@ -168,11 +168,37 @@ class TestStepContracts:
         "scheme", [SchemeKind.DOUGLAS_RACHFORD, SchemeKind.PEACEMAN_RACHFORD]
     )
     def test_evolve_applies_one_operator_per_run(self, op, scheme):
+        # PR's last step ends in R_B instead of C_B; DR maps back with one R_B
         counter = CallCounter(op)
         evolve(counter, scheme, 0.05, 7, random_field(op.grid, 4))
+        cayley_b = 7 if scheme is SchemeKind.DOUGLAS_RACHFORD else 6
         assert counter.calls == {
-            "apply_b": 1, "solve_resolvent_a": 7, "solve_resolvent_b": 7
+            "apply_b": 1, "cayley_a": 7, "cayley_b": cayley_b,
+            "solve_resolvent_b": 1,
         }
+
+    def test_evolve_keeps_the_resolvent_recurrences(self, op16):
+        # PR's Cayley loop does the operations of the resolvent recurrence
+        # below in the same order; DR's Lions-Mercier loop regroups the
+        # Douglas recurrence, so it agrees to roundoff
+        k, n = 1.0 / 16, 24
+        u0 = random_field(op16.grid, 5)
+        kappa = 0.5 * k
+        z = u0 + kappa * op16.apply_b(u0)
+        for _ in range(n):
+            w = op16.solve_resolvent_a(kappa, z)
+            y = 2.0 * w - z
+            u = op16.solve_resolvent_b(kappa, y)
+            z = 2.0 * u - y
+        got = evolve(op16, SchemeKind.PEACEMAN_RACHFORD, k, n, u0)
+        assert np.array_equal(got.values, u.values)
+        u, v = u0, k * op16.apply_b(u0)
+        for _ in range(n):
+            z = op16.solve_resolvent_a(k, u + v) - v
+            u = op16.solve_resolvent_b(k, z)
+            v = u - z
+        got = evolve(op16, SchemeKind.DOUGLAS_RACHFORD, k, n, u0)
+        assert discrete_norm(got - u) <= 1e-14 * discrete_norm(u)
 
     def test_linearity(self, op):
         u = random_field(op.grid, 2)
