@@ -1,4 +1,5 @@
-/* Line-interleaved SPD tridiagonal solves with a LAPACK dpttrf factor.
+/* Line-interleaved SPD tridiagonal solves with a LAPACK dpttrf factor, and
+ * the five-point stencil of A, B and L = A + B.
  *
  * Each entry point solves every grid line of an n x n field, one system
  * per line, from the factor L D L^T of that line.  The arithmetic per line
@@ -98,4 +99,64 @@ int adisplit_solve_contiguous(long n, const double *d, const double *e,
     }
     free(tr);
     return 0;
+}
+
+/* Row j of the A part: y[i] = ((d[i] x[i] + e[i-1] x[i-1]) + e[i] x[i+1]) c,
+ * the operation order of TridiagonalMatrix.matvec followed by the scaling;
+ * a neighbour outside the line is skipped, not added as zero. */
+static void row_a(long n, const double *restrict d, const double *restrict e,
+                  double c, const double *restrict x, double *restrict y)
+{
+    if (n == 1) {
+        y[0] = d[0] * x[0] * c;
+        return;
+    }
+    y[0] = (d[0] * x[0] + e[0] * x[1]) * c;
+    for (long i = 1; i < n - 1; i++)
+        y[i] = ((d[i] * x[i] + e[i - 1] * x[i - 1]) + e[i] * x[i + 1]) * c;
+    y[n - 1] = (d[n - 1] * x[n - 1] + e[n - 2] * x[n - 2]) * c;
+}
+
+/* Row j of the B part, y[i] (+)= ((d x[i] + em xm[i]) + ep xp[i]) c[i] with
+ * xm and xp the rows j-1 and j+1, NULL outside the field. */
+static void row_b(long n, double d, double em, double ep,
+                  const double *restrict xm, const double *restrict x,
+                  const double *restrict xp, const double *restrict c,
+                  double *restrict y, int add)
+{
+    for (long i = 0; i < n; i++) {
+        double t = d * x[i];
+        if (xm)
+            t = t + em * xm[i];
+        if (xp)
+            t = t + ep * xp[i];
+        t = t * c[i];
+        y[i] = add ? y[i] + t : t;
+    }
+}
+
+/* y = A x (parts 1), B x (parts 2) or A x + B x (parts 3) on the C-ordered
+ * n x n field x (element i of row j at x[j*n + i]), one row at a time; with
+ * parts | 4 the result p becomes x + p sigma.  The A part is ad/ae
+ * (K_lambda) along i scaled by ac[j] = -mu_j / h^2, the B part bd/be (K_mu)
+ * along j scaled by bc[i] = -lambda_i / h^2.  `x` and `y` must not
+ * overlap. */
+void adisplit_stencil(long n, int parts, double sigma, const double *ad,
+                      const double *ae, const double *ac, const double *bd,
+                      const double *be, const double *bc,
+                      const double *restrict x, double *restrict y)
+{
+    for (long j = 0; j < n; j++) {
+        const double *xj = x + j * n;
+        double *yj = y + j * n;
+        if (parts & 1)
+            row_a(n, ad, ae, ac[j], xj, yj);
+        if (parts & 2)
+            row_b(n, bd[j], j > 0 ? be[j - 1] : 0.0, j < n - 1 ? be[j] : 0.0,
+                  j > 0 ? xj - n : NULL, xj, j < n - 1 ? xj + n : NULL, bc,
+                  yj, parts & 1);
+        if (parts & 4)
+            for (long i = 0; i < n; i++)
+                yj[i] = xj[i] + yj[i] * sigma;
+    }
 }

@@ -81,44 +81,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(message: str) -> int:
+    """Report bad input on one stderr line; exit status 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args) -> int:
+    kind, paths = args.initial[0], args.initial[1:]
+    if kind not in ("paper", "file"):
+        return _error(f"unknown --initial kind {kind!r}")
+    if kind == "file" and len(paths) != 1:
+        return _error(f"--initial file takes one path, got {paths}")
+    if kind == "paper" and paths:
+        return _error(f"--initial paper takes no further argument, got {paths}")
     try:
         grid = Grid(args.m)
         n = experiments.steps_for(args.t_end, args.k)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(str(exc))
     lam, mu = experiments.coefficient_pair(args.coeff)
     op = assemble_split_operator(lam, mu, grid)
 
-    kind = args.initial[0]
     if kind == "paper":
         u0 = experiments.prepare_initial_data(op)
-    elif kind == "file":
-        if len(args.initial) != 2:
-            print("error: --initial file needs a path", file=sys.stderr)
-            return 2
-        try:
-            u0 = read_field(args.initial[1])
-        except (ValueError, OSError) as exc:
-            print(f"error: cannot read initial field: {exc}", file=sys.stderr)
-            return 2
-        if u0.grid != grid:
-            print(
-                f"error: initial field has m={u0.grid.m}, run uses m={grid.m}",
-                file=sys.stderr,
-            )
-            return 2
     else:
-        print(f"error: unknown --initial kind {kind!r}", file=sys.stderr)
-        return 2
+        try:
+            u0 = read_field(paths[0])
+        except (ValueError, OSError) as exc:
+            return _error(f"cannot read initial field: {exc}")
+        if u0.grid != grid:
+            return _error(f"initial field has m={u0.grid.m}, run uses m={grid.m}")
 
     scheme = _SCHEMES[args.scheme]
     handle = linsolve.LinearSolverHandle() if scheme is SchemeKind.CRANK_NICOLSON else None
     u = steppers.evolve(op, scheme, args.k, n, u0, handle)
     print(f"final discrete norm: {discrete_norm(u):.17g}")
     if args.out:
-        write_field(args.out, u)
+        try:
+            write_field(args.out, u)
+        except OSError as exc:
+            return _error(f"cannot write {args.out}: {exc.strerror or exc}")
         print(f"wrote {args.out}")
     return 0
 
@@ -132,9 +135,6 @@ def _cmd_convergence(args) -> int:
         )
     else:
         rows = list(args.row)
-    if not rows:
-        print("error: give --paper-rows or at least one --row", file=sys.stderr)
-        return 2
     try:
         config = experiments.ExperimentConfig(
             scheme=_SCHEMES[args.scheme],
@@ -146,12 +146,14 @@ def _cmd_convergence(args) -> int:
             coeff=args.coeff,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(str(exc))
     report = experiments.run_convergence(config)
     print(report.render())
     if args.csv:
-        report.write_csv(args.csv)
+        try:
+            report.write_csv(args.csv)
+        except OSError as exc:
+            return _error(f"cannot write {args.csv}: {exc.strerror or exc}")
         print(f"wrote {args.csv}")
     return 0
 
@@ -161,8 +163,7 @@ def _cmd_verify(args) -> int:
         for m in args.m:
             Grid(m)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(str(exc))
     m_list = args.m or None
     report = experiments.verify_assumptions(m_list=m_list, coeff=args.coeff)
     print(report.render())

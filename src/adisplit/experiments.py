@@ -97,6 +97,11 @@ class ExperimentConfig:
         for k, m in self.rows:
             Grid(m)
             steps_for(self.t_end, k)
+        if len(self.rows) < 2:
+            raise ValueError(
+                "a convergence study needs at least two rows to estimate "
+                f"an order, got {len(self.rows)}"
+            )
 
 
 @dataclass

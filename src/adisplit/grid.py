@@ -12,6 +12,7 @@ L2 distance to a smooth function are integrated element by element.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -283,18 +284,25 @@ def prolong_to(u: Field, fine: Grid) -> Field:
 
 
 def write_field(path, u: Field) -> None:
-    """Text format: line 1 holds m; then (m-1)^2 values in storage order."""
-    with open(path, "w") as f:
-        f.write(f"{u.grid.m}\n")
-        for v in u.values.ravel():
-            f.write(f"{v:.17g}\n")
+    """Text format: line 1 holds m; then (m-1)^2 values in storage order.
+
+    Each value is written with ``%.17g``, which round-trips every float64.
+    """
+    # one row per format call: the delimiter puts every value on its own line
+    np.savetxt(path, u.values, fmt="%.17g", delimiter="\n",
+               header=str(u.grid.m), comments="")
 
 
 def read_field(path) -> Field:
     with open(path) as f:
         m = int(f.readline())
         grid = Grid(m)
-        vals = np.array([float(line) for line in f if line.strip()])
+        with warnings.catch_warnings():
+            # a file without values is reported by the size check below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            vals = np.loadtxt(f, dtype=np.float64, comments=None, ndmin=1)
+    if vals.ndim != 1:
+        raise ValueError("field file must hold one value per line")
     if vals.size != grid.interior_count:
         raise ValueError(
             f"field file holds {vals.size} values, expected {grid.interior_count}"

@@ -67,6 +67,9 @@ def conjugate_gradient(
     plain CG.  Dot products use numpy's fixed pairwise reduction, so a given
     system solves to bitwise-identical iterates on repeated runs.  Each
     solve's iteration count and final relative residual are logged at DEBUG.
+    ``x``, ``r`` and ``p`` are updated in place through one scratch vector,
+    so an iteration allocates only what ``matvec`` and ``precondition``
+    return; ``matvec`` must not keep the vector it is given.
     """
     b = np.asarray(b, dtype=float)
     bnorm = float(np.linalg.norm(b))
@@ -82,6 +85,7 @@ def conjugate_gradient(
     r = b.copy()
     z = precondition(r)
     p = z.copy()
+    scratch = np.empty_like(b)
     rz = float(r @ z)
     history = [np.sqrt(float(r @ r)) / bnorm]
     iterations = 0
@@ -89,15 +93,18 @@ def conjugate_gradient(
         iterations += 1
         Ap = matvec(p)
         alpha = rz / float(p @ Ap)
-        x = x + alpha * p
-        r = r - alpha * Ap
+        x += np.multiply(alpha, p, out=scratch)
+        r -= np.multiply(alpha, Ap, out=scratch)
         rr = float(r @ r)
         history.append(np.sqrt(rr) / bnorm)
         if history[-1] <= tol or not np.isfinite(rr):
             break
         z = precondition(r)
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        # z + beta p: IEEE addition commutes, so updating p in place keeps
+        # the bits
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug("CG: %d iterations, relative residual %.3e",

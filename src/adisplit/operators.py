@@ -7,8 +7,10 @@ tridiagonal stiffness matrix and a diagonal coefficient matrix, so A and B
 apply line by line and each resolvent reduces to one SPD tridiagonal
 system per grid line.  The lines are factored by LAPACK dpttrf and solved
 by a small compiled kernel (``_tridiag.c``) that sweeps many lines side by
-side; it is built with ``cc`` on first use into a per-user cache, and where
-it cannot be built the solve falls back to LAPACK dpttrs with the same
+side; the same kernel applies A, B or L as one five-point stencil pass.
+It is built with ``cc`` on its first use (a resolvent solve or an
+application) into a per-user cache.  Where it cannot be built the solves
+fall back to LAPACK dpttrs and the applications to numpy, with the same
 results.
 """
 
@@ -39,6 +41,8 @@ COEFF_SAMPLE_POINTS = 10_001
 # adds R_B(k/4)) keys, five with all three schemes; at m=1024 a factor
 # holds about 16 MB.
 FACTOR_CACHE_CAPACITY = 6
+# parts argument of the compiled stencil
+_PART_A, _PART_B, _PART_SHIFT = 1, 2, 4
 
 
 @dataclass(frozen=True)
@@ -108,12 +112,17 @@ class SplitDiffusionOperator:
     mu_0: float
     _factor_cache: OrderedDict = dc_field(default_factory=OrderedDict, repr=False)
     _kron_factorization: object = dc_field(default=None, repr=False)
+    # the compiled stencil's coefficient arrays and their addresses
+    _stencil_args: tuple = dc_field(default=None, repr=False)
 
     # -- forward applications -------------------------------------------------
 
     def apply_a(self, u: Field) -> Field:
         """A u: per x-line, -(mu(y_j)/h^2) * K_lambda acting along i."""
         self._check(u)
+        kernel = _kernel()
+        if kernel is not None:
+            return self._stencil(kernel, _PART_A, u)
         h2 = self.grid.h ** 2
         out = self.k_lambda.matvec(u.values)
         out *= -self.d_mu[:, None] / h2
@@ -122,15 +131,48 @@ class SplitDiffusionOperator:
     def apply_b(self, u: Field) -> Field:
         """B u: per y-line, -(lambda(x_i)/h^2) * K_mu acting along j."""
         self._check(u)
+        kernel = _kernel()
+        if kernel is not None:
+            return self._stencil(kernel, _PART_B, u)
         h2 = self.grid.h ** 2
         # matvec on the transposed view works along axis 0 without a copy
         out = self.k_mu.matvec(u.values.T).T
         out *= -self.d_lambda[None, :] / h2
         return Field(self.grid, out)
 
-    def apply_l(self, u: Field) -> Field:
+    def apply_l(self, u: Field, sigma: float | None = None) -> Field:
+        """L u = A u + B u, or (I + sigma L) u = u + sigma L u with ``sigma``."""
         self._check(u)
-        return Field(self.grid, self.apply_a(u).values + self.apply_b(u).values)
+        kernel = _kernel()
+        if kernel is not None:
+            parts = _PART_A | _PART_B | (_PART_SHIFT if sigma is not None else 0)
+            return self._stencil(kernel, parts, u, sigma or 0.0)
+        out = self.apply_a(u).values + self.apply_b(u).values
+        if sigma is not None:
+            out *= sigma
+            out += u.values
+        return Field(self.grid, out)
+
+    def _stencil(self, kernel, parts: int, u: Field, sigma: float = 0.0) -> Field:
+        """A u, B u or L u (shifted) in one compiled pass, with numpy's bits.
+
+        The coefficient arrays are made on the first call, so the operator's
+        matrices must not be replaced after it has been applied.
+        """
+        if self._stencil_args is None:
+            h2 = self.grid.h ** 2
+            arrays = [np.ascontiguousarray(a, dtype=np.float64) for a in (
+                self.k_lambda.diag, self.k_lambda.off, -self.d_mu / h2,
+                self.k_mu.diag, self.k_mu.off, -self.d_lambda / h2)]
+            self._stencil_args = (arrays, [a.ctypes.data for a in arrays])
+        n = self.grid.n
+        x = np.ascontiguousarray(u.values, dtype=np.float64)
+        if x.shape != (n, n):
+            raise ValueError(f"stencil needs shape {(n, n)}, got {x.shape}")
+        y = np.empty_like(x)
+        kernel.adisplit_stencil(n, parts, sigma, *self._stencil_args[1],
+                                x.ctypes.data, y.ctypes.data)
+        return Field(self.grid, y)
 
     def diagonal_l(self) -> Field:
         """The diagonal of L as a field (for Jacobi-type preconditioning)."""
@@ -301,6 +343,9 @@ def _kernel():
         fn.argtypes = (ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
                        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int)
         fn.restype = ctypes.c_int
+    lib.adisplit_stencil.argtypes = (ctypes.c_long, ctypes.c_int, ctypes.c_double,
+                                     *[ctypes.c_void_p] * 8)
+    lib.adisplit_stencil.restype = None
     return lib
 
 

@@ -4,7 +4,8 @@ The step maps only require the capability set apply_a / apply_b / apply_l /
 solve_resolvent_a / solve_resolvent_b, with cayley_a / cayley_b for
 ``evolve`` and diagonal_l for the Crank-Nicolson preconditioner, so any pair
 of dissipative operators with computable resolvents plugs in; cayley_X(kappa,
-u) returns (I + kappa X)(I - kappa X)^{-1} u in a new field.  The diffusion
+u) returns (I + kappa X)(I - kappa X)^{-1} u in a new field, and Crank-Nicolson
+calls apply_l(u, sigma) for u + sigma L u.  The diffusion
 instance lives in :mod:`adisplit.operators`.
 """
 
@@ -112,13 +113,13 @@ def cn_step(
             f"solver method {handle.method!r} is not supported"
         )
     half = 0.5 * k
-    rhs = u + half * op.apply_l(u)
+    rhs = op.apply_l(u, half)
     grid = op.grid
     n = grid.n
 
     def matvec(v):
-        f = Field(grid, v.reshape(n, n))
-        return (f - half * op.apply_l(f)).values.ravel()
+        # u + (-half) L u equals u - half L u bit for bit
+        return op.apply_l(Field(grid, v.reshape(n, n)), -half).values.ravel()
 
     x = linsolve.conjugate_gradient(
         matvec,

@@ -149,6 +149,15 @@ class TestConfigValidation:
                 reference=ReferenceSpec(m=16, k=0.3),
             )
 
+    @pytest.mark.parametrize("rows", [[], [(0.25, 8)]])
+    def test_fewer_than_two_rows(self, rows):
+        with pytest.raises(ValueError, match="at least two rows"):
+            ExperimentConfig(
+                scheme=SchemeKind.PEACEMAN_RACHFORD,
+                rows=rows,
+                reference=ReferenceSpec(m=16, k=1.0 / 64),
+            )
+
 
 def small_config(coeff="constant"):
     return ExperimentConfig(
@@ -293,6 +302,24 @@ class TestCli:
                      "--initial", "random"])
         assert code == 2
 
+    @pytest.mark.parametrize("initial", [["paper", "EXTRA"], ["file"],
+                                         ["file", "a.txt", "b.txt"]])
+    def test_run_initial_argument_count(self, capsys, initial):
+        code = main(["run", "--scheme", "pr", "--m", "8", "--k", "0.125",
+                     "--initial", *initial])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --initial ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_run_unwritable_out(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "f.txt"
+        code = main(["run", "--scheme", "pr", "--m", "8", "--k", "1/16",
+                     "--coeff", "constant", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out}: No such file or directory\n"
+
     def test_run_zero_denominator(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--scheme", "pr", "--m", "8", "--k", "1/0"])
@@ -331,6 +358,31 @@ class TestCli:
         code = main(["convergence", "--scheme", "pr",
                      "--ref-m", "16", "--ref-k", "1/64"])
         assert code == 2
+
+    def test_convergence_unwritable_csv(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "table.csv"
+        code = main(["convergence", "--scheme", "pr",
+                     "--row", "1/8,8", "--row", "1/16,16",
+                     "--ref-m", "32", "--ref-k", "1/128",
+                     "--coeff", "constant", "--csv", str(path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "order" in captured.out
+        assert captured.err == f"error: cannot write {path}: No such file or directory\n"
+
+    def test_convergence_single_row_rejected_before_the_reference(
+            self, monkeypatch, capsys):
+        def no_reference(*args):
+            raise AssertionError("the reference must not be computed")
+
+        monkeypatch.setattr(experiments, "compute_reference", no_reference)
+        code = main(["convergence", "--scheme", "pr", "--row", "1/8,8",
+                     "--ref-m", "16", "--ref-k", "1/64"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: a convergence study needs at least two "
+                                "rows to estimate an order, got 1\n")
+        assert captured.out == ""
 
     def test_convergence_row_grid_too_coarse(self, capsys):
         code = main(["convergence", "--scheme", "pr", "--row", "1/8,1",

@@ -224,6 +224,32 @@ class TestFieldIO:
         with pytest.raises(ValueError):
             read_field(path)
 
+    def test_bytes_match_the_per_value_format(self, tmp_path):
+        # the text format written one value at a time with f"{v:.17g}"
+        g = Grid(16)
+        rng = np.random.default_rng(13)
+        vals = rng.standard_normal((g.n, g.n)) * 10.0 ** rng.integers(-300, 300, (g.n, g.n))
+        vals.flat[:6] = [-0.0, 0.0, 5e-324, -1.7976931348623157e308, 1.0 / 3.0, 1e16]
+        u = Field(g, vals)
+        path = tmp_path / "field.txt"
+        write_field(path, u)
+        want = f"{g.m}\n" + "".join(f"{v:.17g}\n" for v in vals.ravel())
+        assert path.read_bytes() == want.encode()
+        assert read_field(path).values.tobytes() == vals.tobytes()
+
+    @pytest.mark.parametrize("content", ["3\n", "3\n\n\n", "3\n1 2\n3 4\n",
+                                         "3\n1\n2\n3\n#4\n", "3\n1\n2\n3\nx\n"])
+    def test_malformed_values_rejected(self, tmp_path, content):
+        path = tmp_path / "bad.txt"
+        path.write_text(content)
+        with pytest.raises(ValueError):
+            read_field(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "field.txt"
+        path.write_text("3\n1\n\n2\n3\n  \n4\n")
+        assert np.array_equal(read_field(path).values, [[1.0, 2.0], [3.0, 4.0]])
+
 
 def test_max_norm_is_nodal_max():
     u = Field(Grid(4), np.array([[1.0, -3.5, 2.0]] * 3))

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adisplit import operators, oracle, steppers
+from adisplit import linsolve, operators, oracle, steppers
 from adisplit.experiments import PAPER_LAMBDA, PAPER_MU, coefficient_pair
 from adisplit.grid import Field, Grid, discrete_inner_product, discrete_norm
 from adisplit.operators import (
@@ -38,8 +38,8 @@ needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler"
 
 @pytest.fixture(params=["kernel", "lapack"])
 def line_path(request, monkeypatch):
-    """Solve the resolvents of operators made in the test with the compiled
-    kernel or with the LAPACK dpttrs fallback."""
+    """Run the test with the compiled kernel, or with its fallbacks: LAPACK
+    dpttrs for the resolvents and numpy for A, B and L."""
     if request.param == "lapack":
         monkeypatch.setattr(operators, "_kernel", lambda: None)
     elif shutil.which("cc") is None:
@@ -170,6 +170,69 @@ class TestApplications:
                 n2 = discrete_norm(u) ** 2
                 assert discrete_inner_product(op.apply_a(u), u) <= 1e-12 * n2
                 assert discrete_inner_product(op.apply_b(u), u) <= 1e-12 * n2
+
+
+@pytest.mark.usefixtures("line_path")
+class TestApplicationsOnEachPath(TestApplications):
+    """The checks of TestApplications on the compiled stencil and on the
+    numpy fallback; the base class runs them on the default path."""
+
+
+def signed_zeros(grid, seed):
+    rng = np.random.default_rng(seed)
+    return Field(grid, np.where(rng.random((grid.n, grid.n)) < 0.5, -0.0, 0.0))
+
+
+@needs_cc
+class TestApplyPaths:
+    """The compiled stencil against the numpy bodies of apply_a/b/l."""
+
+    @pytest.mark.parametrize("m", [2, 3, 17, 64, 91])
+    def test_applications_agree_bit_for_bit(self, monkeypatch, m):
+        g = Grid(m)
+        # random signs of zero show a missing edge neighbour added as +0.0
+        fields = (random_field(g, m), signed_zeros(g, m))
+
+        def compute():
+            op = paper_operator(m)
+            return [f(u).values for u in fields
+                    for f in (op.apply_a, op.apply_b, op.apply_l,
+                              lambda u: op.apply_l(u, 0.25),
+                              lambda u: op.apply_l(u, -0.25))]
+
+        for got, want in zip(*on_both_paths(monkeypatch, compute)):
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+    def test_shifted_l_is_identity_plus_scaled_l(self):
+        op = paper_operator(33)
+        u = random_field(op.grid, 4)
+        lu = op.apply_l(u).values
+        assert np.array_equal(op.apply_l(u, 0.5).values, u.values + 0.5 * lu)
+        assert np.array_equal(op.apply_l(u, -0.5).values, u.values - 0.5 * lu)
+
+    def test_noncontiguous_and_integer_fields(self, line_path):
+        op = paper_operator(20)
+        ints = np.arange(19 * 19).reshape(19, 19) % 7 - 3
+        floats = Field(op.grid, ints.astype(float))
+        for field in (Field(op.grid, np.asfortranarray(ints.astype(float))),
+                      Field(op.grid, ints)):
+            for f in (op.apply_a, op.apply_b, op.apply_l,
+                      lambda u: op.apply_l(u, 0.5)):
+                got = f(field).values
+                assert got.tobytes() == f(floats).values.tobytes()
+
+    def test_cn_step_and_cg_solve_agree(self, monkeypatch):
+        u = random_field(Grid(33), 5)
+        k = 2.0 ** -6
+
+        def compute():
+            op = paper_operator(33)
+            return [steppers.cn_step(op, k, u).values,
+                    linsolve.solve_lh(op, u, linsolve.LinearSolverHandle("cg")).values]
+
+        for got, want in zip(*on_both_paths(monkeypatch, compute)):
+            assert np.array_equal(got, want)
 
 
 class TestResolvents:
