@@ -21,7 +21,7 @@ from .operators import (
     assemble_1d_stiffness,
     assemble_split_operator,
     stability_bound,
-    stability_norm_estimate,
+    stability_certificate,
 )
 from .steppers import SchemeKind, cn_step, dr_step, evolve, pr_step
 
@@ -48,7 +48,7 @@ __all__ = [
     "read_field",
     "solve_lh",
     "stability_bound",
-    "stability_norm_estimate",
+    "stability_certificate",
     "write_field",
     "zero_field",
 ]

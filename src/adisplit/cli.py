@@ -127,6 +127,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
+    if args.paper_rows and args.row:
+        return _error("--paper-rows and --row cannot be combined")
     if args.paper_rows:
         rows = list(
             experiments.PR_ROWS

@@ -30,7 +30,7 @@ from .operators import (
     SplitDiffusionOperator,
     assemble_split_operator,
     stability_bound,
-    stability_norm_estimate,
+    stability_certificate,
 )
 from .steppers import SchemeKind
 
@@ -70,7 +70,11 @@ def steps_for(t_end: float, k: float) -> int:
     """Number of steps for final time t_end; k must divide t_end exactly."""
     if k <= 0.0:
         raise ValueError(f"step size must be positive, got {k}")
-    n = round(t_end / k)
+    steps = t_end / k
+    if not math.isfinite(steps):
+        raise ValueError(f"final time {t_end} over step size {k} is not a finite "
+                         "number of steps")
+    n = round(steps)
     if n < 1 or abs(n * k - t_end) > 1e-12 * t_end:
         raise ValueError(f"step size {k} does not divide final time {t_end}")
     return n
@@ -188,16 +192,11 @@ def measure_error(u_coarse: Field, u_ref: Field) -> float:
     return discrete_norm(diff)
 
 
-def _solver_for(m: int) -> linsolve.LinearSolverHandle:
-    # the fast direct path keeps the large reference pipeline cheap
-    return linsolve.LinearSolverHandle(method="kronecker" if m >= 64 else "cg")
-
-
 def compute_reference(ref: ReferenceSpec, t_end: float, coeff: str):
     """Reference trajectory; returns (final field, reference initial data)."""
     lam, mu = coefficient_pair(coeff)
     op = assemble_split_operator(lam, mu, Grid(ref.m))
-    eta = prepare_initial_data(op, _solver_for(ref.m))
+    eta = prepare_initial_data(op)
     n = steps_for(t_end, ref.k)
     return steppers.evolve(op, ref.scheme, ref.k, n, eta), eta
 
@@ -380,9 +379,9 @@ def verify_assumptions(m_list=None, coeff: str = "paper") -> VerificationReport:
 
     # uniform boundedness of the inverse: no growth trend across m
     norms = []
+    handle = linsolve.LinearSolverHandle(method="kronecker")
     for m in m_list:
         op = ops[m]
-        handle = _solver_for(m)
         best = 0.0
         for _ in range(10):
             f = _random_field(op.grid, rng)
@@ -395,15 +394,15 @@ def verify_assumptions(m_list=None, coeff: str = "paper") -> VerificationReport:
                "||L^-1|| samples " + ", ".join(f"{v:.3f}" for v in norms)
                + f" (max within 10% of coarse max {coarse_max:.3f})")
 
-    # stability norm against the coefficient-extrema bound
+    # stability norm: its closed-form certificate against the
+    # coefficient-extrema bound
     worst_gap = -np.inf
     details = []
     for m in m_list:
         op = ops[m]
-        est = stability_norm_estimate(op)
-        bound = stability_bound(op)
-        worst_gap = max(worst_gap, est - bound)
-        details.append(f"m={m}: {est:.4f}")
+        cert = stability_certificate(op)
+        worst_gap = max(worst_gap, cert - stability_bound(op))
+        details.append(f"m={m}: {cert:.4f}")
     bound = stability_bound(ops[m_list[0]])
     report.add("stability norm bound", worst_gap <= 1e-6,
                "; ".join(details) + f" vs bound {bound:.4f}")

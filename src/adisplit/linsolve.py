@@ -2,8 +2,10 @@
 
 Two routes for L v = f: matrix-free conjugate gradient on the SPD stiffness
 system, and a fast direct solver that diagonalizes the Kronecker-sum
-structure with two 1D symmetric-tridiagonal eigendecompositions.  Power
-iteration estimates operator 2-norms.
+structure with two 1D symmetric-tridiagonal eigendecompositions.  The same
+eigenvalues give the closed-form stability certificate
+(``operators.stability_certificate``).  ``power_iteration`` estimates the
+2-norm of a matrix-free operator; the package itself does not call it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .grid import Field, Grid
+from .grid import Field
 
 logger = logging.getLogger(__name__)
 
@@ -220,21 +222,3 @@ def power_iteration(
         est = new_est
     return PowerIterationResult(est, False, iters)
 
-
-def power_iteration_fields(
-    grid: Grid,
-    forward: Callable[[Field], Field],
-    adjoint: Callable[[Field], Field],
-    iters: int = 200,
-    tol: float = 1e-8,
-) -> PowerIterationResult:
-    """Field-valued wrapper around :func:`power_iteration`."""
-    n = grid.n
-
-    def fwd(v):
-        return forward(Field(grid, v.reshape(n, n))).values.ravel()
-
-    def adj(v):
-        return adjoint(Field(grid, v.reshape(n, n))).values.ravel()
-
-    return power_iteration(fwd, adj, grid.interior_count, iters=iters, tol=tol)

@@ -12,6 +12,10 @@ It is built with ``cc`` on its first use (a resolvent solve or an
 application) into a per-user cache.  Where it cannot be built the solves
 fall back to LAPACK dpttrs and the applications to numpy, with the same
 results.
+
+The stability assumption ||A L^{-1}||_h <= sqrt(|lambda|_inf |mu|_inf /
+(lambda_0 mu_0)) is checked by a closed-form certificate computed from the
+eigenvalues of the fast direct solver (``stability_certificate``).
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import lapack
 
+from . import linsolve
 from .grid import Field, Grid
 
 logger = logging.getLogger(__name__)
@@ -408,30 +413,21 @@ def stability_bound(op: SplitDiffusionOperator) -> float:
     )
 
 
-def stability_norm_estimate(
-    op: SplitDiffusionOperator,
-    handle=None,
-    iters: int = 200,
-    tol: float = 1e-8,
-) -> float:
-    """Power-iteration estimate of the operator norm of A L^{-1} in ||.||_h.
+def stability_certificate(op: SplitDiffusionOperator) -> float:
+    """Closed-form upper bound on the operator norm of A L^{-1} in ||.||_h.
 
-    Since ||.||_h is a scalar multiple of the Euclidean norm, this equals
-    the 2-norm of K_A (K_A + K_B)^{-1}.  Both factors are symmetric, so the
-    adjoint composite is L^{-1} A and the iteration runs on G^T G.
+    With D = D_mu (x) D_lambda and S = D^{1/2}, the stiffness matrices are
+    K_A = S (I (x) S_lambda) S and K_B = S (S_mu (x) I) S, where S_lambda and
+    S_mu are the symmetrized 1D stiffness matrices whose eigendecompositions
+    the fast direct solver holds.  Hence A L^{-1} = S Q M Q^T S^{-1} with Q
+    orthogonal and M = diag(theta_lambda,i / (theta_lambda,i + theta_mu,j)),
+    and
+        ||A L^{-1}||_h <= sqrt(max D / min D)
+                          * theta_lambda,max / (theta_lambda,max + theta_mu,min).
+    The bound is attained when D is a multiple of I (constant coefficients).
     """
-    from . import linsolve
-
-    if handle is None:
-        handle = linsolve.LinearSolverHandle(method="kronecker")
-
-    def forward(v: Field) -> Field:
-        return op.apply_a(linsolve.solve_lh(op, v, handle))
-
-    def adjoint(v: Field) -> Field:
-        return linsolve.solve_lh(op, op.apply_a(v), handle)
-
-    result = linsolve.power_iteration_fields(
-        op.grid, forward, adjoint, iters=iters, tol=tol
-    )
-    return result.value
+    fac = linsolve.kronecker_direct_prepare(op)
+    d_max = np.max(op.d_mu) * np.max(op.d_lambda)
+    d_min = np.min(op.d_mu) * np.min(op.d_lambda)
+    lam_max, mu_min = np.max(fac.theta_lam), np.min(fac.theta_mu)
+    return float(np.sqrt(d_max / d_min) * lam_max / (lam_max + mu_min))

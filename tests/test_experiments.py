@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -54,10 +55,14 @@ class TestHelpers:
         assert steps_for(0.5, 2.0 ** -13) == 4096
         assert steps_for(1.0, 0.125) == 8
 
-    @pytest.mark.parametrize("k", [0.3, 0.7, 1.1, 0.0])
-    def test_steps_for_nondivisor(self, k):
+    @pytest.mark.parametrize(
+        "t_end, k",
+        [(0.5, 0.3), (0.5, 0.7), (0.5, 1.1), (0.5, 0.0),
+         (math.inf, 0.125), (0.5, 1e-320), (math.nan, 0.125), (0.5, math.nan)],
+        ids=["0.3", "0.7", "1.1", "0.0", "inf_t_end", "1e-320", "nan_t_end", "nan"])
+    def test_steps_for_nondivisor(self, t_end, k):
         with pytest.raises(ValueError):
-            steps_for(0.5, k)
+            steps_for(t_end, k)
 
 
 class TestObservedOrder:
@@ -339,6 +344,19 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: step size 0.3 does not divide final time 0.5\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--scheme", "pr", "--m", "8", "--k", "1/8", "--t-end", "inf"],
+        ["run", "--scheme", "pr", "--m", "8", "--k", "1e-320"],
+        ["convergence", "--scheme", "pr", "--row", "1/8,8", "--row", "1/16,16",
+         "--ref-m", "16", "--ref-k", "1e-320"],
+    ], ids=["run_t_end_inf", "run_k_tiny", "convergence_ref_k_tiny"])
+    def test_step_count_not_finite(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: final time ")
+        assert captured.err.endswith(" is not a finite number of steps\n")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     def test_convergence_rows_and_csv(self, tmp_path, capsys):
         path = tmp_path / "table.csv"
         code = main([
@@ -358,6 +376,18 @@ class TestCli:
         code = main(["convergence", "--scheme", "pr",
                      "--ref-m", "16", "--ref-k", "1/64"])
         assert code == 2
+
+    def test_convergence_paper_rows_with_row_rejected(self, monkeypatch, capsys):
+        def no_reference(*args):
+            raise AssertionError("the reference must not be computed")
+
+        monkeypatch.setattr(experiments, "compute_reference", no_reference)
+        code = main(["convergence", "--scheme", "dr", "--paper-rows",
+                     "--row", "1/8,8", "--ref-m", "16", "--ref-k", "1/64"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --paper-rows and --row cannot be combined\n"
+        assert captured.out == ""
 
     def test_convergence_unwritable_csv(self, tmp_path, capsys):
         path = tmp_path / "missing" / "table.csv"

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adisplit import linsolve, operators, oracle, steppers
+from adisplit import experiments, linsolve, operators, oracle, steppers
 from adisplit.experiments import PAPER_LAMBDA, PAPER_MU, coefficient_pair
 from adisplit.grid import Field, Grid, discrete_inner_product, discrete_norm
 from adisplit.operators import (
@@ -18,7 +18,7 @@ from adisplit.operators import (
     assemble_1d_stiffness,
     assemble_split_operator,
     stability_bound,
-    stability_norm_estimate,
+    stability_certificate,
 )
 
 ONE = lambda x: np.ones_like(np.asarray(x, dtype=float))
@@ -510,24 +510,43 @@ class TestFactorCache:
 
 
 class TestStabilityNorm:
+    @staticmethod
+    def dense_norm(op):
+        a, _, l = oracle.dense_assemble(op)
+        return oracle.dense_operator_norm(a @ np.linalg.inv(l))
+
     def test_constant_coefficients_contraction(self):
         for m in (8, 16):
             op = assemble_split_operator(ONE, ONE, Grid(m))
-            assert stability_norm_estimate(op) <= 1.0 + 1e-8
+            assert stability_certificate(op) < 1.0
+
+    def test_matches_dense_norm(self):
+        # D = I, so the certificate is the norm itself
+        for m in (8, 16):
+            op = assemble_split_operator(ONE, ONE, Grid(m))
+            cert = stability_certificate(op)
+            assert cert == pytest.approx(self.dense_norm(op), rel=1e-12, abs=0.0)
+        op = assemble_split_operator(ONE, ONE, Grid(8))
+        assert stability_certificate(op) == pytest.approx(0.96193976625564, abs=1e-13)
+
+    def test_paper_coefficients_bound_dense_norm(self):
+        for m in (8, 16):
+            op = paper_operator(m)
+            assert stability_certificate(op) >= self.dense_norm(op)
+        assert stability_certificate(paper_operator(8)) == pytest.approx(8.2522, abs=1e-4)
 
     def test_paper_coefficients_below_bound(self):
-        for m in (8, 16, 32, 64):
+        for m in (8, 16, 32, 64, 128, 1024):
             op = paper_operator(m)
-            est = stability_norm_estimate(op)
-            assert est <= stability_bound(op) + 1e-6
+            assert stability_certificate(op) <= stability_bound(op) + 1e-6
 
     def test_bound_value(self):
         op = paper_operator(8)
         assert stability_bound(op) == pytest.approx(11.94, abs=0.05)
 
-    def test_matches_dense_norm(self):
-        op = paper_operator(8)
-        a, _, l = oracle.dense_assemble(op)
-        want = oracle.dense_operator_norm(a @ np.linalg.inv(l))
-        est = stability_norm_estimate(op)
-        assert est == pytest.approx(want, rel=0.01)
+    def test_verify_fails_above_bound(self, monkeypatch):
+        monkeypatch.setattr(experiments, "stability_bound", lambda op: 8.0)
+        report = experiments.verify_assumptions(m_list=[8, 16])
+        check = next(c for c in report.checks if c.name == "stability norm bound")
+        assert not check.passed and not report.all_passed
+        assert check.detail == "m=8: 8.2522; m=16: 10.7782 vs bound 8.0000"
