@@ -4,7 +4,6 @@ quadrature (mass-lumped) bilinear finite elements."""
 from .grid import (
     Field,
     Grid,
-    ScalarFunction,
     discrete_inner_product,
     discrete_norm,
     evaluate_field,
@@ -30,7 +29,6 @@ __all__ = [
     "Grid",
     "LinearSolverHandle",
     "NonConvergenceError",
-    "ScalarFunction",
     "SchemeKind",
     "SplitDiffusionOperator",
     "TridiagonalMatrix",

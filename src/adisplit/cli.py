@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import experiments, linsolve, steppers
+from . import experiments, steppers
 from .grid import Grid, discrete_norm, read_field, write_field
 from .operators import assemble_split_operator
 from .steppers import SchemeKind
@@ -113,9 +113,7 @@ def _cmd_run(args) -> int:
         if u0.grid != grid:
             return _error(f"initial field has m={u0.grid.m}, run uses m={grid.m}")
 
-    scheme = _SCHEMES[args.scheme]
-    handle = linsolve.LinearSolverHandle() if scheme is SchemeKind.CRANK_NICOLSON else None
-    u = steppers.evolve(op, scheme, args.k, n, u0, handle)
+    u = steppers.evolve(op, _SCHEMES[args.scheme], args.k, n, u0)
     print(f"final discrete norm: {discrete_norm(u):.17g}")
     if args.out:
         try:

@@ -6,8 +6,9 @@ piecewise-bilinear function that vanishes on the boundary; only interior
 nodes are stored.  The discrete inner product is the trapezoidal
 (mass-lumped) quadrature of the L2 inner product, which for
 boundary-vanishing fields reduces exactly to h^2 times the Euclidean dot
-product of the coefficient vectors.  The exact L2 norm of a field and its
-L2 distance to a smooth function are integrated element by element.
+product of the coefficient vectors.  The exact L2 norm of a field comes
+from the Kronecker-factored mass matrix, and its L2 distance to a smooth
+function is integrated element by element.
 """
 
 from __future__ import annotations
@@ -93,24 +94,14 @@ class Field:
         return Field(self.grid, -self.values)
 
 
-@dataclass(frozen=True)
-class ScalarFunction:
-    """An evaluable real function of one or two variables with a name.
-
-    ``fn`` must accept numpy arrays elementwise.  Coefficient-role functions
-    are expected to be strictly positive on [0,1].
-    """
-
-    fn: Callable
-    name: str = ""
-
-    def __call__(self, *args):
-        return self.fn(*args)
-
-
 def _check_same_grid(u: Field, v: Field) -> None:
     if u.grid != v.grid:
         raise ValueError(f"grid mismatch: m={u.grid.m} vs m={v.grid.m}")
+
+
+# A 2-norm in this range comes from a sum of squares that neither overflows
+# nor loses bits to gradual underflow.
+SAFE_NORM_RANGE = (2.0 ** -256, 2.0 ** 256)
 
 
 def zero_field(grid: Grid) -> Field:
@@ -129,15 +120,31 @@ def discrete_inner_product(u: Field, v: Field) -> float:
     return h * h * float(np.sum(u.values * v.values))
 
 
+def scale_exponent(v: np.ndarray) -> int:
+    """e such that v / 2^e has its largest magnitude in [1/2, 1); 0 for v = 0."""
+    return int(np.frexp(np.max(np.abs(v)))[1])
+
+
 def discrete_norm(u: Field) -> float:
-    """||u||_h = h * Euclidean norm of the coefficient vector."""
-    return u.grid.h * float(np.linalg.norm(u.values.ravel()))
+    """||u||_h = h * Euclidean norm of the coefficient vector.
+
+    When the plain norm leaves SAFE_NORM_RANGE, its sum of squares may have
+    over- or underflowed, and it is recomputed from the coefficients scaled
+    by a power of two.  That scaling is exact, so a norm inside the range
+    would get the same bits either way.
+    """
+    h = u.grid.h
+    v = u.values.ravel()
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(v))
+    if SAFE_NORM_RANGE[0] <= nrm <= SAFE_NORM_RANGE[1]:
+        return h * nrm
+    e = scale_exponent(v)
+    return float(np.ldexp(h * np.linalg.norm(np.ldexp(v, -e)), e))
 
 
 def max_norm(u: Field) -> float:
     """Nodal max norm; equals the L-infinity norm of the bilinear function."""
-    if u.grid.interior_count == 0:
-        return 0.0
     return float(np.max(np.abs(u.values)))
 
 
@@ -164,26 +171,19 @@ def padded_values(u: Field) -> np.ndarray:
     return p
 
 
-# 1D element mass matrix for linear hats on [0, h] is (h/6) [[2,1],[1,2]];
-# the 2D bilinear element matrix is its Kronecker square.
-_M1 = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
-_M2 = np.kron(_M1, _M1)  # corner order (J, I) = (0,0),(0,1),(1,0),(1,1)
-
-
 def exact_l2_norm_squared(u: Field) -> float:
-    """Exact integral of u^2 over the unit square, element by element."""
+    """Exact integral of u^2 over the unit square.
+
+    The bilinear mass matrix is the Kronecker square of the 1D one,
+    h T with T = tridiag(1, 4, 1) / 6, and the boundary coefficients are
+    zero, so the integral is h^2 * sum(U * (T U T)) over the interior
+    coefficients U.
+    """
     h = u.grid.h
     p = padded_values(u)
-    c00 = p[:-1, :-1]
-    c01 = p[:-1, 1:]
-    c10 = p[1:, :-1]
-    c11 = p[1:, 1:]
-    corners = np.stack([c00, c01, c10, c11])  # (4, m, m)
-    total = 0.0
-    for a in range(4):
-        for b in range(4):
-            total += _M2[a, b] * float(np.sum(corners[a] * corners[b]))
-    return h * h * total
+    tx = (p[:, :-2] + 4.0 * p[:, 1:-1] + p[:, 2:]) / 6.0
+    tut = (tx[:-2] + 4.0 * tx[1:-1] + tx[2:]) / 6.0
+    return h * h * float(np.sum(u.values * tut))
 
 
 def exact_l2_norm(u: Field) -> float:
@@ -227,15 +227,14 @@ def l2_distance_to_function(u: Field, g, points: int = 6) -> float:
     return float(np.sqrt(h * h * quad))
 
 
-def _element_index(t: float, m: int) -> int:
-    """1D element index containing coordinate t in [0,1].
+def _element_index(t, m: int) -> np.ndarray:
+    """1D element indices containing coordinates t in [0,1] (elementwise).
 
     Points exactly on an element boundary belong to the element on the
     smaller-index side; FE continuity makes the value independent of this
     tie rule.
     """
-    idx = int(np.ceil(t * m)) - 1
-    return min(max(idx, 0), m - 1)
+    return np.clip(np.ceil(np.multiply(t, m)).astype(np.intp) - 1, 0, m - 1)
 
 
 def evaluate_field(u: Field, x: float, y: float) -> float:
@@ -259,14 +258,12 @@ def evaluate_field(u: Field, x: float, y: float) -> float:
 
 def _interp_matrix_1d(coarse: Grid, targets: np.ndarray) -> np.ndarray:
     """Rows evaluate the 1D hat basis (including boundary nodes) at targets."""
-    m = coarse.m
-    h = coarse.h
-    P = np.zeros((targets.size, m + 1))
-    for row, t in enumerate(targets):
-        e = _element_index(float(t), m)
-        s = t / h - e
-        P[row, e] = 1.0 - s
-        P[row, e + 1] += s
+    e = _element_index(targets, coarse.m)
+    s = targets / coarse.h - e
+    rows = np.arange(targets.size)
+    P = np.zeros((targets.size, coarse.m + 1))
+    P[rows, e] = 1.0 - s
+    P[rows, e + 1] = s
     return P
 
 

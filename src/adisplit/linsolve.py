@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .grid import Field
+from .grid import SAFE_NORM_RANGE, Field, scale_exponent
 
 logger = logging.getLogger(__name__)
 
@@ -71,14 +71,22 @@ def conjugate_gradient(
     solve's iteration count and final relative residual are logged at DEBUG.
     ``x``, ``r`` and ``p`` are updated in place through one scratch vector,
     so an iteration allocates only what ``matvec`` and ``precondition``
-    return; ``matvec`` must not keep the vector it is given.
+    return; ``matvec`` must not keep the vector it is given.  A finite ``b``
+    whose norm leaves SAFE_NORM_RANGE is solved scaled by a power of two,
+    which scales every iterate exactly, and the solution is scaled back.
     """
     b = np.asarray(b, dtype=float)
-    bnorm = float(np.linalg.norm(b))
-    if not np.isfinite(bnorm):
-        raise ValueError(f"CG right-hand side is not finite (norm {bnorm})")
-    if bnorm == 0.0:
-        return np.zeros_like(b)
+    with np.errstate(over="ignore"):
+        bnorm = float(np.linalg.norm(b))
+    scale = 0
+    if not SAFE_NORM_RANGE[0] <= bnorm <= SAFE_NORM_RANGE[1]:
+        if not np.isfinite(b).all():
+            raise ValueError(f"CG right-hand side is not finite (norm {bnorm})")
+        if not b.any():
+            return np.zeros_like(b)
+        scale = scale_exponent(b)
+        b = np.ldexp(b, -scale)
+        bnorm = float(np.linalg.norm(b))
     if max_iter is None:
         max_iter = 10 * b.size
     if precondition is None:
@@ -112,7 +120,7 @@ def conjugate_gradient(
         logger.debug("CG: %d iterations, relative residual %.3e",
                      iterations, history[-1])
     if history[-1] <= tol:
-        return x
+        return np.ldexp(x, scale) if scale else x
     raise NonConvergenceError(
         f"CG did not reach relative residual {tol} in {iterations} iterations "
         f"(last residual {history[-1]:.3e})",

@@ -57,10 +57,6 @@ class TridiagonalMatrix:
     diag: np.ndarray
     off: np.ndarray  # sub- and super-diagonal, length n-1
 
-    @property
-    def n(self) -> int:
-        return self.diag.size
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Apply along the last axis of ``x``."""
         y = self.diag * x

@@ -113,7 +113,7 @@ def test_criterion_3_dr_table(dr_report, announce):
 def test_criterion_4_reference_cross_validation(announce):
     m_ref, k_row, m_row = 256, 1.0 / 64, 64
     op_ref = paper_operator(m_ref)
-    eta_ref = prepare_initial_data(op_ref, linsolve.LinearSolverHandle("kronecker"))
+    eta_ref = prepare_initial_data(op_ref)
     pr_ref = steppers.evolve(
         op_ref, SchemeKind.PEACEMAN_RACHFORD, 2.0 ** -12,
         experiments.steps_for(T_END, 2.0 ** -12), eta_ref,

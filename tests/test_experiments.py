@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from adisplit import experiments, linsolve, oracle, steppers
+from adisplit import experiments, oracle, steppers
 from adisplit.cli import main
 from adisplit.experiments import (
     ConvergenceReport,
@@ -23,11 +23,6 @@ from adisplit.grid import Field, Grid, discrete_inner_product, discrete_norm, \
     interpolate, max_norm, prolong_to, write_field
 from adisplit.operators import TridiagonalMatrix, assemble_split_operator
 from adisplit.steppers import SchemeKind
-
-
-def constant_operator(m):
-    lam, mu = coefficient_pair("constant")
-    return assemble_split_operator(lam, mu, Grid(m))
 
 
 def paper_operator(m):
@@ -54,12 +49,15 @@ class TestHelpers:
         assert steps_for(0.5, 1.0 / 16) == 8
         assert steps_for(0.5, 2.0 ** -13) == 4096
         assert steps_for(1.0, 0.125) == 8
+        assert steps_for(0.5, 2.0 ** -21) == experiments.MAX_STEPS
 
     @pytest.mark.parametrize(
         "t_end, k",
         [(0.5, 0.3), (0.5, 0.7), (0.5, 1.1), (0.5, 0.0),
-         (math.inf, 0.125), (0.5, 1e-320), (math.nan, 0.125), (0.5, math.nan)],
-        ids=["0.3", "0.7", "1.1", "0.0", "inf_t_end", "1e-320", "nan_t_end", "nan"])
+         (math.inf, 0.125), (0.5, 1e-320), (math.nan, 0.125), (0.5, math.nan),
+         (0.5, 1e-300), (1.0, 2.0 ** -21)],
+        ids=["0.3", "0.7", "1.1", "0.0", "inf_t_end", "1e-320", "nan_t_end", "nan",
+             "1e-300", "above_max_steps"])
     def test_steps_for_nondivisor(self, t_end, k):
         with pytest.raises(ValueError):
             steps_for(t_end, k)
@@ -88,15 +86,6 @@ class TestInitialData:
         u = prepare_initial_data(paper_operator(16))
         assert max_norm(u) == 1.0
 
-    def test_eigenfunction_is_fixed_point(self):
-        # for constant coefficients sin(pi x) sin(pi y) is a discrete
-        # eigenvector, so smoothing + renormalization returns the interpolant
-        op = constant_operator(8)
-        g = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
-        u = prepare_initial_data(op, eta0=g)
-        want = interpolate(g, op.grid)
-        assert np.allclose(u.values, want.values, atol=1e-9)
-
     def test_matches_dense_fourfold_solve(self):
         op = paper_operator(8)
         _, _, l = oracle.dense_assemble(op)
@@ -104,7 +93,7 @@ class TestInitialData:
         for _ in range(4):
             v = oracle.dense_solve(l, v)
         want = v.values / np.max(np.abs(v.values))
-        got = prepare_initial_data(op, linsolve.LinearSolverHandle("cg"))
+        got = prepare_initial_data(op)
         assert np.allclose(got.values, want, atol=1e-9)
 
     def test_smoothing_reduces_oscillation(self):
@@ -356,6 +345,15 @@ class TestCli:
         assert captured.err.startswith("error: final time ")
         assert captured.err.endswith(" is not a finite number of steps\n")
         assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_step_count_above_limit(self, capsys):
+        code = main(["run", "--scheme", "pr", "--m", "4", "--k", "1e-300"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: final time 0.5 over step size 1e-300 needs 5e+299 steps, "
+            f"more than the limit of {experiments.MAX_STEPS}\n")
+        assert captured.out == ""
 
     def test_convergence_rows_and_csv(self, tmp_path, capsys):
         path = tmp_path / "table.csv"

@@ -110,6 +110,18 @@ class TestInnerProductAndNorm:
         u = random_field(g, 3)
         assert discrete_norm(u) == g.h * float(np.linalg.norm(u.values))
 
+    @pytest.mark.parametrize("scale", [1e300, 1e-200, 1e-170])
+    def test_norm_of_extreme_entries(self, scale):
+        # nine equal entries: ||u||_h = h * 3 * scale = 0.75 * scale, which
+        # the plain sum of squares overflows or flushes to zero
+        u = Field(Grid(4), np.full((3, 3), scale))
+        assert discrete_norm(u) == pytest.approx(0.75 * scale, rel=1e-15, abs=0.0)
+
+    def test_extreme_norm_scales_exactly(self):
+        u = random_field(Grid(8), 6)
+        for e in (1000, -700, -1000):
+            assert discrete_norm(u * 2.0 ** e) == np.ldexp(discrete_norm(u), e)
+
     def test_grid_mismatch(self):
         with pytest.raises(ValueError):
             discrete_inner_product(zero_field(Grid(4)), zero_field(Grid(8)))
@@ -207,6 +219,21 @@ class TestProlong:
         assert v.values[4, 7] == pytest.approx(
             evaluate_field(u, xi[7], xi[4]), rel=1e-13
         )
+
+    @pytest.mark.parametrize("coarse, fine", [(6, 9), (16, 256), (512, 256),
+                                              (23, 256), (45, 1024), (2, 7)])
+    def test_matches_pointwise_evaluation(self, coarse, fine):
+        # 6 -> 9 puts x = 1/3 and 2/3 on coarse element boundaries, nested
+        # pairs put many nodes there; the tie rule picks the element
+        u = random_field(Grid(coarse), 12)
+        v = prolong_to(u, Grid(fine))
+        xi = Grid(fine).interior_nodes()
+        ties = np.flatnonzero(np.ceil(xi * coarse) == xi * coarse)[:6]
+        picks = sorted(set(ties) | {0, fine // 3, fine - 2})
+        for j in picks:
+            for i in picks:
+                assert v.values[j, i] == pytest.approx(
+                    evaluate_field(u, xi[i], xi[j]), rel=1e-13, abs=1e-15)
 
 
 class TestFieldIO:

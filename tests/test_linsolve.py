@@ -123,6 +123,21 @@ class TestConjugateGradient:
         with pytest.raises(ValueError, match="not finite"):
             conjugate_gradient(matvec, b)
 
+    @pytest.mark.parametrize("scale", [1e300, 1e-200])
+    def test_extreme_rhs_is_solved(self, scale):
+        # the plain norm of the right-hand side over- or underflows
+        mat, b = ill_conditioned_system()
+        x = conjugate_gradient(lambda v: mat @ v, scale * b, tol=1e-12)
+        residual = (mat @ x) / scale - b
+        assert np.linalg.norm(residual) <= 1e-11 * np.linalg.norm(b)
+
+    def test_extreme_rhs_scales_the_solution_exactly(self):
+        mat, b = ill_conditioned_system()
+        x = conjugate_gradient(lambda v: mat @ v, b, tol=1e-12)
+        for e in (1000, -700):
+            got = conjugate_gradient(lambda v: mat @ v, np.ldexp(b, e), tol=1e-12)
+            assert np.array_equal(got, np.ldexp(x, e))
+
     def test_nonfinite_residual_stops_at_once(self):
         calls = []
 

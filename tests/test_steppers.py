@@ -386,3 +386,12 @@ class TestNonFinite:
         values[0, 0] = np.nan
         with pytest.raises(ValueError, match="not finite"):
             evolve(op8, SchemeKind.CRANK_NICOLSON, 0.01, 2, Field(op8.grid, values))
+
+    @pytest.mark.parametrize("e", [-700, 900])
+    def test_crank_nicolson_scales_extreme_data_exactly(self, op8, e):
+        # 2^-700 ~ 1e-211 and 2^900 ~ 8e270: CG's right-hand side norm would
+        # under- or overflow; the scheme is linear, so the result scales
+        u = random_field(op8.grid, 7)
+        want = evolve(op8, SchemeKind.CRANK_NICOLSON, 0.1, 3, u)
+        got = evolve(op8, SchemeKind.CRANK_NICOLSON, 0.1, 3, u * 2.0 ** e)
+        assert np.array_equal(got.values, np.ldexp(want.values, e))
