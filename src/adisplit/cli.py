@@ -104,7 +104,10 @@ def _cmd_run(args) -> int:
     op = assemble_split_operator(lam, mu, grid)
 
     if kind == "paper":
-        u0 = experiments.prepare_initial_data(op)
+        try:
+            u0 = experiments.prepare_initial_data(op)
+        except ValueError as exc:
+            return _error(str(exc))
     else:
         try:
             u0 = read_field(paths[0])

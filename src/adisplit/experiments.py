@@ -56,6 +56,11 @@ def ETA0(x, y):
     return np.sin(3.0 * np.pi * x) * np.cos(2.0 * np.pi * y)
 
 
+# Largest nodal max of ETA0's interpolant that counts as roundoff: ETA0
+# itself has unit max.
+NEGLIGIBLE_INITIAL_PEAK = 1e-12
+
+
 # Figure-of-merit row sets: (k, m) pairs with m = 1/h
 PR_ROWS = [(1.0 / 16, 16), (1.0 / 32, 32), (1.0 / 64, 64),
            (1.0 / 128, 128), (1.0 / 256, 256), (1.0 / 512, 512)]
@@ -108,7 +113,7 @@ class ExperimentConfig:
     coeff: str = "paper"
 
     def __post_init__(self):
-        Grid(self.reference.m)
+        initial_interpolant(Grid(self.reference.m))
         steps_for(self.t_end, self.reference.k)
         for k, m in self.rows:
             Grid(m)
@@ -176,18 +181,37 @@ def observed_order(errors) -> list:
     return [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
 
 
+def initial_interpolant(grid: Grid) -> Field:
+    """ETA0's nodal interpolant, the start of the paper's initial data.
+
+    ETA0 has unit max, so an interpolant whose nodal max is at most
+    NEGLIGIBLE_INITIAL_PEAK holds only roundoff (at m = 3 every interior
+    node lies where ETA0 vanishes); normalizing it would amplify that
+    roundoff, so it raises ValueError instead.
+    """
+    u = interpolate(ETA0, grid)
+    peak = max_norm(u)
+    if peak <= NEGLIGIBLE_INITIAL_PEAK:
+        raise ValueError(
+            f"the initial data's interpolant on m={grid.m} is negligible "
+            f"(max {peak:.3g}); its nodes do not resolve sin(3 pi x) cos(2 pi y)"
+        )
+    return u
+
+
 def prepare_initial_data(op: SplitDiffusionOperator) -> Field:
     """Smooth initial data: four direct solves with L applied to the nodal
     interpolant of ETA0, normalized by the nodal max (exact L-infinity norm
-    for piecewise-bilinear functions)."""
+    for piecewise-bilinear functions).
+
+    Raises ValueError where ETA0's interpolant is negligible (see
+    ``initial_interpolant``).
+    """
+    u = initial_interpolant(op.grid)
     handle = linsolve.LinearSolverHandle(method="kronecker")
-    u = interpolate(ETA0, op.grid)
     for _ in range(4):
         u = linsolve.solve_lh(op, u, handle)
-    peak = max_norm(u)
-    if peak == 0.0:
-        raise RuntimeError("initial data vanished; cannot normalize")
-    return Field(op.grid, u.values / peak)
+    return Field(op.grid, u.values / max_norm(u))
 
 
 def measure_error(u_coarse: Field, u_ref: Field) -> float:

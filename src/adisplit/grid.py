@@ -187,7 +187,16 @@ def exact_l2_norm_squared(u: Field) -> float:
 
 
 def exact_l2_norm(u: Field) -> float:
-    return float(np.sqrt(exact_l2_norm_squared(u)))
+    """Exact L2 norm of u, rescaled like ``discrete_norm`` outside
+    SAFE_NORM_RANGE, so finite fields neither over- nor underflow."""
+    # opposite-signed huge neighbours can sum inf and -inf to nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        nrm = float(np.sqrt(exact_l2_norm_squared(u)))
+    if SAFE_NORM_RANGE[0] <= nrm <= SAFE_NORM_RANGE[1]:
+        return nrm
+    e = scale_exponent(u.values)
+    scaled = Field(u.grid, np.ldexp(u.values, -e))
+    return float(np.ldexp(np.sqrt(exact_l2_norm_squared(scaled)), e))
 
 
 def l2_distance_to_function(u: Field, g, points: int = 6) -> float:

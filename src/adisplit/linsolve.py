@@ -71,7 +71,10 @@ def conjugate_gradient(
     solve's iteration count and final relative residual are logged at DEBUG.
     ``x``, ``r`` and ``p`` are updated in place through one scratch vector,
     so an iteration allocates only what ``matvec`` and ``precondition``
-    return; ``matvec`` must not keep the vector it is given.  A finite ``b``
+    return; ``matvec`` must not keep the vector it is given.  Either may
+    return a buffer that it overwrites on its next call: CG is done with
+    ``A p`` and with ``z`` (copied into or added to ``p``) before it calls
+    the same function again.  A finite ``b``
     whose norm leaves SAFE_NORM_RANGE is solved scaled by a power of two,
     which scales every iterate exactly, and the solution is scaled back.
     """

@@ -11,7 +11,10 @@ side; the same kernel applies A, B or L as one five-point stencil pass.
 It is built with ``cc`` on its first use (a resolvent solve or an
 application) into a per-user cache.  Where it cannot be built the solves
 fall back to LAPACK dpttrs and the applications to numpy, with the same
-results.
+results.  ``apply_l``, the resolvents and the Cayley transforms return a
+new field, or, given ``out=``, write into that C-contiguous float64
+(n, n) array, which must not overlap the input, and return it wrapped as
+a field; the time-stepping loops reuse their buffers this way.
 
 The stability assumption ||A L^{-1}||_h <= sqrt(|lambda|_inf |mu|_inf /
 (lambda_0 mu_0)) is checked by a closed-form certificate computed from the
@@ -141,21 +144,27 @@ class SplitDiffusionOperator:
         out *= -self.d_lambda[None, :] / h2
         return Field(self.grid, out)
 
-    def apply_l(self, u: Field, sigma: float | None = None) -> Field:
+    def apply_l(self, u: Field, sigma: float | None = None, *,
+                out: np.ndarray | None = None) -> Field:
         """L u = A u + B u, or (I + sigma L) u = u + sigma L u with ``sigma``."""
-        self._check(u)
+        self._check(u, out)
         kernel = _kernel()
         if kernel is not None:
             parts = _PART_A | _PART_B | (_PART_SHIFT if sigma is not None else 0)
-            return self._stencil(kernel, parts, u, sigma or 0.0)
-        out = self.apply_a(u).values + self.apply_b(u).values
+            return self._stencil(kernel, parts, u, sigma or 0.0, out)
+        lu = self.apply_a(u).values + self.apply_b(u).values
         if sigma is not None:
-            out *= sigma
-            out += u.values
+            lu *= sigma
+            lu += u.values
+        if out is None:
+            return Field(self.grid, lu)
+        np.copyto(out, lu)
         return Field(self.grid, out)
 
-    def _stencil(self, kernel, parts: int, u: Field, sigma: float = 0.0) -> Field:
-        """A u, B u or L u (shifted) in one compiled pass, with numpy's bits.
+    def _stencil(self, kernel, parts: int, u: Field, sigma: float = 0.0,
+                 out: np.ndarray | None = None) -> Field:
+        """A u, B u or L u (shifted) in one compiled pass, with numpy's bits,
+        into ``out`` or a new array.
 
         The coefficient arrays are made on the first call, so the operator's
         matrices must not be replaced after it has been applied.
@@ -170,7 +179,7 @@ class SplitDiffusionOperator:
         x = np.ascontiguousarray(u.values, dtype=np.float64)
         if x.shape != (n, n):
             raise ValueError(f"stencil needs shape {(n, n)}, got {x.shape}")
-        y = np.empty_like(x)
+        y = np.empty_like(x) if out is None else out
         kernel.adisplit_stencil(n, parts, sigma, *self._stencil_args[1],
                                 x.ctypes.data, y.ctypes.data)
         return Field(self.grid, y)
@@ -185,25 +194,31 @@ class SplitDiffusionOperator:
 
     # -- resolvents -----------------------------------------------------------
 
-    def solve_resolvent_a(self, kappa: float, rhs: Field) -> Field:
+    def solve_resolvent_a(self, kappa: float, rhs: Field, *,
+                          out: np.ndarray | None = None) -> Field:
         """Solve (I - kappa*A) w = rhs, one tridiagonal system per x-line."""
-        return self._line_solve("a", kappa, rhs, False)
+        return self._line_solve("a", kappa, rhs, False, out)
 
-    def solve_resolvent_b(self, kappa: float, rhs: Field) -> Field:
+    def solve_resolvent_b(self, kappa: float, rhs: Field, *,
+                          out: np.ndarray | None = None) -> Field:
         """Solve (I - kappa*B) w = rhs, one tridiagonal system per y-line."""
-        return self._line_solve("b", kappa, rhs, False)
+        return self._line_solve("b", kappa, rhs, False, out)
 
-    def cayley_a(self, kappa: float, u: Field) -> Field:
+    def cayley_a(self, kappa: float, u: Field, *,
+                 out: np.ndarray | None = None) -> Field:
         """Cayley transform (I + kappa*A)(I - kappa*A)^{-1} u = 2 R_A u - u."""
-        return self._line_solve("a", kappa, u, True)
+        return self._line_solve("a", kappa, u, True, out)
 
-    def cayley_b(self, kappa: float, u: Field) -> Field:
+    def cayley_b(self, kappa: float, u: Field, *,
+                 out: np.ndarray | None = None) -> Field:
         """Cayley transform (I + kappa*B)(I - kappa*B)^{-1} u = 2 R_B u - u."""
-        return self._line_solve("b", kappa, u, True)
+        return self._line_solve("b", kappa, u, True, out)
 
-    def _line_solve(self, axis: str, kappa: float, rhs: Field, reflect: bool) -> Field:
-        self._check(rhs)
-        return Field(self.grid, self._factors(axis, kappa).solve(rhs.values, reflect))
+    def _line_solve(self, axis: str, kappa: float, rhs: Field, reflect: bool,
+                    out: np.ndarray | None) -> Field:
+        self._check(rhs, out)
+        return Field(self.grid,
+                     self._factors(axis, kappa).solve(rhs.values, reflect, out))
 
     def _factors(self, axis: str, kappa: float):
         """L D L^T factor of I - kappa*A (axis "a") or I - kappa*B (axis "b").
@@ -240,11 +255,27 @@ class SplitDiffusionOperator:
                 self._factor_cache.popitem(last=False)
         return fac
 
-    def _check(self, u: Field) -> None:
+    def _check(self, u: Field, out: np.ndarray | None = None) -> None:
+        """Reject a field of another grid and an ``out`` the kernels cannot
+        write: of the wrong shape or dtype, not C-contiguous, read-only, or
+        sharing memory with the input."""
         if u.grid != self.grid:
             raise ValueError(
                 f"field grid m={u.grid.m} does not match operator grid m={self.grid.m}"
             )
+        if out is None:
+            return
+        n = self.grid.n
+        if not (isinstance(out, np.ndarray) and out.shape == (n, n)
+                and out.dtype == np.float64 and out.flags.c_contiguous
+                and out.flags.writeable):
+            raise ValueError(
+                f"out must be a writeable C-contiguous float64 array of shape "
+                f"{(n, n)}, got {getattr(out, 'dtype', type(out).__name__)} "
+                f"{getattr(out, 'shape', '')}"
+            )
+        if np.may_share_memory(out, u.values):
+            raise ValueError("out must not overlap the input field")
 
 
 def _check_lapack(routine: str, info: int) -> None:
@@ -284,12 +315,14 @@ class _KernelFactor:
         self.n = n
         self._d_ptr, self._e_ptr = self.d.ctypes.data, self.e.ctypes.data
 
-    def solve(self, rhs: np.ndarray, reflect: bool) -> np.ndarray:
-        """R rhs, or 2 R rhs - rhs with ``reflect``, in a new C-ordered array."""
+    def solve(self, rhs: np.ndarray, reflect: bool,
+              out: np.ndarray | None = None) -> np.ndarray:
+        """R rhs, or 2 R rhs - rhs with ``reflect``, into ``out`` or a new
+        C-ordered array."""
         r = np.ascontiguousarray(rhs, dtype=np.float64)
         if r.shape != (self.n, self.n):
             raise ValueError(f"line solve needs shape {(self.n, self.n)}, got {r.shape}")
-        x = np.empty_like(r)
+        x = np.empty_like(r) if out is None else out
         if self._solve(self.n, self._d_ptr, self._e_ptr,
                        r.ctypes.data, x.ctypes.data, reflect) != 0:
             raise MemoryError("tridiagonal kernel could not allocate its tile")
@@ -306,8 +339,10 @@ class _LapackFactor:
     def __init__(self, axis: str, d: np.ndarray, e: np.ndarray):
         self.axis, self.d, self.e = axis, d, e
 
-    def solve(self, rhs: np.ndarray, reflect: bool) -> np.ndarray:
-        """R rhs, or 2 R rhs - rhs with ``reflect``, in a new C-ordered array."""
+    def solve(self, rhs: np.ndarray, reflect: bool,
+              out: np.ndarray | None = None) -> np.ndarray:
+        """R rhs, or 2 R rhs - rhs with ``reflect``, copied into ``out`` or
+        in a new C-ordered array."""
         lines = rhs.T if self.axis == "b" else rhs
         if self.d.size == 1:
             x = lines / self.d
@@ -317,7 +352,12 @@ class _LapackFactor:
             x = x.reshape(lines.shape)
         if self.axis == "b":
             x = np.ascontiguousarray(x.T)
-        return 2.0 * x - rhs if reflect else x
+        if reflect:
+            x = 2.0 * x - rhs
+        if out is None:
+            return x
+        np.copyto(out, x)
+        return out
 
 
 _KERNEL_SOURCE = Path(__file__).with_name("_tridiag.c")

@@ -4,9 +4,12 @@ The step maps only require the capability set apply_a / apply_b / apply_l /
 solve_resolvent_a / solve_resolvent_b, with cayley_a / cayley_b for
 ``evolve`` and diagonal_l for the Crank-Nicolson preconditioner, so any pair
 of dissipative operators with computable resolvents plugs in; cayley_X(kappa,
-u) returns (I + kappa X)(I - kappa X)^{-1} u in a new field, and Crank-Nicolson
-calls apply_l(u, sigma) for u + sigma L u.  The diffusion
-instance lives in :mod:`adisplit.operators`.
+u) returns (I + kappa X)(I - kappa X)^{-1} u, and Crank-Nicolson calls
+apply_l(u, sigma) for u + sigma L u.  Each result is a new field unless the
+call passes ``out=``, a C-contiguous float64 array that does not overlap the
+input; ``evolve`` and ``cn_step`` do so for every call inside their loops,
+into buffers that live for one call, so a DR or PR step and a CG iteration
+allocate no field.  The diffusion instance lives in :mod:`adisplit.operators`.
 """
 
 from __future__ import annotations
@@ -74,18 +77,25 @@ def cn_preconditioner(op, k: float):
     bounds the preconditioned spectrum away from zero there.  A and B are
     symmetric (the mass matrix is h^2 I), so the product R_B^T R_A R_B is SPD
     by congruence and adding the positive diagonal w J keeps it SPD, as
-    preconditioned CG requires.  Returns a callable on flat residual vectors.
+    preconditioned CG requires.  Returns a callable ``precondition(r, out=None)``
+    on flat residual vectors; it writes into ``out``, a C-contiguous float64
+    vector not overlapping ``r``, or returns a new one.  Two scratch fields
+    live as long as the callable.
     """
     half, quarter = 0.5 * k, 0.25 * k
     grid = op.grid
     n = grid.n
     jacobi = (CN_JACOBI_WEIGHT / (1.0 - half * op.diagonal_l().values)).ravel()
+    s1, s2 = np.empty((n, n)), np.empty((n, n))
+    f1, f2 = Field(grid, s1), Field(grid, s2)
 
-    def precondition(r):
-        w = op.solve_resolvent_b(quarter, Field(grid, r.reshape(n, n)))
-        w = op.solve_resolvent_a(half, w)
-        out = op.solve_resolvent_b(quarter, w).values.ravel()
-        out += jacobi * r
+    def precondition(r, out=None):
+        if out is None:
+            out = np.empty(n * n)
+        op.solve_resolvent_b(quarter, Field(grid, r.reshape(n, n)), out=s1)
+        op.solve_resolvent_a(half, f1, out=s2)
+        op.solve_resolvent_b(quarter, f2, out=out.reshape(n, n))
+        out += np.multiply(jacobi, r, out=s1.reshape(-1))
         return out
 
     return precondition
@@ -96,13 +106,17 @@ def cn_step(
     k: float,
     u: Field,
     handle: linsolve.LinearSolverHandle | None = None,
+    precondition=None,
 ) -> Field:
     """Crank-Nicolson (trapezoidal) step: solve (I - k/2 L) w = (I + k/2 L) u.
 
     The system is SPD, solved by CG preconditioned with
     :func:`cn_preconditioner` to the handle's relative residual (default
-    1e-12).  This is the reference integrator; it involves a full 2D solve
-    and is not a splitting.
+    1e-12); ``precondition`` is that callable built beforehand for the same
+    ``op`` and ``k``, or None to build it here.  CG's operator and
+    preconditioner write into two workspace vectors of this call.  This is
+    the reference integrator; it involves a full 2D solve and is not a
+    splitting.
     """
     _check_step(k)
     if handle is None:
@@ -112,23 +126,36 @@ def cn_step(
             f"cn_step solves I - k/2 L by preconditioned CG only; "
             f"solver method {handle.method!r} is not supported"
         )
+    if precondition is None:
+        precondition = cn_preconditioner(op, k)
     half = 0.5 * k
     rhs = op.apply_l(u, half)
     grid = op.grid
     n = grid.n
+    a_out, z_out = np.empty((n, n)), np.empty(n * n)
 
     def matvec(v):
         # u + (-half) L u equals u - half L u bit for bit
-        return op.apply_l(Field(grid, v.reshape(n, n)), -half).values.ravel()
+        op.apply_l(Field(grid, v.reshape(n, n)), -half, out=a_out)
+        return a_out.reshape(-1)
 
     x = linsolve.conjugate_gradient(
         matvec,
         rhs.values.ravel(),
         tol=handle.tol,
         max_iter=handle.max_iter,
-        precondition=cn_preconditioner(op, k),
+        precondition=lambda r: precondition(r, out=z_out),
     )
     return Field(grid, x.reshape(n, n))
+
+
+def _buffers(start: Field, count: int) -> list:
+    """``start``, held in a C-contiguous float64 array, and count - 1 more
+    fields of its grid for a loop to write into.  ``start`` must be a new
+    field, since the loop may overwrite its array."""
+    first = np.ascontiguousarray(start.values, dtype=np.float64)
+    return [Field(start.grid, first)] + [
+        Field(start.grid, np.empty_like(first)) for _ in range(count - 1)]
 
 
 def evolve(
@@ -151,7 +178,10 @@ def evolve(
     t = u0 - k B u0, applies t <- (t + C_A C_B t) / 2 n_steps times and
     returns R_B t, since R_A (I + k^2 A B) R_B = (I + C_A C_B) / 2.  A run
     applies B once and A never, and equals the composed one-step maps up
-    to roundoff.  A non-finite final field raises FloatingPointError.
+    to roundoff.  PR's loop alternates between two buffers and DR's rotates
+    three; the last solve writes into one of them, and ``u0`` is never
+    written.  Crank-Nicolson builds its preconditioner once per run.  A
+    non-finite final field raises FloatingPointError.
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be non-negative, got {n_steps}")
@@ -159,25 +189,29 @@ def evolve(
     if n_steps == 0:
         pass
     elif scheme is SchemeKind.CRANK_NICOLSON:
+        _check_step(k)
+        precondition = cn_preconditioner(op, k)
         for _ in range(n_steps):
-            u = cn_step(op, k, u, handle)
+            u = cn_step(op, k, u, handle, precondition)
     elif scheme is SchemeKind.PEACEMAN_RACHFORD:
         _check_step(k)
         kappa = 0.5 * k
-        z = u0 + kappa * op.apply_b(u0)
+        z, w = _buffers(u0 + kappa * op.apply_b(u0), 2)
         for _ in range(n_steps - 1):
-            z = op.cayley_b(kappa, op.cayley_a(kappa, z))
-        u = op.solve_resolvent_b(kappa, op.cayley_a(kappa, z))
+            op.cayley_a(kappa, z, out=w.values)
+            op.cayley_b(kappa, w, out=z.values)
+        u = op.solve_resolvent_b(kappa, op.cayley_a(kappa, z, out=w.values),
+                                 out=z.values)
     else:
         _check_step(k)
-        t = u0 - k * op.apply_b(u0)
+        t, c, s = _buffers(u0 - k * op.apply_b(u0), 3)
         for _ in range(n_steps):
-            s = op.cayley_a(k, op.cayley_b(k, t))
-            v = s.values  # a new array, so it is updated in place
+            op.cayley_a(k, op.cayley_b(k, t, out=c.values), out=s.values)
+            v = s.values
             v += t.values
             v *= 0.5
-            t = s
-        u = op.solve_resolvent_b(k, t)
+            t, s = s, t
+        u = op.solve_resolvent_b(k, t, out=c.values)
     if not np.isfinite(u.values).all():
         raise FloatingPointError(
             f"{scheme.value} evolve with k={k} over {n_steps} steps "

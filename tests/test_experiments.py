@@ -96,6 +96,12 @@ class TestInitialData:
         got = prepare_initial_data(op)
         assert np.allclose(got.values, want, atol=1e-9)
 
+    def test_negligible_interpolant_rejected(self):
+        # at m = 3 every interior node lies where ETA0 vanishes; the
+        # interpolant holds only roundoff of about 1e-16
+        with pytest.raises(ValueError, match="m=3 is negligible"):
+            prepare_initial_data(paper_operator(3))
+
     def test_smoothing_reduces_oscillation(self):
         op = paper_operator(32)
         raw = interpolate(experiments.ETA0, op.grid)
@@ -354,6 +360,27 @@ class TestCli:
             "error: final time 0.5 over step size 1e-300 needs 5e+299 steps, "
             f"more than the limit of {experiments.MAX_STEPS}\n")
         assert captured.out == ""
+
+    def test_run_negligible_initial_data(self, capsys):
+        code = main(["run", "--scheme", "pr", "--m", "3", "--k", "1/4"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: the initial data's interpolant on m=3 is negligible")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_convergence_negligible_reference_data(self, monkeypatch, capsys):
+        def no_reference(*args):
+            raise AssertionError("the reference must not be computed")
+
+        monkeypatch.setattr(experiments, "compute_reference", no_reference)
+        code = main(["convergence", "--scheme", "pr", "--row", "1/4,2",
+                     "--row", "1/8,2", "--ref-m", "3", "--ref-k", "1/16"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: the initial data's interpolant on m=3 is negligible")
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
     def test_convergence_rows_and_csv(self, tmp_path, capsys):
         path = tmp_path / "table.csv"

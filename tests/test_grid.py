@@ -7,6 +7,8 @@ from adisplit.grid import (
     discrete_inner_product,
     discrete_norm,
     evaluate_field,
+    exact_l2_norm,
+    exact_l2_norm_squared,
     interpolate,
     max_norm,
     padded_values,
@@ -121,6 +123,33 @@ class TestInnerProductAndNorm:
         u = random_field(Grid(8), 6)
         for e in (1000, -700, -1000):
             assert discrete_norm(u * 2.0 ** e) == np.ldexp(discrete_norm(u), e)
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-200])
+    def test_exact_norm_of_extreme_entries(self, scale):
+        # nine equal entries whose squares over- or underflow; the norm of
+        # the all-ones field scales by `scale`
+        g = Grid(4)
+        want = scale * exact_l2_norm(Field(g, np.ones((3, 3))))
+        got = exact_l2_norm(Field(g, np.full((3, 3), scale)))
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_exact_norm_of_opposite_huge_neighbours(self):
+        # 4e300 - 1e300 - ... sums to inf - inf = nan unscaled
+        v = np.full((3, 3), 1e300)
+        v[1, 1] = -1e300
+        got = exact_l2_norm(Field(Grid(4), v))
+        assert got == pytest.approx(
+            1e300 * exact_l2_norm(Field(Grid(4), v / 1e300)), rel=1e-15)
+
+    def test_exact_norm_scales_exactly(self):
+        u = random_field(Grid(8), 6)
+        for e in (1000, -700, -1000):
+            assert exact_l2_norm(u * 2.0 ** e) == np.ldexp(exact_l2_norm(u), e)
+
+    def test_exact_norm_keeps_its_bits_in_range(self):
+        for m in (8, 16, 32):
+            u = random_field(Grid(m), m)
+            assert exact_l2_norm(u) == float(np.sqrt(exact_l2_norm_squared(u)))
 
     def test_grid_mismatch(self):
         with pytest.raises(ValueError):

@@ -112,6 +112,25 @@ class TestConjugateGradient:
             counts[name] = len(calls)
         assert counts["jacobi"] < counts["plain"] / 3
 
+    def test_reused_result_buffers_give_the_same_bits(self):
+        # matvec and precondition may overwrite what they returned last time
+        mat, b = ill_conditioned_system()
+        diag = np.diag(mat)
+        ap, z = np.empty_like(b), np.empty_like(b)
+
+        def matvec_into(v):
+            np.matmul(mat, v, out=ap)
+            return ap
+
+        def jacobi_into(r):
+            np.divide(r, diag, out=z)
+            return z
+
+        want = conjugate_gradient(lambda v: mat @ v, b, tol=1e-12,
+                                  precondition=lambda r: r / diag)
+        got = conjugate_gradient(matvec_into, b, tol=1e-12, precondition=jacobi_into)
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_rhs_rejected_before_iterating(self, bad):
         b = np.ones(16)

@@ -370,6 +370,79 @@ class TestLinePaths:
                 assert np.array_equal(got, getattr(op, name)(0.5, floats).values)
 
 
+def out_calls(op):
+    """(name, call) for every method that takes ``out=``: L shifted and
+    unshifted, and each resolvent and Cayley transform at a small and a
+    large kappa."""
+    calls = [("apply_l", lambda u, **kw: op.apply_l(u, **kw))]
+    calls += [(f"apply_l({sigma})", lambda u, s=sigma, **kw: op.apply_l(u, s, **kw))
+              for sigma in (0.25, -0.25)]
+    for name in ("solve_resolvent_a", "solve_resolvent_b", "cayley_a", "cayley_b"):
+        for kappa in (1e-3, 1e3):
+            method = getattr(op, name)
+            calls.append((f"{name}({kappa})",
+                          lambda u, f=method, k=kappa, **kw: f(k, u, **kw)))
+    return calls
+
+
+class TestOut:
+    """``out=`` on the kernel and on the fallback paths."""
+
+    @pytest.mark.parametrize("m", [2, 17, 20])
+    def test_out_equals_a_fresh_result(self, line_path, m):
+        op = paper_operator(m)
+        u = random_field(op.grid, m)
+        before = u.values.copy()
+        for name, call in out_calls(op):
+            want = call(u).values
+            out = np.full((op.grid.n, op.grid.n), np.nan)
+            got = call(u, out=out)
+            assert got.values is out, name
+            assert out.tobytes() == want.tobytes(), name
+        assert np.array_equal(u.values, before)
+
+    def test_out_from_other_layouts_and_types(self, line_path):
+        # the input is converted, the output is written in place
+        op = paper_operator(20)
+        ints = np.arange(19 * 19).reshape(19, 19) % 7 - 3
+        floats = Field(op.grid, ints.astype(float))
+        for field in (Field(op.grid, np.asfortranarray(ints.astype(float))),
+                      Field(op.grid, ints)):
+            for name, call in out_calls(op):
+                out = np.empty((19, 19))
+                call(field, out=out)
+                assert out.tobytes() == call(floats).values.tobytes(), name
+
+    @pytest.mark.parametrize("bad", [
+        "input itself", "overlapping view", "shape", "float32 dtype",
+        "Fortran order", "strided", "read-only", "list",
+    ])
+    def test_unusable_out_rejected(self, line_path, bad):
+        op = paper_operator(9)
+        n = op.grid.n
+        base = random_field(op.grid, 1).values
+        big = np.zeros(2 * n * n)
+        u = {"overlapping view": Field(op.grid, big[:n * n].reshape(n, n))}.get(
+            bad, Field(op.grid, base))
+        out = {
+            "input itself": base,
+            "overlapping view": big[n:n + n * n].reshape(n, n),
+            "shape": np.empty((n, n + 1)),
+            "float32 dtype": np.empty((n, n), dtype=np.float32),
+            "Fortran order": np.empty((n, n), order="F"),
+            "strided": np.empty((n, 2 * n))[:, ::2],
+            "read-only": np.empty((n, n)),
+            "list": [[0.0] * n for _ in range(n)],
+        }[bad]
+        if bad == "read-only":
+            out.flags.writeable = False
+        before = u.values.copy()
+        for name, call in out_calls(op):
+            with pytest.raises(ValueError, match="out"):
+                call(u, out=out)
+        assert np.array_equal(u.values, before)
+
+
 @pytest.fixture
 def fresh_loader():
     """Forget the loaded kernel before and after the test."""

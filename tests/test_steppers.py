@@ -58,11 +58,13 @@ class ZeroATestDouble:
 
 
 class CallCounter:
-    """Delegates to a real operator and counts calls of each method."""
+    """Delegates to a real operator, counts calls of each method and
+    records the address of each call's ``out=`` array (None without one)."""
 
     def __init__(self, op):
         self.op = op
         self.calls = collections.Counter()
+        self.outs = collections.defaultdict(list)
 
     def __getattr__(self, name):
         attr = getattr(self.op, name)
@@ -71,9 +73,14 @@ class CallCounter:
 
         def counted(*args, **kwargs):
             self.calls[name] += 1
+            out = kwargs.get("out")
+            self.outs[name].append(None if out is None else out.ctypes.data)
             return attr(*args, **kwargs)
 
         return counted
+
+
+LOOP_METHODS = ("cayley_a", "cayley_b", "solve_resolvent_a", "solve_resolvent_b")
 
 
 class TestScalarSurrogate:
@@ -176,6 +183,27 @@ class TestStepContracts:
             "apply_b": 1, "cayley_a": 7, "cayley_b": cayley_b,
             "solve_resolvent_b": 1,
         }
+
+    @pytest.mark.parametrize("scheme,buffers", [
+        (SchemeKind.DOUGLAS_RACHFORD, 3), (SchemeKind.PEACEMAN_RACHFORD, 2)])
+    def test_evolve_steps_allocate_no_field(self, op, scheme, buffers):
+        # every transform and solve of the loop writes into one of the
+        # run's buffers: PR alternates two, DR rotates three
+        rec = CallCounter(op)
+        evolve(rec, scheme, 0.05, 7, random_field(op.grid, 4))
+        outs = [a for name in LOOP_METHODS for a in rec.outs[name]]
+        assert len(outs) == sum(rec.calls[name] for name in LOOP_METHODS) > 0
+        assert None not in outs
+        assert len(set(outs)) == buffers
+
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    @pytest.mark.parametrize("n_steps", [1, 5])
+    def test_evolve_leaves_u0_untouched(self, op, scheme, n_steps):
+        u0 = random_field(op.grid, 8)
+        before = u0.values.copy()
+        got = evolve(op, scheme, 0.05, n_steps, u0)
+        assert np.array_equal(u0.values, before)
+        assert not np.may_share_memory(got.values, u0.values)
 
     def test_evolve_keeps_the_resolvent_recurrences(self, op16):
         # PR's Cayley loop does the operations of the resolvent recurrence
@@ -334,6 +362,42 @@ class TestCrankNicolsonSolve:
             want = oracle.dense_apply(s_cn, u)
             rel = discrete_norm(cn_step(op, k, u) - want) / discrete_norm(want)
             assert rel <= 1e-9
+
+    def test_preconditioner_out_equals_a_fresh_result(self, op16):
+        precondition = cn_preconditioner(op16, 0.05)
+        rng = np.random.default_rng(3)
+        r1, r2 = rng.standard_normal((2, op16.grid.interior_count))
+        fresh1, fresh2 = precondition(r1), precondition(r2)
+        kept = fresh1.copy()
+        assert not np.may_share_memory(fresh1, fresh2)
+        assert np.array_equal(fresh1, kept)
+        out = np.full(r1.size, np.nan)
+        assert precondition(r1, out=out) is out
+        assert out.tobytes() == fresh1.tobytes()
+
+    def test_cg_iterations_allocate_no_field(self, op16):
+        # every apply_l inside CG and every resolvent of the preconditioner
+        # writes into a workspace of the step; only the right-hand side
+        # (I + k/2 L) u is a new field
+        rec = CallCounter(op16)
+        cn_step(rec, 0.05, random_field(op16.grid, 9))
+        matvecs = [a for a in rec.outs["apply_l"] if a is not None]
+        assert rec.outs["apply_l"].count(None) == 1 and len(matvecs) > 1
+        assert len(set(matvecs)) == 1
+        solves = rec.outs["solve_resolvent_a"] + rec.outs["solve_resolvent_b"]
+        assert None not in solves and len(set(solves)) == 3
+
+    def test_evolve_builds_the_preconditioner_once(self, op16):
+        rec = CallCounter(op16)
+        u = random_field(op16.grid, 10)
+        got = evolve(rec, SchemeKind.CRANK_NICOLSON, 0.05, 4, u)
+        assert rec.calls["diagonal_l"] == 1
+        assert rec.outs["apply_l"].count(None) == 4
+        assert None not in rec.outs["solve_resolvent_a"] + rec.outs["solve_resolvent_b"]
+        want = u
+        for _ in range(4):
+            want = cn_step(op16, 0.05, want)
+        assert np.array_equal(got.values, want.values)
 
     def test_few_operator_applications_on_smooth_data(self):
         # the paper's initial data at m=128, k=2^-10: the unpreconditioned
