@@ -1,11 +1,12 @@
 """Solvers for the full 2D operator.
 
-Two routes for L v = f: matrix-free conjugate gradient on the SPD stiffness
-system, and a fast direct solver that diagonalizes the Kronecker-sum
-structure with two 1D symmetric-tridiagonal eigendecompositions.  The same
-eigenvalues give the closed-form stability certificate
-(``operators.stability_certificate``).  ``power_iteration`` estimates the
-2-norm of a matrix-free operator; the package itself does not call it.
+``solve_lh`` solves L v = f with a fast direct solver that diagonalizes the
+Kronecker-sum structure with two 1D symmetric-tridiagonal
+eigendecompositions.  The same eigenvalues give the closed-form stability
+certificate (``operators.stability_certificate``).  ``conjugate_gradient``
+serves Crank-Nicolson's system I - k/2 L, with the tolerance and iteration
+cap of a ``LinearSolverHandle``.  ``power_iteration`` estimates the 2-norm
+of a matrix-free operator; the package itself does not call it.
 """
 
 from __future__ import annotations
@@ -32,20 +33,17 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass
 class LinearSolverHandle:
-    """Solver selection for (sigma*I - L)-type SPD systems.
+    """Stopping rule of Crank-Nicolson's CG solve of I - k/2 L.
 
-    ``solve_lh`` reads every field.  ``cn_step`` reads ``tol`` and
-    ``max_iter`` and accepts only ``method="cg"``: its system I - k/2 L is
-    solved by CG preconditioned with the ADI resolvents.
+    ``cn_step`` is the only reader: CG, preconditioned with the ADI
+    resolvents, stops at relative residual ``tol`` and raises
+    NonConvergenceError after ``max_iter`` iterations (None: 10 per unknown).
     """
 
-    method: str = "cg"  # "cg" | "kronecker"
     tol: float = 1e-12
     max_iter: int | None = None
 
     def __post_init__(self):
-        if self.method not in ("cg", "kronecker"):
-            raise ValueError(f"unknown solver method {self.method!r}")
         if not 0.0 < self.tol <= 1e-2:
             raise ValueError(f"tol must be in (0, 1e-2], got {self.tol}")
 
@@ -172,28 +170,11 @@ def kronecker_direct_prepare(op) -> KroneckerFactorization:
     return op._kron_factorization
 
 
-def stiffness_matvec(op, v: np.ndarray) -> np.ndarray:
-    """(K_A + K_B) v, matrix-free; equals -h^2 * (L applied to v)."""
-    return -(op.grid.h ** 2) * op.apply_l(Field(op.grid, v)).values
-
-
-def solve_lh(op, f: Field, handle: LinearSolverHandle | None = None) -> Field:
-    """Solve L v = f, i.e. the SPD system (K_A + K_B) v = -h^2 f."""
-    if handle is None:
-        handle = LinearSolverHandle()
+def solve_lh(op, f: Field) -> Field:
+    """Solve L v = f, i.e. the SPD system (K_A + K_B) v = -h^2 f, with the
+    operator's cached Kronecker factorization."""
     rhs = -(op.grid.h ** 2) * f.values
-    if handle.method == "kronecker":
-        x = kronecker_direct_prepare(op).solve_stiffness(rhs)
-    else:
-        n = op.grid.n
-        flat = conjugate_gradient(
-            lambda v: stiffness_matvec(op, v.reshape(n, n)).ravel(),
-            rhs.ravel(),
-            tol=handle.tol,
-            max_iter=handle.max_iter,
-        )
-        x = flat.reshape(n, n)
-    return Field(op.grid, x)
+    return Field(op.grid, kronecker_direct_prepare(op).solve_stiffness(rhs))
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """Small-scale dense reference implementations, used only by the test suite.
 
 Everything here trades efficiency for directness: literal Kronecker
-expansion of the stiffness matrices, dense linear algebra, and a Gauss
-quadrature cross-check of the exact L2 norm in :mod:`adisplit.grid`.
+expansion of the stiffness matrices, dense linear algebra, plain CG on L as
+a second route besides the package's direct solver, and a Gauss quadrature
+cross-check of the exact L2 norm in :mod:`adisplit.grid`.
 Production code paths never import this module.
 """
 
@@ -12,6 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from .grid import Field, l2_distance_to_function
+from .linsolve import conjugate_gradient
 
 DENSE_BUDGET = 4096  # max (m-1)^2 entries per dense operator
 EXPM_DIM_BUDGET = 128
@@ -41,6 +43,20 @@ def dense_solve(matrix: np.ndarray, rhs: Field) -> Field:
     n = rhs.grid.n
     x = np.linalg.solve(matrix, rhs.values.ravel())
     return Field(rhs.grid, x.reshape(n, n))
+
+
+def cg_solve_l(op, f: Field, tol: float) -> Field:
+    """Solve L v = f by unpreconditioned matrix-free CG on the SPD system
+    (K_A + K_B) v = -h^2 f, whose operator is -h^2 L."""
+    grid = op.grid
+    n = grid.n
+    h2 = grid.h ** 2
+    x = conjugate_gradient(
+        lambda v: -h2 * op.apply_l(Field(grid, v.reshape(n, n))).values.ravel(),
+        (-h2 * f.values).ravel(),
+        tol=tol,
+    )
+    return Field(grid, x.reshape(n, n))
 
 
 def dense_expm(matrix: np.ndarray, t: float) -> np.ndarray:

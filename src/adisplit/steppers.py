@@ -121,11 +121,6 @@ def cn_step(
     _check_step(k)
     if handle is None:
         handle = linsolve.LinearSolverHandle()
-    if handle.method != "cg":
-        raise ValueError(
-            f"cn_step solves I - k/2 L by preconditioned CG only; "
-            f"solver method {handle.method!r} is not supported"
-        )
     if precondition is None:
         precondition = cn_preconditioner(op, k)
     half = 0.5 * k

@@ -7,6 +7,8 @@ import pytest
 from adisplit import experiments, oracle, steppers
 from adisplit.cli import main
 from adisplit.experiments import (
+    DR_ROWS,
+    PR_ROWS,
     ConvergenceReport,
     ExperimentConfig,
     ReferenceSpec,
@@ -21,7 +23,11 @@ from adisplit.experiments import (
 )
 from adisplit.grid import Field, Grid, discrete_inner_product, discrete_norm, \
     interpolate, max_norm, prolong_to, write_field
-from adisplit.operators import TridiagonalMatrix, assemble_split_operator
+from adisplit.operators import (
+    SplitDiffusionOperator,
+    TridiagonalMatrix,
+    assemble_split_operator,
+)
 from adisplit.steppers import SchemeKind
 
 
@@ -158,6 +164,24 @@ class TestConfigValidation:
                 reference=ReferenceSpec(m=16, k=1.0 / 64),
             )
 
+    def test_row_repeating_the_reference_rejected(self):
+        with pytest.raises(ValueError, match="repeats the pr reference run"):
+            ExperimentConfig(
+                scheme=SchemeKind.PEACEMAN_RACHFORD,
+                rows=[(1.0 / 8, 8), (1.0 / 64, 16)],
+                reference=ReferenceSpec(m=16, k=1.0 / 64),
+            )
+
+    @pytest.mark.parametrize("scheme, rows, reference", [
+        (SchemeKind.PEACEMAN_RACHFORD, PR_ROWS, ReferenceSpec(m=256, k=2.0 ** -10)),
+        (SchemeKind.DOUGLAS_RACHFORD, DR_ROWS, ReferenceSpec(m=256, k=2.0 ** -10)),
+        # the reference's grid and step in another scheme still has an error
+        (SchemeKind.DOUGLAS_RACHFORD, [(1.0 / 8, 8), (1.0 / 64, 16)],
+         ReferenceSpec(m=16, k=1.0 / 64)),
+    ])
+    def test_rows_distinct_from_the_reference_accepted(self, scheme, rows, reference):
+        ExperimentConfig(scheme=scheme, rows=rows, reference=reference)
+
 
 def small_config(coeff="constant"):
     return ExperimentConfig(
@@ -244,6 +268,21 @@ class TestVerifyAssumptions:
                       for _ in range(10))
         )
         assert worst > 1e-12
+
+    def test_cayley_check_measures_the_operator_cayley(self, monkeypatch):
+        # a 1% gain in the operator's own Cayley transform must fail the
+        # check; rebuilding the transform from the resolvent would miss it
+        cayley_a = SplitDiffusionOperator.cayley_a
+
+        def amplified(self, kappa, u, **kwargs):
+            w = cayley_a(self, kappa, u, **kwargs).values
+            w *= 1.01
+            return Field(self.grid, w)
+
+        monkeypatch.setattr(SplitDiffusionOperator, "cayley_a", amplified)
+        report = verify_assumptions(m_list=[8])
+        check = next(c for c in report.checks if c.name == "cayley nonexpansivity")
+        assert not check.passed, check.detail
 
 
 class TestCli:
@@ -437,6 +476,21 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == ("error: a convergence study needs at least two "
                                 "rows to estimate an order, got 1\n")
+        assert captured.out == ""
+
+    def test_convergence_row_repeating_the_reference_rejected_before_it(
+            self, monkeypatch, capsys):
+        def no_reference(*args):
+            raise AssertionError("the reference must not be computed")
+
+        monkeypatch.setattr(experiments, "compute_reference", no_reference)
+        code = main(["convergence", "--scheme", "pr", "--row", "1/64,16",
+                     "--row", "1/128,32", "--ref-m", "32", "--ref-k", "1/128"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: row k=0.0078125, m=32 repeats the pr "
+                                "reference run, so its error is exactly 0 and "
+                                "gives no order\n")
         assert captured.out == ""
 
     def test_convergence_row_grid_too_coarse(self, capsys):

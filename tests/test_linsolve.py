@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from adisplit import linsolve, oracle
+from adisplit import oracle
 from adisplit.experiments import PAPER_LAMBDA, PAPER_MU
 from adisplit.grid import Field, Grid, discrete_norm, zero_field
 from adisplit.linsolve import (
@@ -58,12 +58,8 @@ def ill_conditioned_system(n=60, seed=2):
 class TestHandle:
     def test_defaults(self):
         h = LinearSolverHandle()
-        assert h.method == "cg"
         assert h.tol == 1e-12
-
-    def test_bad_method(self):
-        with pytest.raises(ValueError):
-            LinearSolverHandle(method="lu")
+        assert h.max_iter is None
 
     @pytest.mark.parametrize("tol", [0.0, -1e-3, 0.5])
     def test_bad_tol(self, tol):
@@ -199,20 +195,8 @@ class TestSolveLh:
         op = paper_operator(16)
         v0 = random_field(op.grid, 2)
         f = op.apply_l(v0)
-        v = solve_lh(op, f, LinearSolverHandle("cg"))
+        v = solve_lh(op, f)
         assert discrete_norm(v - v0) <= 1e-10 * discrete_norm(v0)
-
-    def test_cg_result_is_plain_cg_bit_for_bit(self):
-        op = paper_operator(16)
-        f = random_field(op.grid, 5)
-        n = op.grid.n
-        want = reference_cg(
-            lambda v: linsolve.stiffness_matvec(op, v.reshape(n, n)).ravel(),
-            -(op.grid.h ** 2) * f.values.ravel(),
-            1e-12,
-        )
-        got = solve_lh(op, f, LinearSolverHandle("cg"))
-        assert np.array_equal(got.values.ravel(), want)
 
     def test_zero(self):
         op = paper_operator(8)
@@ -224,16 +208,15 @@ class TestSolveLh:
         _, _, l = oracle.dense_assemble(op)
         f = random_field(op.grid, 3)
         want = oracle.dense_solve(l, f)
-        for method in ("cg", "kronecker"):
-            got = solve_lh(op, f, LinearSolverHandle(method))
-            assert discrete_norm(got - want) / discrete_norm(want) <= 1e-9
+        got = solve_lh(op, f)
+        assert discrete_norm(got - want) / discrete_norm(want) <= 1e-9
 
     @pytest.mark.parametrize("m", [8, 16, 32])
     def test_cg_and_kronecker_agree(self, m):
         op = paper_operator(m)
         f = random_field(op.grid, m)
-        cg = solve_lh(op, f, LinearSolverHandle("cg"))
-        kr = solve_lh(op, f, LinearSolverHandle("kronecker"))
+        cg = oracle.cg_solve_l(op, f, 1e-12)
+        kr = solve_lh(op, f)
         assert discrete_norm(cg - kr) / discrete_norm(cg) <= 1e-8
 
     def test_uniform_inverse_bound(self):
@@ -241,11 +224,10 @@ class TestSolveLh:
         norms = []
         for m in (8, 16, 32, 64, 128):
             op = paper_operator(m)
-            handle = LinearSolverHandle("kronecker")
             best = 0.0
             for seed in range(5):
                 f = random_field(op.grid, seed)
-                v = solve_lh(op, f, handle)
+                v = solve_lh(op, f)
                 best = max(best, discrete_norm(v) / discrete_norm(f))
             norms.append(best)
         assert max(norms) <= 1.10 * max(norms[:2])

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adisplit import experiments, linsolve, operators, oracle, steppers
+from adisplit import experiments, operators, oracle, steppers
 from adisplit.experiments import PAPER_LAMBDA, PAPER_MU, coefficient_pair
 from adisplit.grid import Field, Grid, discrete_inner_product, discrete_norm
 from adisplit.operators import (
@@ -229,7 +229,7 @@ class TestApplyPaths:
         def compute():
             op = paper_operator(33)
             return [steppers.cn_step(op, k, u).values,
-                    linsolve.solve_lh(op, u, linsolve.LinearSolverHandle("cg")).values]
+                    oracle.cg_solve_l(op, u, 1e-12).values]
 
         for got, want in zip(*on_both_paths(monkeypatch, compute)):
             assert np.array_equal(got, want)

@@ -295,10 +295,9 @@ class TestStability:
         # the one-step defect against the exact matrix exponential shows the
         # classical orders once k * |lowest eigenvalue| is small
         op = op8
-        handle = linsolve.LinearSolverHandle("cg", tol=1e-13)
         u = random_field(op.grid, 7)
         for _ in range(3):
-            u = linsolve.solve_lh(op, u, handle)
+            u = oracle.cg_solve_l(op, u, 1e-13)
         _, _, l = oracle.dense_assemble(op)
         ks = [2.0 ** -e for e in range(8, 15)]
         for step, order in ((dr_step, 2.0), (pr_step, 3.0)):
@@ -428,10 +427,20 @@ class TestCrankNicolsonSolve:
         assert counter.calls["apply_l"] - 1 < len(plain) / 2
         assert np.max(np.abs(got.values.ravel() - want)) <= 1e-9
 
-    def test_rejects_kronecker_handle(self, op8):
-        with pytest.raises(ValueError, match="kronecker"):
-            cn_step(op8, 0.01, random_field(op8.grid),
-                    linsolve.LinearSolverHandle("kronecker"))
+    def test_evolve_passes_the_iteration_cap_to_cg(self, op16):
+        u = random_field(op16.grid, 12)
+        with pytest.raises(linsolve.NonConvergenceError):
+            evolve(op16, SchemeKind.CRANK_NICOLSON, 0.05, 2, u,
+                   linsolve.LinearSolverHandle(max_iter=1))
+
+    def test_evolve_passes_the_tolerance_to_cg(self, op16):
+        u = random_field(op16.grid, 12)
+        counts = []
+        for handle in (linsolve.LinearSolverHandle(tol=1e-4), None):
+            rec = CallCounter(op16)
+            evolve(rec, SchemeKind.CRANK_NICOLSON, 0.05, 2, u, handle)
+            counts.append(rec.calls["apply_l"])
+        assert counts[0] < counts[1]
 
 
 class TestNonFinite:
