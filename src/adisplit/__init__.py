@@ -6,12 +6,10 @@ from .grid import (
     Grid,
     discrete_inner_product,
     discrete_norm,
-    evaluate_field,
     interpolate,
     prolong_to,
     read_field,
     write_field,
-    zero_field,
 )
 from .linsolve import LinearSolverHandle, NonConvergenceError, solve_lh
 from .operators import (
@@ -38,7 +36,6 @@ __all__ = [
     "discrete_inner_product",
     "discrete_norm",
     "dr_step",
-    "evaluate_field",
     "evolve",
     "interpolate",
     "pr_step",
@@ -48,5 +45,4 @@ __all__ = [
     "stability_bound",
     "stability_certificate",
     "write_field",
-    "zero_field",
 ]

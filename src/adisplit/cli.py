@@ -8,13 +8,6 @@ import sys
 from . import experiments, steppers
 from .grid import Grid, discrete_norm, read_field, write_field
 from .operators import assemble_split_operator
-from .steppers import SchemeKind
-
-_SCHEMES = {
-    "dr": SchemeKind.DOUGLAS_RACHFORD,
-    "pr": SchemeKind.PEACEMAN_RACHFORD,
-    "cn": SchemeKind.CRANK_NICOLSON,
-}
 
 
 def _parse_number(text: str) -> float:
@@ -116,7 +109,7 @@ def _cmd_run(args) -> int:
         if u0.grid != grid:
             return _error(f"initial field has m={u0.grid.m}, run uses m={grid.m}")
 
-    u = steppers.evolve(op, _SCHEMES[args.scheme], args.k, n, u0)
+    u = steppers.evolve(op, steppers.SchemeKind(args.scheme), args.k, n, u0)
     print(f"final discrete norm: {discrete_norm(u):.17g}")
     if args.out:
         try:
@@ -140,10 +133,10 @@ def _cmd_convergence(args) -> int:
         rows = list(args.row)
     try:
         config = experiments.ExperimentConfig(
-            scheme=_SCHEMES[args.scheme],
+            scheme=steppers.SchemeKind(args.scheme),
             rows=rows,
             reference=experiments.ReferenceSpec(
-                m=args.ref_m, k=args.ref_k, scheme=_SCHEMES[args.ref_scheme]
+                m=args.ref_m, k=args.ref_k, scheme=steppers.SchemeKind(args.ref_scheme)
             ),
             t_end=args.t_end,
             coeff=args.coeff,

@@ -103,9 +103,8 @@ def _check_same_grid(u: Field, v: Field) -> None:
 # nor loses bits to gradual underflow.
 SAFE_NORM_RANGE = (2.0 ** -256, 2.0 ** 256)
 
-
-def zero_field(grid: Grid) -> Field:
-    return Field(grid, np.zeros((grid.n, grid.n)))
+# Gauss points per element direction in ``l2_distance_to_function``
+GAUSS_POINTS = 6
 
 
 def discrete_inner_product(u: Field, v: Field) -> float:
@@ -199,7 +198,7 @@ def exact_l2_norm(u: Field) -> float:
     return float(np.ldexp(np.sqrt(exact_l2_norm_squared(scaled)), e))
 
 
-def l2_distance_to_function(u: Field, g, points: int = 6) -> float:
+def l2_distance_to_function(u: Field, g) -> float:
     """||u - g||_{L2} by per-element tensor Gauss quadrature.
 
     The FE function is evaluated exactly at the quadrature points (bilinear
@@ -208,7 +207,7 @@ def l2_distance_to_function(u: Field, g, points: int = 6) -> float:
     """
     m = u.grid.m
     h = u.grid.h
-    xi, wi = np.polynomial.legendre.leggauss(points)
+    xi, wi = np.polynomial.legendre.leggauss(GAUSS_POINTS)
     t = 0.5 * (xi + 1.0)  # nodes on [0,1]
     w = 0.5 * wi          # weights summing to 1
     p = padded_values(u)
@@ -244,25 +243,6 @@ def _element_index(t, m: int) -> np.ndarray:
     tie rule.
     """
     return np.clip(np.ceil(np.multiply(t, m)).astype(np.intp) - 1, 0, m - 1)
-
-
-def evaluate_field(u: Field, x: float, y: float) -> float:
-    """Exact value of the bilinear FE function at (x, y) in [0,1]^2."""
-    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-        raise ValueError(f"point ({x}, {y}) outside the unit square")
-    m = u.grid.m
-    h = u.grid.h
-    ix = _element_index(x, m)
-    iy = _element_index(y, m)
-    s = x / h - ix
-    t = y / h - iy
-    p = padded_values(u)
-    return float(
-        (1 - s) * (1 - t) * p[iy, ix]
-        + s * (1 - t) * p[iy, ix + 1]
-        + (1 - s) * t * p[iy + 1, ix]
-        + s * t * p[iy + 1, ix + 1]
-    )
 
 
 def _interp_matrix_1d(coarse: Grid, targets: np.ndarray) -> np.ndarray:

@@ -5,8 +5,8 @@ Kronecker-sum structure with two 1D symmetric-tridiagonal
 eigendecompositions.  The same eigenvalues give the closed-form stability
 certificate (``operators.stability_certificate``).  ``conjugate_gradient``
 serves Crank-Nicolson's system I - k/2 L, with the tolerance and iteration
-cap of a ``LinearSolverHandle``.  ``power_iteration`` estimates the 2-norm
-of a matrix-free operator; the package itself does not call it.
+cap of a ``LinearSolverHandle``.  ``power_iteration``, a 2-norm estimate the
+package does not call, stays while the benchmark's span recorder traces it.
 """
 
 from __future__ import annotations

@@ -67,13 +67,6 @@ class TridiagonalMatrix:
         y[..., :-1] += self.off * x[..., 1:]
         return y
 
-    def to_dense(self) -> np.ndarray:
-        return (
-            np.diag(self.diag)
-            + np.diag(self.off, 1)
-            + np.diag(self.off, -1)
-        )
-
 
 def _sample(c, x: np.ndarray) -> np.ndarray:
     """Values of coefficient c at x; a scalar result is broadcast to x's shape."""

@@ -77,26 +77,26 @@ def cn_preconditioner(op, k: float):
     bounds the preconditioned spectrum away from zero there.  A and B are
     symmetric (the mass matrix is h^2 I), so the product R_B^T R_A R_B is SPD
     by congruence and adding the positive diagonal w J keeps it SPD, as
-    preconditioned CG requires.  Returns a callable ``precondition(r, out=None)``
-    on flat residual vectors; it writes into ``out``, a C-contiguous float64
-    vector not overlapping ``r``, or returns a new one.  Two scratch fields
-    live as long as the callable.
+    preconditioned CG requires.  Returns a callable ``precondition(r)`` on
+    flat residual vectors.  It returns its own output vector, which it
+    overwrites on the next call; that vector and two scratch fields live as
+    long as the callable.
     """
     half, quarter = 0.5 * k, 0.25 * k
     grid = op.grid
     n = grid.n
-    jacobi = (CN_JACOBI_WEIGHT / (1.0 - half * op.diagonal_l().values)).ravel()
-    s1, s2 = np.empty((n, n)), np.empty((n, n))
+    jacobi = CN_JACOBI_WEIGHT / (1.0 - half * op.diagonal_l().values)
+    s1, s2, out = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
     f1, f2 = Field(grid, s1), Field(grid, s2)
+    z = out.reshape(-1)
 
-    def precondition(r, out=None):
-        if out is None:
-            out = np.empty(n * n)
-        op.solve_resolvent_b(quarter, Field(grid, r.reshape(n, n)), out=s1)
+    def precondition(r):
+        r2 = r.reshape(n, n)
+        op.solve_resolvent_b(quarter, Field(grid, r2), out=s1)
         op.solve_resolvent_a(half, f1, out=s2)
-        op.solve_resolvent_b(quarter, f2, out=out.reshape(n, n))
-        out += np.multiply(jacobi, r, out=s1.reshape(-1))
-        return out
+        op.solve_resolvent_b(quarter, f2, out=out)
+        np.add(out, np.multiply(jacobi, r2, out=s1), out=out)
+        return z
 
     return precondition
 
@@ -113,8 +113,8 @@ def cn_step(
     The system is SPD, solved by CG preconditioned with
     :func:`cn_preconditioner` to the handle's relative residual (default
     1e-12); ``precondition`` is that callable built beforehand for the same
-    ``op`` and ``k``, or None to build it here.  CG's operator and
-    preconditioner write into two workspace vectors of this call.  This is
+    ``op`` and ``k``, or None to build it here.  CG's operator writes into a
+    workspace vector of this call, the preconditioner into its own.  This is
     the reference integrator; it involves a full 2D solve and is not a
     splitting.
     """
@@ -127,7 +127,7 @@ def cn_step(
     rhs = op.apply_l(u, half)
     grid = op.grid
     n = grid.n
-    a_out, z_out = np.empty((n, n)), np.empty(n * n)
+    a_out = np.empty((n, n))
 
     def matvec(v):
         # u + (-half) L u equals u - half L u bit for bit
@@ -139,7 +139,7 @@ def cn_step(
         rhs.values.ravel(),
         tol=handle.tol,
         max_iter=handle.max_iter,
-        precondition=lambda r: precondition(r, out=z_out),
+        precondition=precondition,
     )
     return Field(grid, x.reshape(n, n))
 

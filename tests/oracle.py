@@ -1,10 +1,11 @@
-"""Small-scale dense reference implementations, used only by the test suite.
+"""Small-scale dense reference implementations for the test suite.
 
 Everything here trades efficiency for directness: literal Kronecker
 expansion of the stiffness matrices, dense linear algebra, plain CG on L as
-a second route besides the package's direct solver, and a Gauss quadrature
-cross-check of the exact L2 norm in :mod:`adisplit.grid`.
-Production code paths never import this module.
+a second route besides the package's direct solver, pointwise evaluation of
+a field as the reference for grid transfer, and a Gauss quadrature
+cross-check of the exact L2 norm in :mod:`adisplit.grid`.  The package
+itself never imports this module.
 """
 
 from __future__ import annotations
@@ -12,11 +13,50 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .grid import Field, l2_distance_to_function
-from .linsolve import conjugate_gradient
+from adisplit.grid import (
+    Field,
+    Grid,
+    _element_index,
+    l2_distance_to_function,
+    padded_values,
+)
+from adisplit.linsolve import conjugate_gradient
 
 DENSE_BUDGET = 4096  # max (m-1)^2 entries per dense operator
 EXPM_DIM_BUDGET = 128
+
+
+def random_field(grid: Grid, seed: int = 0) -> Field:
+    rng = np.random.default_rng(seed)
+    return Field(grid, rng.standard_normal((grid.n, grid.n)))
+
+
+def zero_field(grid: Grid) -> Field:
+    return Field(grid, np.zeros((grid.n, grid.n)))
+
+
+def evaluate_field(u: Field, x: float, y: float) -> float:
+    """Exact value of the bilinear FE function at (x, y) in [0,1]^2."""
+    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+        raise ValueError(f"point ({x}, {y}) outside the unit square")
+    m = u.grid.m
+    h = u.grid.h
+    ix = _element_index(x, m)
+    iy = _element_index(y, m)
+    s = x / h - ix
+    t = y / h - iy
+    p = padded_values(u)
+    return float(
+        (1 - s) * (1 - t) * p[iy, ix]
+        + s * (1 - t) * p[iy, ix + 1]
+        + (1 - s) * t * p[iy + 1, ix]
+        + s * t * p[iy + 1, ix + 1]
+    )
+
+
+def dense_tridiagonal(t) -> np.ndarray:
+    """Dense form of a symmetric ``TridiagonalMatrix``."""
+    return np.diag(t.diag) + np.diag(t.off, 1) + np.diag(t.off, -1)
 
 
 def dense_assemble(op):
@@ -29,8 +69,8 @@ def dense_assemble(op):
     if n2 > DENSE_BUDGET:
         raise ValueError(f"dense assembly budget exceeded: {n2} > {DENSE_BUDGET}")
     h2 = op.grid.h ** 2
-    a = -np.kron(np.diag(op.d_mu), op.k_lambda.to_dense()) / h2
-    b = -np.kron(op.k_mu.to_dense(), np.diag(op.d_lambda)) / h2
+    a = -np.kron(np.diag(op.d_mu), dense_tridiagonal(op.k_lambda)) / h2
+    b = -np.kron(dense_tridiagonal(op.k_mu), np.diag(op.d_lambda)) / h2
     return a, b, a + b
 
 
@@ -72,6 +112,6 @@ def dense_operator_norm(matrix: np.ndarray) -> float:
     return float(np.linalg.norm(matrix, 2))
 
 
-def gauss_l2_norm(u: Field, points: int = 4) -> float:
+def gauss_l2_norm(u: Field) -> float:
     """L2 norm by per-element Gauss quadrature; cross-check for the exact form."""
-    return l2_distance_to_function(u, lambda x, y: 0.0 * x, points=points)
+    return l2_distance_to_function(u, lambda x, y: 0.0 * x)

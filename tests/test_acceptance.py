@@ -7,7 +7,7 @@ it is computed once per session."""
 import numpy as np
 import pytest
 
-from adisplit import experiments, linsolve, oracle, steppers
+from adisplit import experiments, linsolve, steppers
 from adisplit.experiments import (
     DR_REFERENCE_ERRORS,
     DR_ROWS,
@@ -21,9 +21,12 @@ from adisplit.experiments import (
     run_convergence,
     verify_assumptions,
 )
-from adisplit.grid import Field, Grid, discrete_norm, prolong_to
+from adisplit.grid import Grid, discrete_norm, prolong_to
 from adisplit.operators import assemble_split_operator
 from adisplit.steppers import SchemeKind, cn_step, dr_step, pr_step
+
+import oracle
+from oracle import random_field
 
 T_END = 0.5
 REFERENCE = ReferenceSpec(m=1024, k=2.0 ** -13)
@@ -43,11 +46,6 @@ def announce(capsys):
 def paper_operator(m):
     lam, mu = experiments.coefficient_pair("paper")
     return assemble_split_operator(lam, mu, Grid(m))
-
-
-def random_field(grid, seed):
-    rng = np.random.default_rng(seed)
-    return Field(grid, rng.standard_normal((grid.n, grid.n)))
 
 
 @pytest.fixture(scope="module")

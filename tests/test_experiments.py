@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from adisplit import experiments, oracle, steppers
+from adisplit import experiments, steppers
 from adisplit.cli import main
 from adisplit.experiments import (
     DR_ROWS,
@@ -29,6 +29,8 @@ from adisplit.operators import (
     assemble_split_operator,
 )
 from adisplit.steppers import SchemeKind
+
+import oracle
 
 
 def paper_operator(m):

@@ -6,7 +6,6 @@ from adisplit.grid import (
     Grid,
     discrete_inner_product,
     discrete_norm,
-    evaluate_field,
     exact_l2_norm,
     exact_l2_norm_squared,
     interpolate,
@@ -15,13 +14,9 @@ from adisplit.grid import (
     prolong_to,
     read_field,
     write_field,
-    zero_field,
 )
 
-
-def random_field(grid, seed=0):
-    rng = np.random.default_rng(seed)
-    return Field(grid, rng.standard_normal((grid.n, grid.n)))
+from oracle import evaluate_field, random_field, zero_field
 
 
 def trapezoidal_quadrature(u, v):

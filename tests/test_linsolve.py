@@ -3,9 +3,8 @@ import logging
 import numpy as np
 import pytest
 
-from adisplit import oracle
 from adisplit.experiments import PAPER_LAMBDA, PAPER_MU
-from adisplit.grid import Field, Grid, discrete_norm, zero_field
+from adisplit.grid import Grid, discrete_norm
 from adisplit.linsolve import (
     KroneckerFactorization,
     LinearSolverHandle,
@@ -17,12 +16,10 @@ from adisplit.linsolve import (
 )
 from adisplit.operators import assemble_split_operator
 
+import oracle
+from oracle import random_field, zero_field
+
 ONE = lambda x: np.ones_like(np.asarray(x, dtype=float))
-
-
-def random_field(grid, seed=0):
-    rng = np.random.default_rng(seed)
-    return Field(grid, rng.standard_normal((grid.n, grid.n)))
 
 
 def paper_operator(m):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adisplit import experiments, operators, oracle, steppers
+from adisplit import experiments, operators, steppers
 from adisplit.experiments import PAPER_LAMBDA, PAPER_MU, coefficient_pair
 from adisplit.grid import Field, Grid, discrete_inner_product, discrete_norm
 from adisplit.operators import (
@@ -21,12 +21,10 @@ from adisplit.operators import (
     stability_certificate,
 )
 
+import oracle
+from oracle import random_field
+
 ONE = lambda x: np.ones_like(np.asarray(x, dtype=float))
-
-
-def random_field(grid, seed=0):
-    rng = np.random.default_rng(seed)
-    return Field(grid, rng.standard_normal((grid.n, grid.n)))
 
 
 def paper_operator(m):
@@ -73,14 +71,14 @@ class TestStiffnessAssembly:
     def test_interior_row_sums_vanish(self):
         # row sums cancel algebraically except in the boundary-truncated rows
         k = assemble_1d_stiffness(lambda x: np.exp(x) + 0.2, Grid(12))
-        dense = k.to_dense()
+        dense = oracle.dense_tridiagonal(k)
         sums = dense.sum(axis=1)
         assert np.allclose(sums[1:-1], 0.0, atol=1e-14)
         assert sums[0] > 0.0 and sums[-1] > 0.0
 
     def test_symmetric_positive_definite(self):
         k = assemble_1d_stiffness(PAPER_LAMBDA, Grid(9))
-        dense = k.to_dense()
+        dense = oracle.dense_tridiagonal(k)
         assert np.array_equal(dense, dense.T)
         assert np.min(np.linalg.eigvalsh(dense)) > 0.0
 
@@ -88,7 +86,8 @@ class TestStiffnessAssembly:
 class TestOperatorAssembly:
     def test_constant_coefficients(self):
         op = assemble_split_operator(ONE, ONE, Grid(4))
-        assert np.allclose(op.k_lambda.to_dense(), op.k_mu.to_dense())
+        assert np.allclose(oracle.dense_tridiagonal(op.k_lambda),
+                           oracle.dense_tridiagonal(op.k_mu))
         assert np.allclose(op.d_lambda, 1.0)
         assert np.allclose(op.d_mu, 1.0)
         assert op.lambda_0 == op.lambda_inf == 1.0

@@ -1,7 +1,10 @@
+import ast
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from adisplit import oracle
 from adisplit.experiments import PAPER_LAMBDA, PAPER_MU
 from adisplit.grid import (
     Field,
@@ -10,16 +13,13 @@ from adisplit.grid import (
     exact_l2_norm_squared,
     interpolate,
     l2_distance_to_function,
-    zero_field,
 )
 from adisplit.operators import assemble_split_operator
 
+import oracle
+from oracle import random_field, zero_field
+
 ONE = lambda x: np.ones_like(np.asarray(x, dtype=float))
-
-
-def random_field(grid, seed=0):
-    rng = np.random.default_rng(seed)
-    return Field(grid, rng.standard_normal((grid.n, grid.n)))
 
 
 class TestDenseAssemble:
@@ -94,7 +94,7 @@ class TestExactL2:
         for m in (4, 8):
             u = random_field(Grid(m), m)
             exact = exact_l2_norm(u)
-            gauss = oracle.gauss_l2_norm(u, points=4)
+            gauss = oracle.gauss_l2_norm(u)
             assert exact == pytest.approx(gauss, rel=1e-12)
 
     def test_interpolated_constant(self):
@@ -131,3 +131,28 @@ def test_dense_matches_matrix_free_master_check():
         got = fn(u).values.ravel()
         want = mat @ u.values.ravel()
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+class TestPackageBoundary:
+    """The dense oracle is test code: the package neither ships nor imports it."""
+
+    PACKAGE = Path(__file__).resolve().parent.parent / "src" / "adisplit"
+
+    def test_package_has_no_oracle_module(self):
+        assert importlib.util.find_spec("adisplit.oracle") is None
+
+    def test_no_package_module_imports_the_oracle(self):
+        sources = sorted(self.PACKAGE.glob("*.py"))
+        assert sources
+        offenders = []
+        for path in sources:
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [a.name for a in node.names]
+                else:
+                    continue
+                if any("oracle" in name.split(".") for name in names):
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
