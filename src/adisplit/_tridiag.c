@@ -1,9 +1,10 @@
-/* Line-interleaved SPD tridiagonal solves with a LAPACK dpttrf factor, and
- * the five-point stencil of A, B and L = A + B.
+/* Line-interleaved SPD tridiagonal solves with a LAPACK dpttrf factor, the
+ * Douglas-Rachford and Peaceman-Rachford Cayley recurrences built on them,
+ * and the five-point stencil of A, B and L = A + B.
  *
- * Each entry point solves every grid line of an n x n field, one system
- * per line, from the factor L D L^T of that line.  The arithmetic per line
- * is the one of LAPACK dpttrs (dptts2):
+ * Each solve handles every grid line of an n x n field, one system per
+ * line, from the factor L D L^T of that line.  The arithmetic per line is
+ * the one of LAPACK dpttrs (dptts2):
  *
  *     forward   x[p] = r[p] - x[p-1] * e[p-1]                  p = 1..n-1
  *     back      x[n-1] = x[n-1] / d[n-1]
@@ -15,17 +16,29 @@
  * also overwrites x[p+1] with 2 x[p+1] - r[p+1] as soon as x[p] no longer
  * needs it, so the output holds the Cayley transform 2 R r - r.
  * `r` and `x` must not overlap.
+ *
+ * adisplit_cayley_loop runs many time steps of the Cayley recurrences in
+ * one call.  It may split every sweep's lines between the calling thread
+ * and one worker thread that lives for the call; the two meet at a barrier
+ * after each sweep.  Every line keeps the arithmetic of a single-threaded
+ * solve, so the split does not change a bit of the result.
  */
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
+#include <stdatomic.h>
 #include <stdlib.h>
 
 #define TILE 16  /* lines per tile of the contiguous sweep */
 #define CHUNK 32 /* positions per step of the tile transposes */
+#define SPINS 4096 /* barrier polls before each poll also yields the CPU */
 
 /* read by the loader, which lays out the contiguous-line factor in tiles */
 const long adisplit_tile = TILE;
 
-/* w lines of length n stored position-major: element p of line l at p*w + l. */
-static void sweep(long n, long w, const double *restrict d,
+/* w lines of length n stored position-major with stride ld: element p of
+ * line l at p*ld + l, in the factor as in r and x. */
+static void sweep(long n, long w, long ld, const double *restrict d,
                   const double *restrict e, const double *restrict r,
                   double *restrict x, int reflect)
 {
@@ -33,18 +46,18 @@ static void sweep(long n, long w, const double *restrict d,
     for (l = 0; l < w; l++)
         x[l] = r[l];
     for (p = 1; p < n; p++) {
-        double *xp = x + p * w;
-        const double *xq = xp - w, *rp = r + p * w, *ep = e + (p - 1) * w;
+        double *xp = x + p * ld;
+        const double *xq = xp - ld, *rp = r + p * ld, *ep = e + (p - 1) * ld;
         for (l = 0; l < w; l++)
             xp[l] = rp[l] - xq[l] * ep[l];
     }
-    double *xl = x + (n - 1) * w;
-    const double *dl = d + (n - 1) * w;
+    double *xl = x + (n - 1) * ld;
+    const double *dl = d + (n - 1) * ld;
     for (l = 0; l < w; l++)
         xl[l] = xl[l] / dl[l];
     for (p = n - 2; p >= 0; p--) {
-        double *xp = x + p * w, *xn = xp + w;
-        const double *dp = d + p * w, *ep = e + p * w, *rn = r + (p + 1) * w;
+        double *xp = x + p * ld, *xn = xp + ld;
+        const double *dp = d + p * ld, *ep = e + p * ld, *rn = r + (p + 1) * ld;
         for (l = 0; l < w; l++)
             xp[l] = xp[l] / dp[l] - xn[l] * ep[l];
         if (reflect)
@@ -62,22 +75,22 @@ static void sweep(long n, long w, const double *restrict d,
 int adisplit_solve_strided(long n, const double *d, const double *e,
                            const double *r, double *x, int reflect)
 {
-    sweep(n, n, d, e, r, x, reflect);
+    sweep(n, n, n, d, e, r, x, reflect);
     return 0;
 }
 
-/* Contiguous lines (field[l][p] is element p of line l): blocks of TILE
- * lines are gathered into a position-major tile, swept and scattered back.
- * d and e are stored [block][p][l], padded to whole blocks.  Returns -1 if
- * the tile cannot be allocated. */
-int adisplit_solve_contiguous(long n, const double *d, const double *e,
-                              const double *r, double *x, int reflect)
+/* Contiguous lines (field[l][p] is element p of line l), tiles b0..b1-1:
+ * each block of TILE lines is gathered into a position-major tile, swept
+ * and scattered back.  d and e are stored [block][p][l], padded to whole
+ * blocks; `tile` holds 2 TILE n doubles.  With `average` the scatter
+ * writes (t + x) * 0.5 over x, t being the tile's result. */
+static void tiles(long n, long b0, long b1, const double *restrict d,
+                  const double *restrict e, const double *restrict r,
+                  double *restrict x, int reflect, int average,
+                  double *restrict tile)
 {
-    double *tr = calloc(2 * TILE * (size_t)n, sizeof(double));
-    if (tr == NULL)
-        return -1;
-    double *tx = tr + TILE * n;
-    for (long b = 0; b * TILE < n; b++) {
+    double *tr = tile, *tx = tile + TILE * n;
+    for (long b = b0; b < b1; b++) {
         long lines = n - b * TILE < TILE ? n - b * TILE : TILE;
         const double *rb = r + b * TILE * n;
         double *xb = x + b * TILE * n;
@@ -89,16 +102,132 @@ int adisplit_solve_contiguous(long n, const double *d, const double *e,
                 for (long p = q; p < qe; p++)
                     tr[p * TILE + l] = rb[l * n + p];
         }
-        sweep(n, TILE, d + b * TILE * n, e + b * TILE * n, tr, tx, reflect);
+        sweep(n, TILE, TILE, d + b * TILE * n, e + b * TILE * n, tr, tx,
+              reflect);
         for (long q = 0; q < n; q += CHUNK) {
             long qe = q + CHUNK < n ? q + CHUNK : n;
-            for (long l = 0; l < lines; l++)
-                for (long p = q; p < qe; p++)
-                    xb[l * n + p] = tx[p * TILE + l];
+            for (long l = 0; l < lines; l++) {
+                double *xl = xb + l * n;
+                const double *tl = tx + l;
+                if (average)
+                    for (long p = q; p < qe; p++)
+                        xl[p] = (tl[p * TILE] + xl[p]) * 0.5;
+                else
+                    for (long p = q; p < qe; p++)
+                        xl[p] = tl[p * TILE];
+            }
         }
     }
-    free(tr);
+}
+
+/* All contiguous lines in tiles of TILE.  Returns -1 if the tile cannot
+ * be allocated. */
+int adisplit_solve_contiguous(long n, const double *d, const double *e,
+                              const double *r, double *x, int reflect)
+{
+    double *tile = calloc(2 * TILE * (size_t)n, sizeof(double));
+    if (tile == NULL)
+        return -1;
+    tiles(n, 0, (n + TILE - 1) / TILE, d, e, r, x, reflect, 0, tile);
+    free(tile);
     return 0;
+}
+
+/* mode bits of adisplit_cayley_loop */
+#define LEAD_A 1  /* start with u = C_A v */
+#define AVERAGE 2 /* each step ends in u = (u + C_A v) / 2 */
+
+struct loop {
+    long n, steps;
+    int mode, parts;
+    const double *da, *ea, *db, *eb;
+    double *u, *v, *tile;
+    atomic_int arrived, phase;
+};
+
+/* Wait until every part has finished the current sweep: spin on the
+ * phase, then keep polling while yielding the CPU, so a thread that waits
+ * for a descheduled partner does not hold a shared core. */
+static void meet(struct loop *s)
+{
+    if (s->parts == 1)
+        return;
+    int phase = atomic_load_explicit(&s->phase, memory_order_relaxed);
+    if (atomic_fetch_add_explicit(&s->arrived, 1, memory_order_acq_rel) + 1
+        == s->parts) {
+        atomic_store_explicit(&s->arrived, 0, memory_order_relaxed);
+        atomic_store_explicit(&s->phase, phase + 1, memory_order_release);
+        return;
+    }
+    for (long spin = 0;
+         atomic_load_explicit(&s->phase, memory_order_acquire) == phase; spin++)
+        if (spin >= SPINS)
+            sched_yield();
+}
+
+/* Part `part` of `s->parts`: columns i0..i1-1 of every B sweep and tiles
+ * b0..b1-1 of every A sweep. */
+static void run_part(struct loop *s, int part)
+{
+    long n = s->n, nb = (n + TILE - 1) / TILE;
+    long i0 = part * n / s->parts, i1 = (part + 1) * n / s->parts;
+    long b0 = part * nb / s->parts, b1 = (part + 1) * nb / s->parts;
+    double *tile = s->tile + part * 2 * TILE * n;
+    if (s->mode & LEAD_A) {
+        tiles(n, b0, b1, s->da, s->ea, s->v, s->u, 1, 0, tile);
+        meet(s);
+    }
+    for (long step = 0; step < s->steps; step++) {
+        sweep(n, i1 - i0, n, s->db + i0, s->eb + i0, s->u + i0, s->v + i0, 1);
+        meet(s);
+        tiles(n, b0, b1, s->da, s->ea, s->v, s->u, 1, s->mode & AVERAGE, tile);
+        meet(s);
+    }
+}
+
+static void *worker(void *arg)
+{
+    run_part(arg, 1);
+    return NULL;
+}
+
+/* `steps` steps of v = C_B u, u = C_A v on two n x n fields, C_X = 2 R_X - I
+ * with the factors of adisplit_solve_contiguous (A) and
+ * adisplit_solve_strided (B); with AVERAGE in `mode` the second half is
+ * u = (u + C_A v) / 2, and with LEAD_A a first u = C_A v precedes the
+ * steps.  The result is in u.  Peaceman-Rachford's z <- C_B C_A z and
+ * Douglas-Rachford's t <- (t + C_A C_B t) / 2 are both this loop.  With
+ * `threads` >= 2 a worker thread takes half the lines of every sweep, the
+ * same half each time; it blocks all signals, so they reach the caller,
+ * and is joined before the call returns.  Returns the number of threads
+ * used (1 where the worker cannot be started), or -1 if the tiles cannot
+ * be allocated. */
+int adisplit_cayley_loop(long n, long steps, int mode, int threads,
+                         const double *da, const double *ea, const double *db,
+                         const double *eb, double *u, double *v)
+{
+    struct loop s = {.n = n, .steps = steps, .mode = mode,
+                     .parts = threads >= 2 ? 2 : 1,
+                     .da = da, .ea = ea, .db = db, .eb = eb, .u = u, .v = v};
+    atomic_init(&s.arrived, 0);
+    atomic_init(&s.phase, 0);
+    s.tile = calloc(s.parts * 2 * TILE * (size_t)n, sizeof(double));
+    if (s.tile == NULL)
+        return -1;
+    pthread_t other;
+    if (s.parts == 2) {
+        sigset_t all, old;
+        sigfillset(&all);
+        pthread_sigmask(SIG_BLOCK, &all, &old);
+        if (pthread_create(&other, NULL, worker, &s) != 0)
+            s.parts = 1;
+        pthread_sigmask(SIG_SETMASK, &old, NULL);
+    }
+    run_part(&s, 0);
+    if (s.parts == 2)
+        pthread_join(other, NULL);
+    free(s.tile);
+    return s.parts;
 }
 
 /* Row j of the A part: y[i] = ((d[i] x[i] + e[i-1] x[i-1]) + e[i] x[i+1]) c,

@@ -7,14 +7,17 @@ tridiagonal stiffness matrix and a diagonal coefficient matrix, so A and B
 apply line by line and each resolvent reduces to one SPD tridiagonal
 system per grid line.  The lines are factored by LAPACK dpttrf and solved
 by a small compiled kernel (``_tridiag.c``) that sweeps many lines side by
-side; the same kernel applies A, B or L as one five-point stencil pass.
-It is built with ``cc`` on its first use (a resolvent solve or an
-application) into a per-user cache.  Where it cannot be built the solves
-fall back to LAPACK dpttrs and the applications to numpy, with the same
-results.  ``apply_l``, the resolvents and the Cayley transforms return a
-new field, or, given ``out=``, write into that C-contiguous float64
-(n, n) array, which must not overlap the input, and return it wrapped as
-a field; the time-stepping loops reuse their buffers this way.
+side; the same kernel applies A, B or L as one five-point stencil pass,
+and runs the DR and PR Cayley recurrences of ``evolve`` for many steps
+per call (``cayley_loop``), on two threads from m = 512 where two CPUs
+are available.  It is built with ``cc`` on its first use (a resolvent
+solve or an application) into a per-user cache.  Where it cannot be built
+the solves fall back to LAPACK dpttrs, the applications to numpy and the
+recurrences to one Cayley call per transform, with the same results.
+``apply_l``, the resolvents and the Cayley transforms return a new field,
+or, given ``out=``, write into that C-contiguous float64 (n, n) array,
+which must not overlap the input, and return it wrapped as a field; the
+CN loop reuses its buffers this way.
 
 The stability assumption ||A L^{-1}||_h <= sqrt(|lambda|_inf |mu|_inf /
 (lambda_0 mu_0)) is checked by a closed-form certificate computed from the
@@ -40,6 +43,7 @@ from scipy.linalg import lapack
 
 from . import linsolve
 from .grid import Field, Grid
+from .steppers import SchemeKind
 
 logger = logging.getLogger(__name__)
 
@@ -51,6 +55,17 @@ COEFF_SAMPLE_POINTS = 10_001
 FACTOR_CACHE_CAPACITY = 6
 # parts argument of the compiled stencil
 _PART_A, _PART_B, _PART_SHIFT = 1, 2, 4
+# mode argument of the compiled Cayley loop
+_LOOP_LEAD_A, _LOOP_AVERAGE = 1, 2
+# Interior unknowns x steps per call of the compiled Cayley loop: a few
+# tens of ms, after which Python gets to handle a pending Ctrl-C.
+_LOOP_WORK = 2 ** 23
+# From this m up the loop splits every sweep over two threads, where the
+# process may run on two CPUs.  Below it the field and factors nearly fit
+# one core's cache, and moving half the field between two cores after
+# every sweep costs what the second core saves: at m=256 two threads made
+# paper_tables 5-15% slower than one.
+_LOOP_THREADS_FROM_M = 512
 
 
 @dataclass(frozen=True)
@@ -207,6 +222,87 @@ class SplitDiffusionOperator:
         """Cayley transform (I + kappa*B)(I - kappa*B)^{-1} u = 2 R_B u - u."""
         return self._line_solve("b", kappa, u, True, out)
 
+    def cayley_loop(self, scheme: SchemeKind, kappa: float, n_steps: int,
+                    u: Field, *, out: np.ndarray, _threads: int | None = None
+                    ) -> Field:
+        """``evolve``'s Cayley recurrence over n_steps >= 1 steps, with
+        C_X = (I + kappa X)(I - kappa X)^{-1}:
+
+        - Peaceman-Rachford: (C_A C_B)^{n_steps - 1} C_A u;
+        - Douglas-Rachford: ((I + C_A C_B) / 2)^{n_steps} u, each step
+          t <- (t + C_A C_B t) / 2.
+
+        Every transform has the bits of ``cayley_a``/``cayley_b``.  u's
+        array (C-contiguous float64) and ``out`` are both overwritten, and
+        the result is returned wrapped, in ``out`` for PR and in u's array
+        for DR.  The compiled kernel runs the loop in calls of about
+        ``_LOOP_WORK`` unknowns x steps, on two threads from m =
+        ``_LOOP_THREADS_FROM_M`` where the process may use two CPUs
+        (``_threads`` forces a count); the fallback makes one Cayley call
+        per transform.  Logs one DEBUG line.
+        """
+        if scheme not in (SchemeKind.PEACEMAN_RACHFORD, SchemeKind.DOUGLAS_RACHFORD):
+            raise ValueError(f"no Cayley recurrence for scheme {scheme.value}")
+        if n_steps < 1:
+            raise ValueError(f"n_steps must be positive, got {n_steps}")
+        self._check(u, out)
+        self._check_buffer("u", u.values)
+        pr = scheme is SchemeKind.PEACEMAN_RACHFORD
+        kernel = _kernel()
+        if kernel is None:
+            result = self._cayley_calls(pr, kappa, n_steps, u, out)
+            calls, threads = 0, 1
+        else:
+            n = self.grid.n
+            fac_a, fac_b = self._factors("a", kappa), self._factors("b", kappa)
+            if _threads is None:
+                _threads = 2 if self.grid.m >= _LOOP_THREADS_FROM_M and _cpus() >= 2 else 1
+            # the compiled loop's u holds the result: PR starts in its v
+            if pr:
+                mode, left, cu, cv = _LOOP_LEAD_A, n_steps - 1, out, u.values
+            else:
+                mode, left, cu, cv = _LOOP_AVERAGE, n_steps, u.values, out
+            per_call = max(1, _LOOP_WORK // (n * n))
+            calls = 0
+            while True:
+                steps = min(left, per_call)
+                threads = kernel.adisplit_cayley_loop(
+                    n, steps, mode, _threads, fac_a.d_ptr, fac_a.e_ptr,
+                    fac_b.d_ptr, fac_b.e_ptr, cu.ctypes.data, cv.ctypes.data)
+                if threads < 0:
+                    raise MemoryError("Cayley loop could not allocate its tiles")
+                calls += 1
+                left -= steps
+                mode &= ~_LOOP_LEAD_A
+                if left == 0:
+                    break
+            result = Field(self.grid, cu)
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("cayley loop: scheme=%s m=%d steps=%d kernel_calls=%d "
+                         "threads=%d", scheme.value, self.grid.m, n_steps, calls,
+                         threads)
+        return result
+
+    def _cayley_calls(self, pr: bool, kappa: float, n_steps: int, u: Field,
+                      out: np.ndarray) -> Field:
+        """``cayley_loop`` as one ``cayley_a``/``cayley_b`` call per
+        transform: the fallback, and the reference the compiled loop
+        matches bit for bit.  DR's step t + C_A C_B t needs one more field,
+        made here."""
+        w = Field(self.grid, out)
+        if pr:
+            self.cayley_a(kappa, u, out=out)
+            for _ in range(n_steps - 1):
+                self.cayley_b(kappa, w, out=u.values)
+                self.cayley_a(kappa, u, out=out)
+            return w
+        t, s = u.values, np.empty_like(out)
+        for _ in range(n_steps):
+            self.cayley_a(kappa, self.cayley_b(kappa, u, out=out), out=s)
+            t += s
+            t *= 0.5
+        return u
+
     def _line_solve(self, axis: str, kappa: float, rhs: Field, reflect: bool,
                     out: np.ndarray | None) -> Field:
         self._check(rhs, out)
@@ -258,17 +354,20 @@ class SplitDiffusionOperator:
             )
         if out is None:
             return
-        n = self.grid.n
-        if not (isinstance(out, np.ndarray) and out.shape == (n, n)
-                and out.dtype == np.float64 and out.flags.c_contiguous
-                and out.flags.writeable):
-            raise ValueError(
-                f"out must be a writeable C-contiguous float64 array of shape "
-                f"{(n, n)}, got {getattr(out, 'dtype', type(out).__name__)} "
-                f"{getattr(out, 'shape', '')}"
-            )
+        self._check_buffer("out", out)
         if np.may_share_memory(out, u.values):
             raise ValueError("out must not overlap the input field")
+
+    def _check_buffer(self, name: str, a) -> None:
+        n = self.grid.n
+        if not (isinstance(a, np.ndarray) and a.shape == (n, n)
+                and a.dtype == np.float64 and a.flags.c_contiguous
+                and a.flags.writeable):
+            raise ValueError(
+                f"{name} must be a writeable C-contiguous float64 array of shape "
+                f"{(n, n)}, got {getattr(a, 'dtype', type(a).__name__)} "
+                f"{getattr(a, 'shape', '')}"
+            )
 
 
 def _check_lapack(routine: str, info: int) -> None:
@@ -306,7 +405,7 @@ class _KernelFactor:
             self.e = self.e.reshape(-1, tile, n).transpose(0, 2, 1).copy()
             self._solve = kernel.adisplit_solve_contiguous
         self.n = n
-        self._d_ptr, self._e_ptr = self.d.ctypes.data, self.e.ctypes.data
+        self.d_ptr, self.e_ptr = self.d.ctypes.data, self.e.ctypes.data
 
     def solve(self, rhs: np.ndarray, reflect: bool,
               out: np.ndarray | None = None) -> np.ndarray:
@@ -316,7 +415,7 @@ class _KernelFactor:
         if r.shape != (self.n, self.n):
             raise ValueError(f"line solve needs shape {(self.n, self.n)}, got {r.shape}")
         x = np.empty_like(r) if out is None else out
-        if self._solve(self.n, self._d_ptr, self._e_ptr,
+        if self._solve(self.n, self.d_ptr, self.e_ptr,
                        r.ctypes.data, x.ctypes.data, reflect) != 0:
             raise MemoryError("tridiagonal kernel could not allocate its tile")
         return x
@@ -356,7 +455,7 @@ class _LapackFactor:
 _KERNEL_SOURCE = Path(__file__).with_name("_tridiag.c")
 # -ffp-contract=off keeps dpttrs's rounding (no fused multiply-add); no
 # -march flag, so the cached library runs on any machine of its architecture
-_KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+_KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC", "-pthread")
 
 
 @functools.cache
@@ -380,7 +479,17 @@ def _kernel():
     lib.adisplit_stencil.argtypes = (ctypes.c_long, ctypes.c_int, ctypes.c_double,
                                      *[ctypes.c_void_p] * 8)
     lib.adisplit_stencil.restype = None
+    lib.adisplit_cayley_loop.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.c_int,
+                                         ctypes.c_int, *[ctypes.c_void_p] * 6)
+    lib.adisplit_cayley_loop.restype = ctypes.c_int
     return lib
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _build_kernel() -> Path:

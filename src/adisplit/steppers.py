@@ -1,15 +1,17 @@
 """One-step time integrators over an abstract split operator.
 
 The step maps only require the capability set apply_a / apply_b / apply_l /
-solve_resolvent_a / solve_resolvent_b, with cayley_a / cayley_b for
-``evolve`` and diagonal_l for the Crank-Nicolson preconditioner, so any pair
-of dissipative operators with computable resolvents plugs in; cayley_X(kappa,
-u) returns (I + kappa X)(I - kappa X)^{-1} u, and Crank-Nicolson calls
-apply_l(u, sigma) for u + sigma L u.  Each result is a new field unless the
-call passes ``out=``, a C-contiguous float64 array that does not overlap the
-input; ``evolve`` and ``cn_step`` do so for every call inside their loops,
-into buffers that live for one call, so a DR or PR step and a CG iteration
-allocate no field.  The diffusion instance lives in :mod:`adisplit.operators`.
+solve_resolvent_a / solve_resolvent_b, with cayley_loop for ``evolve`` and
+diagonal_l for the Crank-Nicolson preconditioner, so any pair of dissipative
+operators with computable resolvents plugs in; cayley_loop(scheme, kappa,
+n, u, out=) runs DR's or PR's whole Cayley recurrence (see ``evolve``) on
+u's array and ``out``, and Crank-Nicolson calls apply_l(u, sigma) for
+u + sigma L u.  Each result is a new field unless the call passes ``out=``,
+a C-contiguous float64 array that does not overlap the input; ``evolve``
+and ``cn_step`` do so inside their loops, into buffers that live for one
+call, so a DR or PR run and a CG iteration allocate no field per step.  The
+diffusion instance lives in :mod:`adisplit.operators`, whose compiled
+kernel runs the DR and PR loops in a few calls.
 """
 
 from __future__ import annotations
@@ -144,15 +146,6 @@ def cn_step(
     return Field(grid, x.reshape(n, n))
 
 
-def _buffers(start: Field, count: int) -> list:
-    """``start``, held in a C-contiguous float64 array, and count - 1 more
-    fields of its grid for a loop to write into.  ``start`` must be a new
-    field, since the loop may overwrite its array."""
-    first = np.ascontiguousarray(start.values, dtype=np.float64)
-    return [Field(start.grid, first)] + [
-        Field(start.grid, np.empty_like(first)) for _ in range(count - 1)]
-
-
 def evolve(
     op,
     scheme: SchemeKind,
@@ -173,8 +166,9 @@ def evolve(
     t = u0 - k B u0, applies t <- (t + C_A C_B t) / 2 n_steps times and
     returns R_B t, since R_A (I + k^2 A B) R_B = (I + C_A C_B) / 2.  A run
     applies B once and A never, and equals the composed one-step maps up
-    to roundoff.  PR's loop alternates between two buffers and DR's rotates
-    three; the last solve writes into one of them, and ``u0`` is never
+    to roundoff.  The recurrence between the set-up and the final R_B is
+    one ``op.cayley_loop`` call on two buffers; the final solve writes
+    into the one that does not hold its input, and ``u0`` is never
     written.  Crank-Nicolson builds its preconditioner once per run.  A
     non-finite final field raises FloatingPointError.
     """
@@ -188,25 +182,18 @@ def evolve(
         precondition = cn_preconditioner(op, k)
         for _ in range(n_steps):
             u = cn_step(op, k, u, handle, precondition)
-    elif scheme is SchemeKind.PEACEMAN_RACHFORD:
-        _check_step(k)
-        kappa = 0.5 * k
-        z, w = _buffers(u0 + kappa * op.apply_b(u0), 2)
-        for _ in range(n_steps - 1):
-            op.cayley_a(kappa, z, out=w.values)
-            op.cayley_b(kappa, w, out=z.values)
-        u = op.solve_resolvent_b(kappa, op.cayley_a(kappa, z, out=w.values),
-                                 out=z.values)
     else:
         _check_step(k)
-        t, c, s = _buffers(u0 - k * op.apply_b(u0), 3)
-        for _ in range(n_steps):
-            op.cayley_a(k, op.cayley_b(k, t, out=c.values), out=s.values)
-            v = s.values
-            v += t.values
-            v *= 0.5
-            t, s = s, t
-        u = op.solve_resolvent_b(k, t, out=c.values)
+        if scheme is SchemeKind.PEACEMAN_RACHFORD:
+            kappa = 0.5 * k
+            start = u0 + kappa * op.apply_b(u0)
+        else:
+            kappa = k
+            start = u0 - k * op.apply_b(u0)
+        z = np.ascontiguousarray(start.values, dtype=np.float64)
+        w = np.empty_like(z)
+        y = op.cayley_loop(scheme, kappa, n_steps, Field(u0.grid, z), out=w)
+        u = op.solve_resolvent_b(kappa, y, out=z if y.values is w else w)
     if not np.isfinite(u.values).all():
         raise FloatingPointError(
             f"{scheme.value} evolve with k={k} over {n_steps} steps "

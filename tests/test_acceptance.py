@@ -1,7 +1,7 @@
 """Acceptance suite: end-to-end reproduction of the published error tables
 plus the structural and solver contracts, one printed PASS/FAIL line per
 criterion.  The shared fine-grid reference run dominates the wall time
-(the m=1024 PR run, 34-36 s of a run of about 50 s on two shared cores);
+(the m=1024 PR run, 16-21 s of a run of 31-38 s on two shared cores);
 it is computed once per session."""
 
 import numpy as np

@@ -1,9 +1,13 @@
 import logging
 import os
+import select
 import shutil
+import signal
 import stat
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -346,15 +350,11 @@ class TestLinePaths:
 
     def test_evolve_agrees(self, monkeypatch):
         u = random_field(Grid(33), 3)
-        for scheme in (steppers.SchemeKind.PEACEMAN_RACHFORD,
-                       steppers.SchemeKind.DOUGLAS_RACHFORD):
+        for scheme in (PR, DR):
             got, want = on_both_paths(
                 monkeypatch,
                 lambda: steppers.evolve(paper_operator(33), scheme, 1.0 / 64, 20, u))
-            if scheme is steppers.SchemeKind.PEACEMAN_RACHFORD:
-                assert np.array_equal(got.values, want.values)
-            else:
-                assert discrete_norm(got - want) <= 1e-14 * discrete_norm(want)
+            assert np.array_equal(got.values, want.values)
 
     def test_noncontiguous_and_integer_fields(self, line_path):
         # the kernel gets C-ordered float64 copies of other layouts and types
@@ -367,6 +367,164 @@ class TestLinePaths:
                          "cayley_a", "cayley_b"):
                 got = getattr(op, name)(0.5, field).values
                 assert np.array_equal(got, getattr(op, name)(0.5, floats).values)
+
+
+PR = steppers.SchemeKind.PEACEMAN_RACHFORD
+DR = steppers.SchemeKind.DOUGLAS_RACHFORD
+
+
+def run_loop(op, scheme, kappa, n_steps, u, **kwargs):
+    """op.cayley_loop on copies of u's array and a fresh ``out``."""
+    start = Field(op.grid, u.values.copy())
+    return op.cayley_loop(scheme, kappa, n_steps, start,
+                          out=np.full_like(start.values, np.nan), **kwargs)
+
+
+@needs_cc
+class TestCayleyLoop:
+    """The compiled DR/PR loop against one Cayley call per transform."""
+
+    # n = m - 1 lines: 1 and 2 give a thread no B column or no A tile, 16
+    # one whole tile, 17 an odd column split and a partial tile, 256 and
+    # 512 whole tiles on grids near and past _LOOP_THREADS_FROM_M
+    @pytest.mark.parametrize("m", [2, 3, 17, 18, 33, 257, 513])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("scheme", [PR, DR])
+    def test_agrees_with_the_per_call_loop(self, monkeypatch, caplog, m,
+                                           threads, scheme):
+        op = paper_operator(m)
+        u = random_field(op.grid, m)
+        for kappa, n_steps in ((1.0 / 64, 5), (10.0, 2), (1e-3, 1)):
+            start = Field(op.grid, u.values.copy())
+            want = op._cayley_calls(scheme is PR, kappa, n_steps, start,
+                                    np.empty_like(start.values))
+            with caplog.at_level(logging.DEBUG, logger="adisplit.operators"):
+                got = run_loop(op, scheme, kappa, n_steps, u, _threads=threads)
+            assert np.array_equal(got.values, want.values)
+            assert caplog.records[-1].getMessage().endswith(f"threads={threads}")
+            # two steps per call: PR's first call adds its leading C_A
+            with monkeypatch.context() as mp:
+                mp.setattr(operators, "_LOOP_WORK", 2 * op.grid.interior_count)
+                got = run_loop(op, scheme, kappa, n_steps, u, _threads=threads)
+            assert np.array_equal(got.values, want.values)
+
+    def test_concurrent_loops_agree(self):
+        # six loop threads on the machine's cores: every barrier still
+        # waits for its own partner, also when the cores are oversubscribed
+        op = paper_operator(65)
+        u = random_field(op.grid, 6)
+        want = run_loop(op, DR, 1.0 / 64, 40, u, _threads=1).values.copy()
+        got = [None] * 3
+
+        def work(i):
+            got[i] = run_loop(op, DR, 1.0 / 64, 40, u, _threads=2).values
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert all(np.array_equal(g, want) for g in got)
+
+    def test_result_buffer(self):
+        # PR ends in out, DR in the start array; both are overwritten
+        op = paper_operator(9)
+        u = random_field(op.grid, 1)
+        for scheme, in_out in ((PR, True), (DR, False)):
+            start, out = Field(op.grid, u.values.copy()), np.empty((8, 8))
+            got = op.cayley_loop(scheme, 0.1, 3, start, out=out)
+            assert (got.values is out) == in_out
+            assert (got.values is start.values) != in_out
+            assert not np.array_equal(start.values, u.values)
+
+    def test_threads_follow_the_grid_and_the_cpus(self, monkeypatch, caplog):
+        for m, cpus, threads in ((511, 2, 1), (512, 2, 2), (512, 1, 1)):
+            monkeypatch.setattr(operators, "_cpus", lambda: cpus)
+            op = paper_operator(m)
+            with caplog.at_level(logging.DEBUG, logger="adisplit.operators"):
+                steppers.evolve(op, PR, 1.0 / 64, 2, random_field(op.grid))
+            assert caplog.records[-1].getMessage() == (
+                f"cayley loop: scheme=pr m={m} steps=2 kernel_calls=1 "
+                f"threads={threads}")
+
+    def test_no_thread_outlives_evolve(self, monkeypatch):
+        tasks = Path("/proc/self/task")
+        if not tasks.is_dir():
+            pytest.skip("no /proc/self/task")
+        monkeypatch.setattr(operators, "_cpus", lambda: 2)
+        op = paper_operator(512)
+        u = random_field(op.grid)
+        before = len(list(tasks.iterdir()))
+        for scheme in (PR, DR):
+            steppers.evolve(op, scheme, 1.0 / 64, 3, u)
+            assert len(list(tasks.iterdir())) == before
+
+    def test_one_debug_line_per_evolve(self, caplog):
+        op = paper_operator(20)
+        u = random_field(op.grid)
+        with caplog.at_level(logging.DEBUG, logger="adisplit.operators"):
+            steppers.evolve(op, DR, 1.0 / 64, 9, u)
+            steppers.evolve(op, steppers.SchemeKind.CRANK_NICOLSON, 1.0 / 64, 2, u)
+        assert [r.getMessage() for r in caplog.records] == [
+            "cayley loop: scheme=dr m=20 steps=9 kernel_calls=1 threads=1"]
+
+    def test_no_log_record_when_debug_is_off(self, monkeypatch, caplog):
+        made = []
+        monkeypatch.setattr(operators.logger, "debug", lambda *a: made.append(a))
+        op = paper_operator(20)
+        with caplog.at_level(logging.INFO, logger="adisplit.operators"):
+            steppers.evolve(op, PR, 1.0 / 64, 3, random_field(op.grid))
+        assert made == []
+
+    def test_rejects_other_schemes_and_bad_buffers(self):
+        op = paper_operator(9)
+        u = random_field(op.grid)
+        with pytest.raises(ValueError, match="cn"):
+            op.cayley_loop(steppers.SchemeKind.CRANK_NICOLSON, 0.1, 2, u.copy(),
+                           out=np.empty((8, 8)))
+        with pytest.raises(ValueError, match="n_steps"):
+            op.cayley_loop(PR, 0.1, 0, u.copy(), out=np.empty((8, 8)))
+        with pytest.raises(ValueError, match="^u must"):
+            op.cayley_loop(PR, 0.1, 2, Field(op.grid, np.asfortranarray(u.values)),
+                           out=np.empty((8, 8)))
+        with pytest.raises(ValueError, match="overlap"):
+            v = u.copy()
+            op.cayley_loop(DR, 0.1, 2, v, out=v.values)
+
+    def test_ctrl_c_stops_a_long_run(self):
+        # 2^19 PR steps at m=1024 would take most of an hour; Python handles
+        # SIGINT between calls of the compiled loop
+        src = str(Path(operators.__file__).resolve().parent.parent)
+        code = (
+            "import sys\n"
+            "from adisplit import cli, operators\n"
+            "loop = operators.SplitDiffusionOperator.cayley_loop\n"
+            "def started(*args, **kwargs):\n"
+            "    print('loop', flush=True)\n"
+            "    return loop(*args, **kwargs)\n"
+            "operators.SplitDiffusionOperator.cayley_loop = started\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        args = ["run", "--scheme", "pr", "--m", "1024", "--k", "1/1048576"]
+        proc = subprocess.Popen([sys.executable, "-c", code, *args],
+                                env=dict(os.environ, PYTHONPATH=src),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True)
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 120)
+            assert ready, "the run did not reach its time loop"
+            assert proc.stdout.readline() == "loop\n"
+            time.sleep(1.0)
+            assert proc.poll() is None
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=2) != 0
+            assert "KeyboardInterrupt" in proc.stderr.read()
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
 
 
 def out_calls(op):

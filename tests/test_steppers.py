@@ -1,12 +1,13 @@
 import collections
+import shutil
 
 import numpy as np
 import pytest
 
-from adisplit import linsolve
+from adisplit import linsolve, operators
 from adisplit.experiments import PAPER_LAMBDA, PAPER_MU, prepare_initial_data
 from adisplit.grid import Field, Grid, discrete_norm
-from adisplit.operators import assemble_split_operator
+from adisplit.operators import SplitDiffusionOperator, assemble_split_operator
 from adisplit.steppers import (
     CN_JACOBI_WEIGHT,
     SchemeKind,
@@ -79,6 +80,59 @@ class CallCounter:
 
 
 LOOP_METHODS = ("cayley_a", "cayley_b", "solve_resolvent_a", "solve_resolvent_b")
+
+
+class MethodRecorder:
+    """Counts every call of the operator class's methods, the operator's
+    calls of its own methods included, and records each call's (input
+    address, ``out=`` address or None); on the kernel path also each call
+    of the compiled Cayley loop as (steps, mode)."""
+
+    NAMES = ("apply_a", "apply_b", "cayley_loop") + LOOP_METHODS
+
+    def __init__(self, monkeypatch, path):
+        self.path = path
+        self.calls = collections.Counter()
+        self.arrays = collections.defaultdict(list)
+        self.kernel_calls = []
+        for name in self.NAMES:
+            monkeypatch.setattr(SplitDiffusionOperator, name,
+                                self._recording(name, getattr(SplitDiffusionOperator, name)))
+        if path == "lapack":
+            monkeypatch.setattr(operators, "_kernel", lambda: None)
+            return
+        kernel = operators._kernel()
+        loop = kernel.adisplit_cayley_loop
+
+        def counted_loop(n, steps, mode, *args):
+            self.kernel_calls.append((steps, mode))
+            return loop(n, steps, mode, *args)
+
+        monkeypatch.setattr(kernel, "adisplit_cayley_loop", counted_loop)
+
+    def _recording(self, name, method):
+        def recorded(op, *args, **kwargs):
+            self.calls[name] += 1
+            field = next(a for a in args if isinstance(a, Field))
+            out = kwargs.get("out")
+            self.arrays[name].append(
+                (field.values.ctypes.data, None if out is None else out.ctypes.data))
+            return method(op, *args, **kwargs)
+
+        return recorded
+
+
+def recorded_evolves(monkeypatch, scheme):
+    """A MethodRecorder of one 7-step evolve at m=8 on the LAPACK fallback
+    and, where a C compiler exists, one on the compiled kernel; each path
+    gets its own operator, since the factors it caches are the path's."""
+    paths = ["lapack"] + (["kernel"] if shutil.which("cc") else [])
+    for path in paths:
+        op = assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(8))
+        with monkeypatch.context() as mp:
+            rec = MethodRecorder(mp, path)
+            evolve(op, scheme, 0.05, 7, random_field(op.grid, 4))
+        yield rec
 
 
 class TestScalarSurrogate:
@@ -172,27 +226,57 @@ class TestStepContracts:
     @pytest.mark.parametrize(
         "scheme", [SchemeKind.DOUGLAS_RACHFORD, SchemeKind.PEACEMAN_RACHFORD]
     )
-    def test_evolve_applies_one_operator_per_run(self, op, scheme):
-        # PR's last step ends in R_B instead of C_B; DR maps back with one R_B
-        counter = CallCounter(op)
-        evolve(counter, scheme, 0.05, 7, random_field(op.grid, 4))
-        cayley_b = 7 if scheme is SchemeKind.DOUGLAS_RACHFORD else 6
-        assert counter.calls == {
-            "apply_b": 1, "cayley_a": 7, "cayley_b": cayley_b,
-            "solve_resolvent_b": 1,
-        }
+    def test_evolve_applies_one_operator_per_run(self, monkeypatch, scheme):
+        # one B before the loop and one R_B after it; the kernel runs the
+        # 7 steps in one call and makes no Cayley call from Python, the
+        # fallback one call per transform: PR's last step ends in R_B
+        # instead of C_B
+        dr = scheme is SchemeKind.DOUGLAS_RACHFORD
+        for rec in recorded_evolves(monkeypatch, scheme):
+            want = {"apply_b": 1, "cayley_loop": 1, "solve_resolvent_b": 1}
+            if rec.path == "kernel":
+                assert rec.kernel_calls == [(7, 2) if dr else (6, 1)]
+            else:
+                want.update(cayley_a=7, cayley_b=7 if dr else 6)
+                assert rec.kernel_calls == []
+            assert rec.calls == want
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+    @pytest.mark.parametrize("scheme,calls", [
+        (SchemeKind.DOUGLAS_RACHFORD, [(3, 2), (3, 2), (1, 2)]),
+        (SchemeKind.PEACEMAN_RACHFORD, [(3, 1), (3, 0)])])
+    def test_evolve_loop_calls_are_bounded(self, op, monkeypatch, scheme, calls):
+        # three steps of work per compiled call: DR's 7 steps take three
+        # calls, PR's leading C_A and 6 steps two
+        want = evolve(op, scheme, 0.05, 7, random_field(op.grid, 4))
+        rec = MethodRecorder(monkeypatch, "kernel")
+        monkeypatch.setattr(operators, "_LOOP_WORK", 3 * op.grid.interior_count)
+        got = evolve(op, scheme, 0.05, 7, random_field(op.grid, 4))
+        assert rec.kernel_calls == calls
+        assert "cayley_a" not in rec.calls and "cayley_b" not in rec.calls
+        assert np.array_equal(got.values, want.values)
 
     @pytest.mark.parametrize("scheme,buffers", [
         (SchemeKind.DOUGLAS_RACHFORD, 3), (SchemeKind.PEACEMAN_RACHFORD, 2)])
-    def test_evolve_steps_allocate_no_field(self, op, scheme, buffers):
-        # every transform and solve of the loop writes into one of the
-        # run's buffers: PR alternates two, DR rotates three
-        rec = CallCounter(op)
-        evolve(rec, scheme, 0.05, 7, random_field(op.grid, 4))
-        outs = [a for name in LOOP_METHODS for a in rec.outs[name]]
-        assert len(outs) == sum(rec.calls[name] for name in LOOP_METHODS) > 0
-        assert None not in outs
-        assert len(set(outs)) == buffers
+    def test_evolve_steps_allocate_no_field(self, monkeypatch, scheme, buffers):
+        # the loop runs on the run's two buffers, and the final R_B reads
+        # the one that holds the loop's result and writes into the other.
+        # On the fallback every Cayley call writes into one of the arrays
+        # the loop owns: PR alternates the run's two; DR averages into
+        # its start buffer, so its C_A writes into a third, made once
+        for rec in recorded_evolves(monkeypatch, scheme):
+            [(start, out)] = rec.arrays["cayley_loop"]
+            [final] = rec.arrays["solve_resolvent_b"]
+            assert None not in final and start != out
+            assert set(final) == {start, out}
+            outs = [dest for name in ("cayley_a", "cayley_b")
+                    for _, dest in rec.arrays[name]]
+            if rec.path == "kernel":
+                assert outs == []
+            else:
+                assert len(outs) == 14 - (scheme is SchemeKind.PEACEMAN_RACHFORD)
+                assert None not in outs
+                assert len(set(outs) | {start, out}) == buffers
 
     @pytest.mark.parametrize("scheme", list(SchemeKind))
     @pytest.mark.parametrize("n_steps", [1, 5])
