@@ -80,10 +80,12 @@ def coefficient_pair(name: str):
 
 
 def steps_for(t_end: float, k: float) -> int:
-    """Number of steps for final time t_end; k must divide t_end exactly
-    and the count must not exceed MAX_STEPS."""
+    """Number of steps for final time t_end > 0; k must divide t_end
+    exactly and the count must not exceed MAX_STEPS."""
     if k <= 0.0:
         raise ValueError(f"step size must be positive, got {k}")
+    if t_end <= 0.0:
+        raise ValueError(f"final time must be positive, got {t_end}")
     steps = t_end / k
     if not math.isfinite(steps):
         raise ValueError(f"final time {t_end} over step size {k} is not a finite "

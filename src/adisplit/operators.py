@@ -10,10 +10,12 @@ by a small compiled kernel (``_tridiag.c``) that sweeps many lines side by
 side; the same kernel applies A, B or L as one five-point stencil pass,
 and runs the DR and PR Cayley recurrences of ``evolve`` for many steps
 per call (``cayley_loop``), on two threads from m = 512 where two CPUs
-are available.  It is built with ``cc`` on its first use (a resolvent
-solve or an application) into a per-user cache.  Where it cannot be built
-the solves fall back to LAPACK dpttrs, the applications to numpy and the
-recurrences to one Cayley call per transform, with the same results.
+are available.  It is built with ``cc`` on the first resolvent solve or
+application in a process (never on import) into a per-user cache.  Where
+it cannot be built the solves fall back to LAPACK dpttrs, the
+applications to numpy and the recurrences to one Cayley call per
+transform, with the same results.  Each operator fixes its path, kernel
+or fallback, at its own first use and keeps it.
 ``apply_l``, the resolvents and the Cayley transforms return a new field,
 or, given ``out=``, write into that C-contiguous float64 (n, n) array,
 which must not overlap the input, and return it wrapped as a field; the
@@ -75,9 +77,9 @@ class TridiagonalMatrix:
     diag: np.ndarray
     off: np.ndarray  # sub- and super-diagonal, length n-1
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Apply along the last axis of ``x``."""
-        y = self.diag * x
+    def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Apply along the last axis of ``x``, into ``out`` if given."""
+        y = np.multiply(self.diag, x, out=out)
         y[..., 1:] += self.off * x[..., :-1]
         y[..., :-1] += self.off * x[..., 1:]
         return y
@@ -124,73 +126,69 @@ class SplitDiffusionOperator:
     mu_0: float
     _factor_cache: OrderedDict = dc_field(default_factory=OrderedDict, repr=False)
     _kron_factorization: object = dc_field(default=None, repr=False)
-    # the compiled stencil's coefficient arrays and their addresses
-    _stencil_args: tuple = dc_field(default=None, repr=False)
+
+    @functools.cached_property
+    def _lib(self):
+        """The compiled kernel this operator runs on, or None for the
+        LAPACK and numpy fallbacks.  Fixed at the operator's first
+        application or solve, so every factor and stencil array it caches
+        belongs to the path that uses it."""
+        return _kernel()
 
     # -- forward applications -------------------------------------------------
 
     def apply_a(self, u: Field) -> Field:
         """A u: per x-line, -(mu(y_j)/h^2) * K_lambda acting along i."""
-        self._check(u)
-        kernel = _kernel()
-        if kernel is not None:
-            return self._stencil(kernel, _PART_A, u)
-        h2 = self.grid.h ** 2
-        out = self.k_lambda.matvec(u.values)
-        out *= -self.d_mu[:, None] / h2
-        return Field(self.grid, out)
+        return self._stencil(_PART_A, u)
 
     def apply_b(self, u: Field) -> Field:
         """B u: per y-line, -(lambda(x_i)/h^2) * K_mu acting along j."""
-        self._check(u)
-        kernel = _kernel()
-        if kernel is not None:
-            return self._stencil(kernel, _PART_B, u)
-        h2 = self.grid.h ** 2
-        # matvec on the transposed view works along axis 0 without a copy
-        out = self.k_mu.matvec(u.values.T).T
-        out *= -self.d_lambda[None, :] / h2
-        return Field(self.grid, out)
+        return self._stencil(_PART_B, u)
 
     def apply_l(self, u: Field, sigma: float | None = None, *,
                 out: np.ndarray | None = None) -> Field:
         """L u = A u + B u, or (I + sigma L) u = u + sigma L u with ``sigma``."""
-        self._check(u, out)
-        kernel = _kernel()
-        if kernel is not None:
-            parts = _PART_A | _PART_B | (_PART_SHIFT if sigma is not None else 0)
-            return self._stencil(kernel, parts, u, sigma or 0.0, out)
-        lu = self.apply_a(u).values + self.apply_b(u).values
-        if sigma is not None:
-            lu *= sigma
-            lu += u.values
-        if out is None:
-            return Field(self.grid, lu)
-        np.copyto(out, lu)
-        return Field(self.grid, out)
+        shift = 0 if sigma is None else _PART_SHIFT
+        return self._stencil(_PART_A | _PART_B | shift, u, sigma or 0.0, out)
 
-    def _stencil(self, kernel, parts: int, u: Field, sigma: float = 0.0,
+    def _stencil(self, parts: int, u: Field, sigma: float = 0.0,
                  out: np.ndarray | None = None) -> Field:
-        """A u, B u or L u (shifted) in one compiled pass, with numpy's bits,
-        into ``out`` or a new array.
-
-        The coefficient arrays are made on the first call, so the operator's
-        matrices must not be replaced after it has been applied.
-        """
-        if self._stencil_args is None:
-            h2 = self.grid.h ** 2
-            arrays = [np.ascontiguousarray(a, dtype=np.float64) for a in (
-                self.k_lambda.diag, self.k_lambda.off, -self.d_mu / h2,
-                self.k_mu.diag, self.k_mu.off, -self.d_lambda / h2)]
-            self._stencil_args = (arrays, [a.ctypes.data for a in arrays])
-        n = self.grid.n
+        """A u, B u or A u + B u as ``parts`` selects, with _PART_SHIFT
+        u + sigma times that, into ``out`` or a new array: one compiled
+        pass, or numpy in the same operation order, with the same bits."""
+        self._check(u, out)
         x = np.ascontiguousarray(u.values, dtype=np.float64)
-        if x.shape != (n, n):
-            raise ValueError(f"stencil needs shape {(n, n)}, got {x.shape}")
         y = np.empty_like(x) if out is None else out
-        kernel.adisplit_stencil(n, parts, sigma, *self._stencil_args[1],
-                                x.ctypes.data, y.ctypes.data)
+        if self._lib is not None:
+            self._lib.adisplit_stencil(self.grid.n, parts, sigma,
+                                       *self._stencil_args[1], x.ctypes.data,
+                                       y.ctypes.data)
+            return Field(self.grid, y)
+        h2 = self.grid.h ** 2
+        if parts & _PART_A:
+            self.k_lambda.matvec(x, out=y)
+            y *= -self.d_mu[:, None] / h2
+        if parts & _PART_B:
+            # matvec on the transposed views works along axis 0 without a copy
+            b = self.k_mu.matvec(x.T, out=None if parts & _PART_A else y.T).T
+            b *= -self.d_lambda / h2
+            if parts & _PART_A:
+                y += b
+        if parts & _PART_SHIFT:
+            y *= sigma
+            y += x
         return Field(self.grid, y)
+
+    @functools.cached_property
+    def _stencil_args(self) -> tuple:
+        """The compiled stencil's coefficient arrays and their addresses,
+        made on its first call, so the operator's matrices must not be
+        replaced after it has been applied."""
+        h2 = self.grid.h ** 2
+        arrays = [np.ascontiguousarray(a, dtype=np.float64) for a in (
+            self.k_lambda.diag, self.k_lambda.off, -self.d_mu / h2,
+            self.k_mu.diag, self.k_mu.off, -self.d_lambda / h2)]
+        return arrays, [a.ctypes.data for a in arrays]
 
     def diagonal_l(self) -> Field:
         """The diagonal of L as a field (for Jacobi-type preconditioning)."""
@@ -223,8 +221,7 @@ class SplitDiffusionOperator:
         return self._line_solve("b", kappa, u, True, out)
 
     def cayley_loop(self, scheme: SchemeKind, kappa: float, n_steps: int,
-                    u: Field, *, out: np.ndarray, _threads: int | None = None
-                    ) -> Field:
+                    u: Field, *, out: np.ndarray) -> Field:
         """``evolve``'s Cayley recurrence over n_steps >= 1 steps, with
         C_X = (I + kappa X)(I - kappa X)^{-1}:
 
@@ -237,9 +234,8 @@ class SplitDiffusionOperator:
         the result is returned wrapped, in ``out`` for PR and in u's array
         for DR.  The compiled kernel runs the loop in calls of about
         ``_LOOP_WORK`` unknowns x steps, on two threads from m =
-        ``_LOOP_THREADS_FROM_M`` where the process may use two CPUs
-        (``_threads`` forces a count); the fallback makes one Cayley call
-        per transform.  Logs one DEBUG line.
+        ``_LOOP_THREADS_FROM_M`` where the process may use two CPUs; the
+        fallback makes one Cayley call per transform.  Logs one DEBUG line.
         """
         if scheme not in (SchemeKind.PEACEMAN_RACHFORD, SchemeKind.DOUGLAS_RACHFORD):
             raise ValueError(f"no Cayley recurrence for scheme {scheme.value}")
@@ -248,15 +244,13 @@ class SplitDiffusionOperator:
         self._check(u, out)
         self._check_buffer("u", u.values)
         pr = scheme is SchemeKind.PEACEMAN_RACHFORD
-        kernel = _kernel()
-        if kernel is None:
+        if self._lib is None:
             result = self._cayley_calls(pr, kappa, n_steps, u, out)
             calls, threads = 0, 1
         else:
             n = self.grid.n
             fac_a, fac_b = self._factors("a", kappa), self._factors("b", kappa)
-            if _threads is None:
-                _threads = 2 if self.grid.m >= _LOOP_THREADS_FROM_M and _cpus() >= 2 else 1
+            want = 2 if self.grid.m >= _LOOP_THREADS_FROM_M and _cpus() >= 2 else 1
             # the compiled loop's u holds the result: PR starts in its v
             if pr:
                 mode, left, cu, cv = _LOOP_LEAD_A, n_steps - 1, out, u.values
@@ -266,8 +260,8 @@ class SplitDiffusionOperator:
             calls = 0
             while True:
                 steps = min(left, per_call)
-                threads = kernel.adisplit_cayley_loop(
-                    n, steps, mode, _threads, fac_a.d_ptr, fac_a.e_ptr,
+                threads = self._lib.adisplit_cayley_loop(
+                    n, steps, mode, want, fac_a.d_ptr, fac_a.e_ptr,
                     fac_b.d_ptr, fac_b.e_ptr, cu.ctypes.data, cv.ctypes.data)
                 if threads < 0:
                     raise MemoryError("Cayley loop could not allocate its tiles")
@@ -334,11 +328,10 @@ class SplitDiffusionOperator:
             if d.size > 1:  # the LAPACK wrapper rejects the empty off-diagonal
                 d, e, info = lapack.dpttrf(d, e)
                 _check_lapack("dpttrf", info)
-            kernel = _kernel()
-            if kernel is None:
+            if self._lib is None:
                 fac = _LapackFactor(axis, d, e)
             else:
-                fac = _KernelFactor(kernel, axis, self.grid.n, d, e)
+                fac = _KernelFactor(self._lib, axis, self.grid.n, d, e)
             self._factor_cache[key] = fac
             if len(self._factor_cache) > FACTOR_CACHE_CAPACITY:
                 self._factor_cache.popitem(last=False)
@@ -412,8 +405,6 @@ class _KernelFactor:
         """R rhs, or 2 R rhs - rhs with ``reflect``, into ``out`` or a new
         C-ordered array."""
         r = np.ascontiguousarray(rhs, dtype=np.float64)
-        if r.shape != (self.n, self.n):
-            raise ValueError(f"line solve needs shape {(self.n, self.n)}, got {r.shape}")
         x = np.empty_like(r) if out is None else out
         if self._solve(self.n, self.d_ptr, self.e_ptr,
                        r.ctypes.data, x.ctypes.data, reflect) != 0:

@@ -70,6 +70,12 @@ class TestHelpers:
         with pytest.raises(ValueError):
             steps_for(t_end, k)
 
+    @pytest.mark.parametrize("t_end", [0.0, -0.0, -0.5])
+    def test_steps_for_nonpositive_final_time(self, t_end):
+        with pytest.raises(ValueError, match=f"^final time must be positive, "
+                                             f"got {t_end}$"):
+            steps_for(t_end, 0.25)
+
 
 class TestObservedOrder:
     def test_exact_halving(self):
@@ -379,6 +385,14 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err == (
             "error: step size 0.3 does not divide final time 0.5\n")
+
+    @pytest.mark.parametrize("t_end", ["0", "-0.5"])
+    def test_run_nonpositive_final_time(self, t_end, capsys):
+        code = main(["run", "--scheme", "pr", "--m", "8", "--k", "1/4",
+                     "--t-end", t_end])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: final time must be positive, got {float(t_end)}\n")
 
     @pytest.mark.parametrize("argv", [
         ["run", "--scheme", "pr", "--m", "8", "--k", "1/8", "--t-end", "inf"],

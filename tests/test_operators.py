@@ -356,6 +356,20 @@ class TestLinePaths:
                 lambda: steppers.evolve(paper_operator(33), scheme, 1.0 / 64, 20, u))
             assert np.array_equal(got.values, want.values)
 
+    def test_operator_keeps_the_path_of_its_first_use(self, monkeypatch):
+        # an operator first used without the kernel caches dpttrs factors;
+        # once the kernel loads again it must still solve with them
+        u = random_field(Grid(33), 8)
+        for scheme in (PR, DR):
+            op = paper_operator(33)
+            with monkeypatch.context() as mp:
+                mp.setattr(operators, "_kernel", lambda: None)
+                steppers.evolve(op, scheme, 1.0 / 64, 5, u)
+            assert operators._kernel() is not None
+            got = steppers.evolve(op, scheme, 1.0 / 64, 5, u)
+            want = steppers.evolve(paper_operator(33), scheme, 1.0 / 64, 5, u)
+            assert np.array_equal(got.values, want.values)
+
     def test_noncontiguous_and_integer_fields(self, line_path):
         # the kernel gets C-ordered float64 copies of other layouts and types
         op = paper_operator(20)
@@ -373,11 +387,18 @@ PR = steppers.SchemeKind.PEACEMAN_RACHFORD
 DR = steppers.SchemeKind.DOUGLAS_RACHFORD
 
 
-def run_loop(op, scheme, kappa, n_steps, u, **kwargs):
+def run_loop(op, scheme, kappa, n_steps, u):
     """op.cayley_loop on copies of u's array and a fresh ``out``."""
     start = Field(op.grid, u.values.copy())
     return op.cayley_loop(scheme, kappa, n_steps, start,
-                          out=np.full_like(start.values, np.nan), **kwargs)
+                          out=np.full_like(start.values, np.nan))
+
+
+def force_threads(monkeypatch, threads):
+    """Make cayley_loop run on ``threads`` (1 or 2) threads on any grid."""
+    monkeypatch.setattr(operators, "_LOOP_THREADS_FROM_M",
+                        2 if threads == 2 else sys.maxsize)
+    monkeypatch.setattr(operators, "_cpus", lambda: 2)
 
 
 @needs_cc
@@ -394,30 +415,35 @@ class TestCayleyLoop:
                                            threads, scheme):
         op = paper_operator(m)
         u = random_field(op.grid, m)
+        force_threads(monkeypatch, threads)
         for kappa, n_steps in ((1.0 / 64, 5), (10.0, 2), (1e-3, 1)):
             start = Field(op.grid, u.values.copy())
             want = op._cayley_calls(scheme is PR, kappa, n_steps, start,
                                     np.empty_like(start.values))
             with caplog.at_level(logging.DEBUG, logger="adisplit.operators"):
-                got = run_loop(op, scheme, kappa, n_steps, u, _threads=threads)
+                got = run_loop(op, scheme, kappa, n_steps, u)
             assert np.array_equal(got.values, want.values)
             assert caplog.records[-1].getMessage().endswith(f"threads={threads}")
             # two steps per call: PR's first call adds its leading C_A
             with monkeypatch.context() as mp:
                 mp.setattr(operators, "_LOOP_WORK", 2 * op.grid.interior_count)
-                got = run_loop(op, scheme, kappa, n_steps, u, _threads=threads)
+                got = run_loop(op, scheme, kappa, n_steps, u)
             assert np.array_equal(got.values, want.values)
 
-    def test_concurrent_loops_agree(self):
+    def test_concurrent_loops_agree(self, monkeypatch):
         # six loop threads on the machine's cores: every barrier still
-        # waits for its own partner, also when the cores are oversubscribed
+        # waits for its own partner, also when the cores are oversubscribed.
+        # The thread count is patched before the workers start: patching
+        # inside them races, and a late undo leaks into later tests
         op = paper_operator(65)
         u = random_field(op.grid, 6)
-        want = run_loop(op, DR, 1.0 / 64, 40, u, _threads=1).values.copy()
+        force_threads(monkeypatch, 1)
+        want = run_loop(op, DR, 1.0 / 64, 40, u).values.copy()
+        force_threads(monkeypatch, 2)
         got = [None] * 3
 
         def work(i):
-            got[i] = run_loop(op, DR, 1.0 / 64, 40, u, _threads=2).values
+            got[i] = run_loop(op, DR, 1.0 / 64, 40, u).values
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(3)]
         for thread in threads:
@@ -650,7 +676,8 @@ class TestKernelBuild:
 
     def test_source_compiles_without_warnings(self, tmp_path):
         subprocess.run(
-            ["cc", "-Wall", "-Wextra", "-Werror", *operators._KERNEL_FLAGS,
+            ["cc", "-std=c11", "-Wall", "-Wextra", "-Wpedantic", "-Wshadow",
+             "-Werror", *operators._KERNEL_FLAGS,
              "-o", str(tmp_path / "kernel.so"), str(operators._KERNEL_SOURCE)],
             check=True, capture_output=True,
         )
