@@ -1,6 +1,6 @@
 /* Line-interleaved SPD tridiagonal solves with a LAPACK dpttrf factor, the
- * Douglas-Rachford and Peaceman-Rachford Cayley recurrences built on them,
- * and the five-point stencil of A, B and L = A + B.
+ * Cayley recurrence of the Douglas-Rachford and Peaceman-Rachford schemes
+ * built on them, and the five-point stencil of A, B and L = A + B.
  *
  * Each solve handles every grid line of an n x n field, one system per
  * line, from the factor L D L^T of that line.  The arithmetic per line is
@@ -17,7 +17,7 @@
  * needs it, so the output holds the Cayley transform 2 R r - r.
  * `r` and `x` must not overlap.
  *
- * adisplit_cayley_loop runs many time steps of the Cayley recurrences in
+ * adisplit_cayley_loop runs many time steps of the Cayley recurrence in
  * one call.  It may split every sweep's lines between the calling thread
  * and one worker thread that lives for the call; the two meet at a barrier
  * after each sweep.  Every line keeps the arithmetic of a single-threaded
@@ -133,13 +133,9 @@ int adisplit_solve_contiguous(long n, const double *d, const double *e,
     return 0;
 }
 
-/* mode bits of adisplit_cayley_loop */
-#define LEAD_A 1  /* start with u = C_A v */
-#define AVERAGE 2 /* each step ends in u = (u + C_A v) / 2 */
-
 struct loop {
     long n, steps;
-    int mode, parts;
+    int average, parts;
     const double *da, *ea, *db, *eb;
     double *u, *v, *tile;
     atomic_int arrived, phase;
@@ -166,21 +162,25 @@ static void meet(struct loop *s)
 }
 
 /* Part `part` of `s->parts`: columns i0..i1-1 of every B sweep and tiles
- * b0..b1-1 of every A sweep. */
+ * b0..b1-1 of every A sweep.  The fields are read into locals once, and
+ * each branch passes `average` to `tiles` as a constant: with one call
+ * taking it as a variable, gcc -O3 inlined `tiles` everywhere, and both
+ * this loop at m = 16 and adisplit_solve_contiguous ran 3-9% slower. */
 static void run_part(struct loop *s, int part)
 {
-    long n = s->n, nb = (n + TILE - 1) / TILE;
+    long n = s->n, steps = s->steps, nb = (n + TILE - 1) / TILE;
     long i0 = part * n / s->parts, i1 = (part + 1) * n / s->parts;
     long b0 = part * nb / s->parts, b1 = (part + 1) * nb / s->parts;
-    double *tile = s->tile + part * 2 * TILE * n;
-    if (s->mode & LEAD_A) {
-        tiles(n, b0, b1, s->da, s->ea, s->v, s->u, 1, 0, tile);
+    int average = s->average;
+    const double *da = s->da, *ea = s->ea, *db = s->db + i0, *eb = s->eb + i0;
+    double *u = s->u, *v = s->v, *tile = s->tile + part * 2 * TILE * n;
+    for (long step = 0; step < steps; step++) {
+        sweep(n, i1 - i0, n, db, eb, u + i0, v + i0, 1);
         meet(s);
-    }
-    for (long step = 0; step < s->steps; step++) {
-        sweep(n, i1 - i0, n, s->db + i0, s->eb + i0, s->u + i0, s->v + i0, 1);
-        meet(s);
-        tiles(n, b0, b1, s->da, s->ea, s->v, s->u, 1, s->mode & AVERAGE, tile);
+        if (average)
+            tiles(n, b0, b1, da, ea, v, u, 1, 1, tile);
+        else
+            tiles(n, b0, b1, da, ea, v, u, 1, 0, tile);
         meet(s);
     }
 }
@@ -193,20 +193,19 @@ static void *worker(void *arg)
 
 /* `steps` steps of v = C_B u, u = C_A v on two n x n fields, C_X = 2 R_X - I
  * with the factors of adisplit_solve_contiguous (A) and
- * adisplit_solve_strided (B); with AVERAGE in `mode` the second half is
- * u = (u + C_A v) / 2, and with LEAD_A a first u = C_A v precedes the
- * steps.  The result is in u.  Peaceman-Rachford's z <- C_B C_A z and
- * Douglas-Rachford's t <- (t + C_A C_B t) / 2 are both this loop.  With
- * `threads` >= 2 a worker thread takes half the lines of every sweep, the
- * same half each time; it blocks all signals, so they reach the caller,
- * and is joined before the call returns.  Returns the number of threads
- * used (1 where the worker cannot be started), or -1 if the tiles cannot
- * be allocated. */
-int adisplit_cayley_loop(long n, long steps, int mode, int threads,
+ * adisplit_solve_strided (B); with `average` set the second half is
+ * u = (u + C_A v) / 2.  The result is in u.  Peaceman-Rachford's
+ * t <- C_A C_B t and Douglas-Rachford's t <- (t + C_A C_B t) / 2 are both
+ * this loop.  With `threads` >= 2 a worker thread takes half the lines of
+ * every sweep, the same half each time; it blocks all signals, so they
+ * reach the caller, and is joined before the call returns.  Returns the
+ * number of threads used (1 where the worker cannot be started), or -1 if
+ * the tiles cannot be allocated. */
+int adisplit_cayley_loop(long n, long steps, int average, int threads,
                          const double *da, const double *ea, const double *db,
                          const double *eb, double *u, double *v)
 {
-    struct loop s = {.n = n, .steps = steps, .mode = mode,
+    struct loop s = {.n = n, .steps = steps, .average = average,
                      .parts = threads >= 2 ? 2 : 1,
                      .da = da, .ea = ea, .db = db, .eb = eb, .u = u, .v = v};
     atomic_init(&s.arrived, 0);

@@ -317,7 +317,7 @@ def verify_assumptions(m_list=None, coeff: str = "paper") -> VerificationReport:
     uniform boundedness of the inverse, and the stability-norm bound."""
     if m_list is None:
         m_list = [8, 16, 32, 64, 128]
-    m_list = sorted(m_list)
+    m_list = sorted(set(m_list))
     lam, mu = coefficient_pair(coeff)
     rng = np.random.default_rng(2023)
     report = VerificationReport()

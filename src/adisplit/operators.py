@@ -8,12 +8,14 @@ apply line by line and each resolvent reduces to one SPD tridiagonal
 system per grid line.  The lines are factored by LAPACK dpttrf and solved
 by a small compiled kernel (``_tridiag.c``) that sweeps many lines side by
 side; the same kernel applies A, B or L as one five-point stencil pass,
-and runs the DR and PR Cayley recurrences of ``evolve`` for many steps
-per call (``cayley_loop``), on two threads from m = 512 where two CPUs
-are available.  It is built with ``cc`` on the first resolvent solve or
+and runs the Cayley recurrence t <- C_A C_B t, or its average with t, for
+many steps per call (``cayley_loop``), on two threads from m = 512 where
+two CPUs are available.  The loop knows no scheme: ``steppers.evolve``
+builds the DR and PR runs from it, and this module never imports the
+steppers.  It is built with ``cc`` on the first resolvent solve or
 application in a process (never on import) into a per-user cache.  Where
 it cannot be built the solves fall back to LAPACK dpttrs, the
-applications to numpy and the recurrences to one Cayley call per
+applications to numpy and the recurrence to one Cayley call per
 transform, with the same results.  Each operator fixes its path, kernel
 or fallback, at its own first use and keeps it.
 ``apply_l``, the resolvents and the Cayley transforms return a new field,
@@ -45,7 +47,6 @@ from scipy.linalg import lapack
 
 from . import linsolve
 from .grid import Field, Grid
-from .steppers import SchemeKind
 
 logger = logging.getLogger(__name__)
 
@@ -57,8 +58,6 @@ COEFF_SAMPLE_POINTS = 10_001
 FACTOR_CACHE_CAPACITY = 6
 # parts argument of the compiled stencil
 _PART_A, _PART_B, _PART_SHIFT = 1, 2, 4
-# mode argument of the compiled Cayley loop
-_LOOP_LEAD_A, _LOOP_AVERAGE = 1, 2
 # Interior unknowns x steps per call of the compiled Cayley loop: a few
 # tens of ms, after which Python gets to handle a pending Ctrl-C.
 _LOOP_WORK = 2 ** 23
@@ -220,82 +219,59 @@ class SplitDiffusionOperator:
         """Cayley transform (I + kappa*B)(I - kappa*B)^{-1} u = 2 R_B u - u."""
         return self._line_solve("b", kappa, u, True, out)
 
-    def cayley_loop(self, scheme: SchemeKind, kappa: float, n_steps: int,
-                    u: Field, *, out: np.ndarray) -> Field:
-        """``evolve``'s Cayley recurrence over n_steps >= 1 steps, with
-        C_X = (I + kappa X)(I - kappa X)^{-1}:
-
-        - Peaceman-Rachford: (C_A C_B)^{n_steps - 1} C_A u;
-        - Douglas-Rachford: ((I + C_A C_B) / 2)^{n_steps} u, each step
-          t <- (t + C_A C_B t) / 2.
+    def cayley_loop(self, kappa: float, n_steps: int, u: Field, *,
+                    out: np.ndarray, average: bool) -> Field:
+        """n_steps >= 0 steps of t <- C_A C_B t on u's array, or with
+        ``average`` of t <- (t + C_A C_B t) / 2, where
+        C_X = (I + kappa X)(I - kappa X)^{-1}.
 
         Every transform has the bits of ``cayley_a``/``cayley_b``.  u's
-        array (C-contiguous float64) and ``out`` are both overwritten, and
-        the result is returned wrapped, in ``out`` for PR and in u's array
-        for DR.  The compiled kernel runs the loop in calls of about
-        ``_LOOP_WORK`` unknowns x steps, on two threads from m =
-        ``_LOOP_THREADS_FROM_M`` where the process may use two CPUs; the
-        fallback makes one Cayley call per transform.  Logs one DEBUG line.
+        array (C-contiguous float64) is overwritten with the result, which
+        is returned as u; ``out`` is scratch.  The compiled kernel runs the
+        loop in calls of about ``_LOOP_WORK`` unknowns x steps, none for
+        n_steps = 0, on two threads from m = ``_LOOP_THREADS_FROM_M``
+        where the process may use two CPUs; the fallback makes one Cayley
+        call per transform.  Logs one DEBUG line.
         """
-        if scheme not in (SchemeKind.PEACEMAN_RACHFORD, SchemeKind.DOUGLAS_RACHFORD):
-            raise ValueError(f"no Cayley recurrence for scheme {scheme.value}")
-        if n_steps < 1:
-            raise ValueError(f"n_steps must be positive, got {n_steps}")
+        if n_steps < 0:
+            raise ValueError(f"n_steps must be non-negative, got {n_steps}")
         self._check(u, out)
         self._check_buffer("u", u.values)
-        pr = scheme is SchemeKind.PEACEMAN_RACHFORD
+        calls, threads = 0, 1
         if self._lib is None:
-            result = self._cayley_calls(pr, kappa, n_steps, u, out)
-            calls, threads = 0, 1
-        else:
+            self._cayley_calls(kappa, n_steps, u, out, average)
+        elif n_steps:
             n = self.grid.n
             fac_a, fac_b = self._factors("a", kappa), self._factors("b", kappa)
             want = 2 if self.grid.m >= _LOOP_THREADS_FROM_M and _cpus() >= 2 else 1
-            # the compiled loop's u holds the result: PR starts in its v
-            if pr:
-                mode, left, cu, cv = _LOOP_LEAD_A, n_steps - 1, out, u.values
-            else:
-                mode, left, cu, cv = _LOOP_AVERAGE, n_steps, u.values, out
             per_call = max(1, _LOOP_WORK // (n * n))
-            calls = 0
-            while True:
-                steps = min(left, per_call)
+            for done in range(0, n_steps, per_call):
                 threads = self._lib.adisplit_cayley_loop(
-                    n, steps, mode, want, fac_a.d_ptr, fac_a.e_ptr,
-                    fac_b.d_ptr, fac_b.e_ptr, cu.ctypes.data, cv.ctypes.data)
+                    n, min(per_call, n_steps - done), average, want,
+                    fac_a.d_ptr, fac_a.e_ptr, fac_b.d_ptr, fac_b.e_ptr,
+                    u.values.ctypes.data, out.ctypes.data)
                 if threads < 0:
                     raise MemoryError("Cayley loop could not allocate its tiles")
                 calls += 1
-                left -= steps
-                mode &= ~_LOOP_LEAD_A
-                if left == 0:
-                    break
-            result = Field(self.grid, cu)
         if logger.isEnabledFor(logging.DEBUG):
-            logger.debug("cayley loop: scheme=%s m=%d steps=%d kernel_calls=%d "
-                         "threads=%d", scheme.value, self.grid.m, n_steps, calls,
+            logger.debug("cayley loop: average=%s m=%d steps=%d kernel_calls=%d "
+                         "threads=%d", average, self.grid.m, n_steps, calls,
                          threads)
-        return result
+        return u
 
-    def _cayley_calls(self, pr: bool, kappa: float, n_steps: int, u: Field,
-                      out: np.ndarray) -> Field:
-        """``cayley_loop`` as one ``cayley_a``/``cayley_b`` call per
+    def _cayley_calls(self, kappa: float, n_steps: int, u: Field,
+                      out: np.ndarray, average: bool) -> None:
+        """``cayley_loop`` as one ``cayley_b``/``cayley_a`` call per
         transform: the fallback, and the reference the compiled loop
-        matches bit for bit.  DR's step t + C_A C_B t needs one more field,
-        made here."""
-        w = Field(self.grid, out)
-        if pr:
-            self.cayley_a(kappa, u, out=out)
-            for _ in range(n_steps - 1):
-                self.cayley_b(kappa, w, out=u.values)
-                self.cayley_a(kappa, u, out=out)
-            return w
-        t, s = u.values, np.empty_like(out)
+        matches bit for bit.  The averaged step t + C_A C_B t needs one
+        more field, made here."""
+        t = u.values
+        s = np.empty_like(t) if average else t
         for _ in range(n_steps):
             self.cayley_a(kappa, self.cayley_b(kappa, u, out=out), out=s)
-            t += s
-            t *= 0.5
-        return u
+            if average:
+                t += s
+                t *= 0.5
 
     def _line_solve(self, axis: str, kappa: float, rhs: Field, reflect: bool,
                     out: np.ndarray | None) -> Field:
@@ -312,8 +288,9 @@ class SplitDiffusionOperator:
         kept in the order the solver sweeps it: the compiled kernel's when
         it loads, dpttrs's otherwise.
         """
-        if kappa <= 0.0:
-            raise ValueError(f"resolvent step kappa must be positive, got {kappa}")
+        if not 0.0 < kappa < np.inf:
+            raise ValueError(
+                f"resolvent step kappa must be positive and finite, got {kappa}")
         key = (axis, kappa)
         fac = self._factor_cache.get(key)
         if fac is not None:

@@ -1,22 +1,25 @@
 """One-step time integrators over an abstract split operator.
 
 The step maps only require the capability set apply_a / apply_b / apply_l /
-solve_resolvent_a / solve_resolvent_b, with cayley_loop for ``evolve`` and
-diagonal_l for the Crank-Nicolson preconditioner, so any pair of dissipative
-operators with computable resolvents plugs in; cayley_loop(scheme, kappa,
-n, u, out=) runs DR's or PR's whole Cayley recurrence (see ``evolve``) on
-u's array and ``out``, and Crank-Nicolson calls apply_l(u, sigma) for
-u + sigma L u.  Each result is a new field unless the call passes ``out=``,
-a C-contiguous float64 array that does not overlap the input; ``evolve``
-and ``cn_step`` do so inside their loops, into buffers that live for one
-call, so a DR or PR run and a CG iteration allocate no field per step.  The
-diffusion instance lives in :mod:`adisplit.operators`, whose compiled
-kernel runs the DR and PR loops in a few calls.
+solve_resolvent_a / solve_resolvent_b, with cayley_a and cayley_loop for
+``evolve`` and diagonal_l for the Crank-Nicolson preconditioner, so any
+pair of dissipative operators with computable resolvents plugs in;
+cayley_loop(kappa, n, u, out=, average=) runs n steps of the Cayley
+recurrence t <- C_A C_B t, averaged with t for DR, on u's array with
+``out`` as scratch (see ``evolve``), and Crank-Nicolson calls
+apply_l(u, sigma) for u + sigma L u.  Each result is a new field unless
+the call passes ``out=``, a C-contiguous float64 array that does not
+overlap the input; ``evolve`` and ``cn_step`` do so inside their loops,
+into buffers that live for one call, so a DR or PR run and a CG iteration
+allocate no field per step.  The diffusion instance lives in
+:mod:`adisplit.operators`, whose compiled kernel runs the DR and PR loops
+in a few calls.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 
 import numpy as np
 
@@ -31,8 +34,8 @@ class SchemeKind(enum.Enum):
 
 
 def _check_step(k: float) -> None:
-    if k <= 0.0:
-        raise ValueError(f"step size must be positive, got {k}")
+    if not 0.0 < k < np.inf:
+        raise ValueError(f"step size must be positive and finite, got {k}")
 
 
 def dr_step(op, k: float, u: Field) -> Field:
@@ -159,41 +162,41 @@ def evolve(
     DR and PR run as Cayley recurrences, with R_X = (I - kappa X)^{-1} and
     C_X = (I + kappa X) R_X = 2 R_X - I, so every step is two Cayley
     transforms and no operator application.  PR (kappa = k/2) sets
-    z = (I + kappa B) u0, applies z <- C_B C_A z for n_steps - 1 steps and
-    returns R_B C_A z; as (I + kappa B) R_B = C_B, that is the composed
-    ``pr_step`` map.  DR
-    (kappa = k) runs in Lions-Mercier form on t = (I - kB) u: it sets
-    t = u0 - k B u0, applies t <- (t + C_A C_B t) / 2 n_steps times and
-    returns R_B t, since R_A (I + k^2 A B) R_B = (I + C_A C_B) / 2.  A run
-    applies B once and A never, and equals the composed one-step maps up
-    to roundoff.  The recurrence between the set-up and the final R_B is
-    one ``op.cayley_loop`` call on two buffers; the final solve writes
-    into the one that does not hold its input, and ``u0`` is never
+    t = C_A (I + kappa B) u0, applies t <- C_A C_B t for n_steps - 1 steps
+    and returns R_B t; as (I + kappa B) R_B = C_B, that is the composed
+    ``pr_step`` map.  DR (kappa = k) runs in Lions-Mercier form on
+    t = (I - kB) u: it sets t = u0 - k B u0, applies
+    t <- (t + C_A C_B t) / 2 n_steps times and returns R_B t, since
+    R_A (I + k^2 A B) R_B = (I + C_A C_B) / 2.  A run applies B once and A
+    never, and equals the composed one-step maps up to roundoff.  The
+    recurrence is one ``op.cayley_loop`` call on t's array, with a second
+    buffer as its scratch and the final solve's output; ``u0`` is never
     written.  Crank-Nicolson builds its preconditioner once per run.  A
-    non-finite final field raises FloatingPointError.
+    step size that is not positive and finite and an n_steps that is not
+    a non-negative integer raise before any work; a non-finite final field
+    raises FloatingPointError.
     """
+    n_steps = operator.index(n_steps)
     if n_steps < 0:
         raise ValueError(f"n_steps must be non-negative, got {n_steps}")
+    _check_step(k)
     u = u0
     if n_steps == 0:
         pass
     elif scheme is SchemeKind.CRANK_NICOLSON:
-        _check_step(k)
         precondition = cn_preconditioner(op, k)
         for _ in range(n_steps):
             u = cn_step(op, k, u, handle, precondition)
     else:
-        _check_step(k)
-        if scheme is SchemeKind.PEACEMAN_RACHFORD:
-            kappa = 0.5 * k
-            start = u0 + kappa * op.apply_b(u0)
-        else:
-            kappa = k
-            start = u0 - k * op.apply_b(u0)
-        z = np.ascontiguousarray(start.values, dtype=np.float64)
-        w = np.empty_like(z)
-        y = op.cayley_loop(scheme, kappa, n_steps, Field(u0.grid, z), out=w)
-        u = op.solve_resolvent_b(kappa, y, out=z if y.values is w else w)
+        pr = scheme is SchemeKind.PEACEMAN_RACHFORD
+        kappa = 0.5 * k if pr else k
+        start = u0 + kappa * op.apply_b(u0) if pr else u0 - k * op.apply_b(u0)
+        t = Field(u0.grid, np.ascontiguousarray(start.values, dtype=np.float64))
+        w = np.empty_like(t.values)
+        if pr:
+            t, w = op.cayley_a(kappa, t, out=w), t.values
+        op.cayley_loop(kappa, n_steps - pr, t, out=w, average=not pr)
+        u = op.solve_resolvent_b(kappa, t, out=w)
     if not np.isfinite(u.values).all():
         raise FloatingPointError(
             f"{scheme.value} evolve with k={k} over {n_steps} steps "

@@ -2,15 +2,17 @@
 
 Everything here trades efficiency for directness: literal Kronecker
 expansion of the stiffness matrices, dense linear algebra, plain CG on L as
-a second route besides the package's direct solver, pointwise evaluation of
-a field as the reference for grid transfer, and a Gauss quadrature
-cross-check of the exact L2 norm in :mod:`adisplit.grid`.  The package
-itself never imports this module.
+a second route besides the package's direct solver, the closed form of the
+DR and PR runs for constant coefficients in the sine basis, pointwise
+evaluation of a field as the reference for grid transfer, and a Gauss
+quadrature cross-check of the exact L2 norm in :mod:`adisplit.grid`.  The
+package itself never imports this module.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 
 from adisplit.grid import (
@@ -21,6 +23,7 @@ from adisplit.grid import (
     padded_values,
 )
 from adisplit.linsolve import conjugate_gradient
+from adisplit.steppers import SchemeKind
 
 DENSE_BUDGET = 4096  # max (m-1)^2 entries per dense operator
 EXPM_DIM_BUDGET = 128
@@ -97,6 +100,34 @@ def cg_solve_l(op, f: Field, tol: float) -> Field:
         tol=tol,
     )
     return Field(grid, x.reshape(n, n))
+
+
+def constant_coefficient_evolve(scheme: SchemeKind, k: float, n_steps: int,
+                                u0: Field) -> Field:
+    """The DR or PR run of n_steps steps of size k from u0 for
+    lambda = mu = 1, in closed form.
+
+    A and B then commute and share the orthonormal sine basis V, with
+    V_ij = sqrt(2/m) sin(pi i j / m), which is DST-I; -A and -B have the
+    eigenvalues (2 - 2 cos(pi i / m)) / h^2 along x and y.  Each scheme's
+    step is diagonal in V with the factor
+        PR: r = (1 - kappa a)/(1 + kappa a) * (1 - kappa b)/(1 + kappa b),
+            kappa = k/2,
+        DR: r = (1 + k^2 a b) / ((1 + k a)(1 + k b)),
+    so u_n = V (r^n o (V u0 V)) V, costing two transforms at any m.
+    """
+    m = u0.grid.m
+    theta = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, m) / m)) / u0.grid.h ** 2
+    a, b = theta[None, :], theta[:, None]  # values[j, i]: i along x
+    if scheme is SchemeKind.PEACEMAN_RACHFORD:
+        kappa = 0.5 * k
+        r = (1.0 - kappa * a) / (1.0 + kappa * a) * (1.0 - kappa * b) / (1.0 + kappa * b)
+    elif scheme is SchemeKind.DOUGLAS_RACHFORD:
+        r = (1.0 + k * k * a * b) / ((1.0 + k * a) * (1.0 + k * b))
+    else:
+        raise ValueError(f"no closed form for scheme {scheme.value}")
+    modes = scipy.fft.dstn(u0.values, type=1, norm="ortho")
+    return Field(u0.grid, scipy.fft.dstn(r ** n_steps * modes, type=1, norm="ortho"))
 
 
 def dense_expm(matrix: np.ndarray, t: float) -> np.ndarray:

@@ -264,6 +264,14 @@ class TestVerifyAssumptions:
         text = report.render()
         assert "[PASS]" in text and text.endswith("overall: PASS")
 
+    def test_repeated_grids_count_once(self):
+        # one sample per grid: a repeated m neither prints twice nor draws
+        # a second random sample for the same grid
+        once = verify_assumptions(m_list=[16, 8], coeff="constant").render()
+        assert verify_assumptions(m_list=[8, 16, 8, 8],
+                                  coeff="constant").render() == once
+        assert once.count("m=8:") == 1
+
     def test_sign_flip_breaks_dissipativity(self):
         # negating the 1D stiffness makes the operator accretive, which the
         # dissipativity quadratic form detects immediately

@@ -318,6 +318,18 @@ class TestResolvents:
         with pytest.raises(ValueError):
             op.solve_resolvent_a(kappa, random_field(op.grid))
 
+    def test_nonfinite_kappa_rejected_before_the_cache(self, line_path):
+        # a NaN key never equals itself, so each such call would add a
+        # factor and evict a live one
+        op = paper_operator(4)
+        u = random_field(op.grid)
+        op.solve_resolvent_a(0.1, u)
+        for kappa in [np.nan] * FACTOR_CACHE_CAPACITY + [np.inf]:
+            for method in (op.solve_resolvent_a, op.cayley_b):
+                with pytest.raises(ValueError, match="finite"):
+                    method(kappa, u)
+        assert list(op._factor_cache) == [("a", 0.1)]
+
 
 @needs_cc
 class TestLinePaths:
@@ -387,11 +399,11 @@ PR = steppers.SchemeKind.PEACEMAN_RACHFORD
 DR = steppers.SchemeKind.DOUGLAS_RACHFORD
 
 
-def run_loop(op, scheme, kappa, n_steps, u):
-    """op.cayley_loop on copies of u's array and a fresh ``out``."""
+def run_loop(op, kappa, n_steps, u, average):
+    """op.cayley_loop on a copy of u's array and a fresh ``out``."""
     start = Field(op.grid, u.values.copy())
-    return op.cayley_loop(scheme, kappa, n_steps, start,
-                          out=np.full_like(start.values, np.nan))
+    return op.cayley_loop(kappa, n_steps, start,
+                          out=np.full_like(start.values, np.nan), average=average)
 
 
 def force_threads(monkeypatch, threads):
@@ -401,33 +413,47 @@ def force_threads(monkeypatch, threads):
     monkeypatch.setattr(operators, "_cpus", lambda: 2)
 
 
+def count_kernel_loops(monkeypatch):
+    """The (steps, average) of every call of the compiled Cayley loop."""
+    kernel = operators._kernel()
+    loop = kernel.adisplit_cayley_loop
+    calls = []
+
+    def counted(n, steps, average, *args):
+        calls.append((steps, average))
+        return loop(n, steps, average, *args)
+
+    monkeypatch.setattr(kernel, "adisplit_cayley_loop", counted)
+    return calls
+
+
 @needs_cc
 class TestCayleyLoop:
-    """The compiled DR/PR loop against one Cayley call per transform."""
+    """The compiled Cayley loop against one Cayley call per transform."""
 
     # n = m - 1 lines: 1 and 2 give a thread no B column or no A tile, 16
     # one whole tile, 17 an odd column split and a partial tile, 256 and
     # 512 whole tiles on grids near and past _LOOP_THREADS_FROM_M
     @pytest.mark.parametrize("m", [2, 3, 17, 18, 33, 257, 513])
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("scheme", [PR, DR])
+    @pytest.mark.parametrize("average", [False, True])
     def test_agrees_with_the_per_call_loop(self, monkeypatch, caplog, m,
-                                           threads, scheme):
+                                           threads, average):
         op = paper_operator(m)
         u = random_field(op.grid, m)
         force_threads(monkeypatch, threads)
         for kappa, n_steps in ((1.0 / 64, 5), (10.0, 2), (1e-3, 1)):
-            start = Field(op.grid, u.values.copy())
-            want = op._cayley_calls(scheme is PR, kappa, n_steps, start,
-                                    np.empty_like(start.values))
+            want = Field(op.grid, u.values.copy())
+            op._cayley_calls(kappa, n_steps, want, np.empty_like(want.values),
+                             average)
             with caplog.at_level(logging.DEBUG, logger="adisplit.operators"):
-                got = run_loop(op, scheme, kappa, n_steps, u)
+                got = run_loop(op, kappa, n_steps, u, average)
             assert np.array_equal(got.values, want.values)
             assert caplog.records[-1].getMessage().endswith(f"threads={threads}")
-            # two steps per call: PR's first call adds its leading C_A
+            # two steps per call
             with monkeypatch.context() as mp:
                 mp.setattr(operators, "_LOOP_WORK", 2 * op.grid.interior_count)
-                got = run_loop(op, scheme, kappa, n_steps, u)
+                got = run_loop(op, kappa, n_steps, u, average)
             assert np.array_equal(got.values, want.values)
 
     def test_concurrent_loops_agree(self, monkeypatch):
@@ -438,12 +464,12 @@ class TestCayleyLoop:
         op = paper_operator(65)
         u = random_field(op.grid, 6)
         force_threads(monkeypatch, 1)
-        want = run_loop(op, DR, 1.0 / 64, 40, u).values.copy()
+        want = run_loop(op, 1.0 / 64, 40, u, True).values.copy()
         force_threads(monkeypatch, 2)
         got = [None] * 3
 
         def work(i):
-            got[i] = run_loop(op, DR, 1.0 / 64, 40, u).values
+            got[i] = run_loop(op, 1.0 / 64, 40, u, True).values
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(3)]
         for thread in threads:
@@ -453,16 +479,26 @@ class TestCayleyLoop:
             assert not thread.is_alive()
         assert all(np.array_equal(g, want) for g in got)
 
-    def test_result_buffer(self):
-        # PR ends in out, DR in the start array; both are overwritten
+    @pytest.mark.parametrize("path", ["kernel", "lapack"])
+    def test_result_buffer(self, monkeypatch, path):
+        # the result overwrites u's array, which is returned; out is
+        # scratch; zero steps leave u as it is and call no kernel
+        if path == "lapack":
+            monkeypatch.setattr(operators, "_kernel", lambda: None)
+        calls = [] if path == "lapack" else count_kernel_loops(monkeypatch)
         op = paper_operator(9)
         u = random_field(op.grid, 1)
-        for scheme, in_out in ((PR, True), (DR, False)):
-            start, out = Field(op.grid, u.values.copy()), np.empty((8, 8))
-            got = op.cayley_loop(scheme, 0.1, 3, start, out=out)
-            assert (got.values is out) == in_out
-            assert (got.values is start.values) != in_out
+        for average in (False, True):
+            start = Field(op.grid, u.values.copy())
+            got = op.cayley_loop(0.1, 3, start, out=np.empty((8, 8)),
+                                 average=average)
+            assert got is start
             assert not np.array_equal(start.values, u.values)
+            start = Field(op.grid, u.values.copy())
+            got = op.cayley_loop(0.1, 0, start, out=np.empty((8, 8)),
+                                 average=average)
+            assert got is start and np.array_equal(start.values, u.values)
+        assert calls == ([] if path == "lapack" else [(3, False), (3, True)])
 
     def test_threads_follow_the_grid_and_the_cpus(self, monkeypatch, caplog):
         for m, cpus, threads in ((511, 2, 1), (512, 2, 2), (512, 1, 1)):
@@ -471,7 +507,7 @@ class TestCayleyLoop:
             with caplog.at_level(logging.DEBUG, logger="adisplit.operators"):
                 steppers.evolve(op, PR, 1.0 / 64, 2, random_field(op.grid))
             assert caplog.records[-1].getMessage() == (
-                f"cayley loop: scheme=pr m={m} steps=2 kernel_calls=1 "
+                f"cayley loop: average=False m={m} steps=1 kernel_calls=1 "
                 f"threads={threads}")
 
     def test_no_thread_outlives_evolve(self, monkeypatch):
@@ -493,7 +529,7 @@ class TestCayleyLoop:
             steppers.evolve(op, DR, 1.0 / 64, 9, u)
             steppers.evolve(op, steppers.SchemeKind.CRANK_NICOLSON, 1.0 / 64, 2, u)
         assert [r.getMessage() for r in caplog.records] == [
-            "cayley loop: scheme=dr m=20 steps=9 kernel_calls=1 threads=1"]
+            "cayley loop: average=True m=20 steps=9 kernel_calls=1 threads=1"]
 
     def test_no_log_record_when_debug_is_off(self, monkeypatch, caplog):
         made = []
@@ -503,20 +539,17 @@ class TestCayleyLoop:
             steppers.evolve(op, PR, 1.0 / 64, 3, random_field(op.grid))
         assert made == []
 
-    def test_rejects_other_schemes_and_bad_buffers(self):
+    def test_rejects_bad_step_counts_and_buffers(self):
         op = paper_operator(9)
         u = random_field(op.grid)
-        with pytest.raises(ValueError, match="cn"):
-            op.cayley_loop(steppers.SchemeKind.CRANK_NICOLSON, 0.1, 2, u.copy(),
-                           out=np.empty((8, 8)))
         with pytest.raises(ValueError, match="n_steps"):
-            op.cayley_loop(PR, 0.1, 0, u.copy(), out=np.empty((8, 8)))
+            op.cayley_loop(0.1, -1, u.copy(), out=np.empty((8, 8)), average=False)
         with pytest.raises(ValueError, match="^u must"):
-            op.cayley_loop(PR, 0.1, 2, Field(op.grid, np.asfortranarray(u.values)),
-                           out=np.empty((8, 8)))
+            op.cayley_loop(0.1, 2, Field(op.grid, np.asfortranarray(u.values)),
+                           out=np.empty((8, 8)), average=False)
         with pytest.raises(ValueError, match="overlap"):
             v = u.copy()
-            op.cayley_loop(DR, 0.1, 2, v, out=v.values)
+            op.cayley_loop(0.1, 2, v, out=v.values, average=True)
 
     def test_ctrl_c_stops_a_long_run(self):
         # 2^19 PR steps at m=1024 would take most of an hour; Python handles

@@ -133,26 +133,36 @@ def test_dense_matches_matrix_free_master_check():
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
+def imported_names(path):
+    """(line, names) of every import statement in the module at ``path``:
+    the module and the names an ``import`` or ``from ... import`` reads."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield node.lineno, [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            yield node.lineno, [node.module or ""] + [a.name for a in node.names]
+
+
 class TestPackageBoundary:
-    """The dense oracle is test code: the package neither ships nor imports it."""
+    """The dense oracle is test code: the package neither ships nor imports
+    it.  The operator layer sits below the time steppers and never imports
+    them."""
 
     PACKAGE = Path(__file__).resolve().parent.parent / "src" / "adisplit"
+
+    def offenders(self, sources, module):
+        assert sources
+        return [f"{path.name}:{line}" for path in sources
+                for line, names in imported_names(path)
+                if any(module in name.split(".") for name in names)]
 
     def test_package_has_no_oracle_module(self):
         assert importlib.util.find_spec("adisplit.oracle") is None
 
     def test_no_package_module_imports_the_oracle(self):
-        sources = sorted(self.PACKAGE.glob("*.py"))
-        assert sources
-        offenders = []
-        for path in sources:
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                if isinstance(node, ast.Import):
-                    names = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom):
-                    names = [node.module or ""] + [a.name for a in node.names]
-                else:
-                    continue
-                if any("oracle" in name.split(".") for name in names):
-                    offenders.append(f"{path.name}:{node.lineno}")
-        assert offenders == []
+        assert self.offenders(sorted(self.PACKAGE.glob("*.py")), "oracle") == []
+
+    def test_lower_layers_import_nothing_from_the_steppers(self):
+        sources = [self.PACKAGE / f"{name}.py"
+                   for name in ("operators", "linsolve", "grid")]
+        assert self.offenders(sources, "steppers") == []

@@ -86,7 +86,7 @@ class MethodRecorder:
     """Counts every call of the operator class's methods, the operator's
     calls of its own methods included, and records each call's (input
     address, ``out=`` address or None); on the kernel path also each call
-    of the compiled Cayley loop as (steps, mode)."""
+    of the compiled Cayley loop as (steps, average)."""
 
     NAMES = ("apply_a", "apply_b", "cayley_loop") + LOOP_METHODS
 
@@ -104,9 +104,9 @@ class MethodRecorder:
         kernel = operators._kernel()
         loop = kernel.adisplit_cayley_loop
 
-        def counted_loop(n, steps, mode, *args):
-            self.kernel_calls.append((steps, mode))
-            return loop(n, steps, mode, *args)
+        def counted_loop(n, steps, average, *args):
+            self.kernel_calls.append((steps, average))
+            return loop(n, steps, average, *args)
 
         monkeypatch.setattr(kernel, "adisplit_cayley_loop", counted_loop)
 
@@ -196,9 +196,34 @@ class TestStepContracts:
             assert np.all(step(op, 0.1, z).values == 0.0)
 
     @pytest.mark.parametrize("step", [dr_step, pr_step, cn_step])
-    def test_nonpositive_k_rejected(self, op, step):
+    @pytest.mark.parametrize("k", [0.0, -1.0, np.nan, np.inf])
+    def test_k_not_positive_and_finite_rejected(self, op, step, k):
         with pytest.raises(ValueError):
-            step(op, 0.0, random_field(op.grid))
+            step(op, k, random_field(op.grid))
+
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    @pytest.mark.parametrize("k", [np.nan, np.inf])
+    def test_evolve_rejects_a_nonfinite_step_before_any_work(self, op, scheme, k):
+        counter = CallCounter(op)
+        with pytest.raises(ValueError, match="finite"):
+            evolve(counter, scheme, k, 3, random_field(op.grid))
+        assert counter.calls == {}
+
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    @pytest.mark.parametrize("n_steps", [3.0, 2.5])
+    def test_evolve_rejects_a_noninteger_step_count_before_any_work(
+            self, op, scheme, n_steps):
+        counter = CallCounter(op)
+        with pytest.raises(TypeError):
+            evolve(counter, scheme, 0.05, n_steps, random_field(op.grid))
+        assert counter.calls == {}
+
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    def test_evolve_accepts_numpy_integer_step_counts(self, op, scheme):
+        u = random_field(op.grid)
+        want = evolve(op, scheme, 0.05, 3, u).values
+        for n_steps in (np.int64(3), np.int32(3), np.uint8(3)):
+            assert np.array_equal(evolve(op, scheme, 0.05, n_steps, u).values, want)
 
     def test_evolve_zero_steps(self, op):
         u = random_field(op.grid)
@@ -227,15 +252,17 @@ class TestStepContracts:
         "scheme", [SchemeKind.DOUGLAS_RACHFORD, SchemeKind.PEACEMAN_RACHFORD]
     )
     def test_evolve_applies_one_operator_per_run(self, monkeypatch, scheme):
-        # one B before the loop and one R_B after it; the kernel runs the
-        # 7 steps in one call and makes no Cayley call from Python, the
-        # fallback one call per transform: PR's last step ends in R_B
-        # instead of C_B
+        # one B before the loop and one R_B after it; PR's leading C_A is
+        # one Cayley call from evolve.  The kernel runs the remaining steps
+        # in one call and makes no other Cayley call from Python, the
+        # fallback one call per transform
         dr = scheme is SchemeKind.DOUGLAS_RACHFORD
         for rec in recorded_evolves(monkeypatch, scheme):
             want = {"apply_b": 1, "cayley_loop": 1, "solve_resolvent_b": 1}
+            if not dr:
+                want["cayley_a"] = 1
             if rec.path == "kernel":
-                assert rec.kernel_calls == [(7, 2) if dr else (6, 1)]
+                assert rec.kernel_calls == [(7, True) if dr else (6, False)]
             else:
                 want.update(cayley_a=7, cayley_b=7 if dr else 6)
                 assert rec.kernel_calls == []
@@ -243,39 +270,45 @@ class TestStepContracts:
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
     @pytest.mark.parametrize("scheme,calls", [
-        (SchemeKind.DOUGLAS_RACHFORD, [(3, 2), (3, 2), (1, 2)]),
-        (SchemeKind.PEACEMAN_RACHFORD, [(3, 1), (3, 0)])])
+        (SchemeKind.DOUGLAS_RACHFORD, [(3, True), (3, True), (1, True)]),
+        (SchemeKind.PEACEMAN_RACHFORD, [(3, False), (3, False)])])
     def test_evolve_loop_calls_are_bounded(self, op, monkeypatch, scheme, calls):
         # three steps of work per compiled call: DR's 7 steps take three
-        # calls, PR's leading C_A and 6 steps two
+        # calls, PR's 6 steps after its leading C_A two
         want = evolve(op, scheme, 0.05, 7, random_field(op.grid, 4))
         rec = MethodRecorder(monkeypatch, "kernel")
         monkeypatch.setattr(operators, "_LOOP_WORK", 3 * op.grid.interior_count)
         got = evolve(op, scheme, 0.05, 7, random_field(op.grid, 4))
         assert rec.kernel_calls == calls
-        assert "cayley_a" not in rec.calls and "cayley_b" not in rec.calls
+        assert rec.calls["cayley_a"] == (scheme is SchemeKind.PEACEMAN_RACHFORD)
+        assert "cayley_b" not in rec.calls
         assert np.array_equal(got.values, want.values)
 
     @pytest.mark.parametrize("scheme,buffers", [
         (SchemeKind.DOUGLAS_RACHFORD, 3), (SchemeKind.PEACEMAN_RACHFORD, 2)])
     def test_evolve_steps_allocate_no_field(self, monkeypatch, scheme, buffers):
         # the loop runs on the run's two buffers, and the final R_B reads
-        # the one that holds the loop's result and writes into the other.
-        # On the fallback every Cayley call writes into one of the arrays
-        # the loop owns: PR alternates the run's two; DR averages into
-        # its start buffer, so its C_A writes into a third, made once
+        # the loop's result and writes into its scratch buffer.  PR's
+        # leading C_A writes into that buffer too, which then swaps roles
+        # with the start.  On the fallback every Cayley call writes into
+        # one of the arrays the run owns: PR alternates its two; DR
+        # averages into its start buffer, so its C_A writes into a third,
+        # made once
         for rec in recorded_evolves(monkeypatch, scheme):
             [(start, out)] = rec.arrays["cayley_loop"]
-            [final] = rec.arrays["solve_resolvent_b"]
-            assert None not in final and start != out
-            assert set(final) == {start, out}
+            assert start != out
+            assert rec.arrays["solve_resolvent_b"] == [(start, out)]
             outs = [dest for name in ("cayley_a", "cayley_b")
                     for _, dest in rec.arrays[name]]
+            pr = scheme is SchemeKind.PEACEMAN_RACHFORD
+            if pr:
+                assert rec.arrays["cayley_a"][0] == (out, start)
+            assert None not in outs
             if rec.path == "kernel":
-                assert outs == []
+                assert len(outs) == pr
+                assert set(outs) <= {start, out}
             else:
-                assert len(outs) == 14 - (scheme is SchemeKind.PEACEMAN_RACHFORD)
-                assert None not in outs
+                assert len(outs) == 14 - pr
                 assert len(set(outs) | {start, out}) == buffers
 
     @pytest.mark.parametrize("scheme", list(SchemeKind))
@@ -352,6 +385,40 @@ class TestStepContracts:
                 want = oracle.dense_apply(s_n, u)
                 got = evolve(op16, scheme, k, n, u)
                 assert discrete_norm(got - want) <= 1e-11 * discrete_norm(want)
+
+
+class TestConstantCoefficientClosedForm:
+    """``evolve`` against the sine-basis closed form at full size, where
+    no dense matrix fits.  Differences are taken relative to ||u0||, since
+    the schemes damp u_n by orders of magnitude (PR least on stiff modes),
+    and a fixed roundoff floor would read large against ||u_n||."""
+
+    @pytest.mark.parametrize("m", [5, 8])
+    def test_closed_form_is_the_dense_power(self, m):
+        op = assemble_split_operator(ONE, ONE, Grid(m))
+        k, n = 0.3, 6
+        u = random_field(op.grid, m)
+        for scheme, s in zip(
+            (SchemeKind.DOUGLAS_RACHFORD, SchemeKind.PEACEMAN_RACHFORD),
+            dense_split_steps(op, k),
+        ):
+            want = oracle.dense_apply(np.linalg.matrix_power(s, n), u)
+            got = oracle.constant_coefficient_evolve(scheme, k, n, u)
+            assert discrete_norm(got - want) <= 1e-13 * discrete_norm(u)
+
+    # n = m - 1 is never a multiple of the 16-line tile; m = 514 and 1024
+    # run on two threads where two CPUs are available, and m = 1024's 17
+    # steps take three compiled calls
+    @pytest.mark.parametrize("m,k", [(3, 1 / 128), (18, 1 / 128), (258, 2.0 ** -10),
+                                     (514, 2.0 ** -12), (1024, 2.0 ** -13)])
+    @pytest.mark.parametrize(
+        "scheme", [SchemeKind.DOUGLAS_RACHFORD, SchemeKind.PEACEMAN_RACHFORD])
+    def test_evolve_matches_the_closed_form(self, m, k, scheme):
+        op = assemble_split_operator(ONE, ONE, Grid(m))
+        u0 = random_field(op.grid, m)
+        got = evolve(op, scheme, k, 17, u0)
+        want = oracle.constant_coefficient_evolve(scheme, k, 17, u0)
+        assert discrete_norm(got - want) <= 1e-13 * discrete_norm(u0)
 
 
 class TestStability:
