@@ -80,10 +80,10 @@ def coefficient_pair(name: str):
 
 
 def steps_for(t_end: float, k: float) -> int:
-    """Number of steps for final time t_end > 0; k must divide t_end
-    exactly and the count must not exceed MAX_STEPS."""
-    if k <= 0.0:
-        raise ValueError(f"step size must be positive, got {k}")
+    """Number of steps for final time t_end > 0; k must be positive and
+    finite and divide t_end exactly, and the count must not exceed
+    MAX_STEPS."""
+    steppers._check_step(k)
     if t_end <= 0.0:
         raise ValueError(f"final time must be positive, got {t_end}")
     steps = t_end / k

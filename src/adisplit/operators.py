@@ -12,11 +12,11 @@ and runs the Cayley recurrence t <- C_A C_B t, or its average with t, for
 many steps per call (``cayley_loop``), on two threads from m = 512 where
 two CPUs are available.  The loop knows no scheme: ``steppers.evolve``
 builds the DR and PR runs from it, and this module never imports the
-steppers.  It is built with ``cc`` on the first resolvent solve or
-application in a process (never on import) into a per-user cache.  Where
-it cannot be built the solves fall back to LAPACK dpttrs, the
-applications to numpy and the recurrence to one Cayley call per
-transform, with the same results.  Each operator fixes its path, kernel
+steppers.  It is built with ``cc`` for the host CPU on the first
+resolvent solve or application in a process (never on import) into a
+per-user cache.  Where it cannot be built the solves fall back to LAPACK
+dpttrs, the applications to numpy and the recurrence to one Cayley call
+per transform, with the same results.  Each operator fixes its path, kernel
 or fallback, at its own first use and keeps it.
 ``apply_l``, the resolvents and the Cayley transforms return a new field,
 or, given ``out=``, write into that C-contiguous float64 (n, n) array,
@@ -35,7 +35,7 @@ import functools
 import hashlib
 import logging
 import os
-import platform
+import re
 import subprocess
 import tempfile
 from collections import OrderedDict
@@ -421,9 +421,18 @@ class _LapackFactor:
 
 
 _KERNEL_SOURCE = Path(__file__).with_name("_tridiag.c")
-# -ffp-contract=off keeps dpttrs's rounding (no fused multiply-add); no
-# -march flag, so the cached library runs on any machine of its architecture
-_KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC", "-pthread")
+# -march=native vectorizes the sweeps as wide as the building CPU allows.
+# Every loop of the kernel works element by element, with no reduction, so
+# each element gets the same IEEE result at any vector width; and
+# -ffp-contract=off keeps dpttrs's rounding (no fused multiply-add).  The
+# library may not run on another CPU, so its file name hashes the target
+# the compiler resolves these flags to (_kernel_target).
+_KERNEL_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared",
+                 "-fPIC", "-pthread")
+# Vector extensions the DEBUG line at kernel load names where the target
+# defines them
+_VECTOR_MACROS = ("__SSE2__", "__AVX__", "__AVX2__", "__AVX512F__",
+                  "__ARM_NEON", "__ARM_FEATURE_SVE")
 
 
 @functools.cache
@@ -434,12 +443,19 @@ def _kernel():
     and every resolvent then uses LAPACK dpttrs, with the same results.
     """
     try:
-        lib = ctypes.CDLL(str(_build_kernel()))
+        target = _kernel_target()
+        lib = ctypes.CDLL(str(_build_kernel(target)))
     except (OSError, subprocess.CalledProcessError) as exc:
         detail = getattr(exc, "stderr", None) or exc
         logger.warning("compiled tridiagonal kernel unavailable, using LAPACK "
                        "dpttrs: %s", detail)
         return None
+    if logger.isEnabledFor(logging.DEBUG):
+        defined = set(re.findall(r"^#define (\w+) ", target, re.MULTILINE))
+        units = [name.strip("_").lower() for name in _VECTOR_MACROS
+                 if name in defined]
+        logger.debug("compiled tridiagonal kernel %s, vector units: %s",
+                     lib._name, " ".join(units) or "none")
     for fn in (lib.adisplit_solve_strided, lib.adisplit_solve_contiguous):
         fn.argtypes = (ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
                        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int)
@@ -460,31 +476,47 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _build_kernel() -> Path:
-    """Path of the kernel library in the per-user cache, compiling it if absent.
+def _kernel_target() -> str:
+    """The target ``cc`` resolves _KERNEL_FLAGS to on this machine: the
+    macros it predefines, which name the architecture, every instruction
+    set extension -march=native enables and the compiler's version."""
+    return subprocess.run(
+        ["cc", *_KERNEL_FLAGS, "-E", "-dM", "-x", "c", os.devnull],
+        check=True, capture_output=True, text=True).stdout
 
-    The file is named by a hash of the source, the flags and the machine
-    architecture and is compiled into a temporary file that is then renamed
-    into place, so concurrent builds never load a partial library.
-    """
-    key = " ".join((*_KERNEL_FLAGS, platform.machine())).encode()
+
+def _kernel_path(target: str) -> Path:
+    """Where the library built from the source with _KERNEL_FLAGS for
+    ``target`` (as _kernel_target gives it) lives in the per-user cache:
+    a file named by a hash of the source, the flags and the target."""
+    key = "\n".join((*_KERNEL_FLAGS, *sorted(target.splitlines()))).encode()
     tag = hashlib.sha256(_KERNEL_SOURCE.read_bytes() + key).hexdigest()[:16]
     base = os.environ.get("XDG_CACHE_HOME", "")
     cache = Path(base if os.path.isabs(base) else Path.home() / ".cache") / "adisplit"
-    target = cache / f"_tridiag-{tag}.so"
-    if target.exists():
-        return target
-    cache.mkdir(mode=0o700, parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=cache, suffix=".so")
+    return cache / f"_tridiag-{tag}.so"
+
+
+def _build_kernel(target: str) -> Path:
+    """Path of the kernel library for ``target`` in the per-user cache,
+    compiling it if absent.
+
+    It is compiled into a temporary file that is then renamed into place,
+    so concurrent builds never load a partial library.
+    """
+    path = _kernel_path(target)
+    if path.exists():
+        return path
+    path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".so")
     os.close(fd)
     try:
         subprocess.run(["cc", *_KERNEL_FLAGS, "-o", tmp, str(_KERNEL_SOURCE)],
                        check=True, capture_output=True, text=True)
-        os.replace(tmp, target)
+        os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-    return target
+    return path
 
 
 def assemble_split_operator(lam, mu, grid: Grid) -> SplitDiffusionOperator:

@@ -63,12 +63,18 @@ class TestHelpers:
         "t_end, k",
         [(0.5, 0.3), (0.5, 0.7), (0.5, 1.1), (0.5, 0.0),
          (math.inf, 0.125), (0.5, 1e-320), (math.nan, 0.125), (0.5, math.nan),
-         (0.5, 1e-300), (1.0, 2.0 ** -21)],
+         (0.5, 1e-300), (1.0, 2.0 ** -21), (0.5, math.inf), (0.5, float("1e400"))],
         ids=["0.3", "0.7", "1.1", "0.0", "inf_t_end", "1e-320", "nan_t_end", "nan",
-             "1e-300", "above_max_steps"])
+             "1e-300", "above_max_steps", "inf", "1e400"])
     def test_steps_for_nondivisor(self, t_end, k):
         with pytest.raises(ValueError):
             steps_for(t_end, k)
+
+    @pytest.mark.parametrize("k", [0.0, -0.25, math.inf, float("1e400"), math.nan])
+    def test_steps_for_step_not_positive_and_finite(self, k):
+        with pytest.raises(ValueError, match=f"^step size must be positive and "
+                                             f"finite, got {k}$"):
+            steps_for(0.5, k)
 
     @pytest.mark.parametrize("t_end", [0.0, -0.0, -0.5])
     def test_steps_for_nonpositive_final_time(self, t_end):
@@ -393,6 +399,16 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err == (
             "error: step size 0.3 does not divide final time 0.5\n")
+
+    @pytest.mark.parametrize("k, shown", [("0", "0.0"), ("-0.25", "-0.25"),
+                                          ("inf", "inf"), ("1e400", "inf")])
+    def test_run_step_not_positive_and_finite(self, k, shown, capsys):
+        code = main(["run", "--scheme", "pr", "--m", "8", "--k", k])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: step size must be positive and finite, got {shown}\n")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("t_end", ["0", "-0.5"])
     def test_run_nonpositive_final_time(self, t_end, capsys):

@@ -1,5 +1,6 @@
 import logging
 import os
+import platform
 import select
 import shutil
 import signal
@@ -671,11 +672,12 @@ def fresh_loader():
 class TestKernelBuild:
     def test_builds_once_into_the_user_cache(self, monkeypatch, tmp_path, fresh_loader):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        compiles = []
+        builds = []
         run = subprocess.run
 
         def counting_run(args, **kwargs):
-            compiles.append(args[0])
+            if "-o" in args:
+                builds.append(args[0])
             return run(args, **kwargs)
 
         monkeypatch.setattr(operators.subprocess, "run", counting_run)
@@ -683,14 +685,76 @@ class TestKernelBuild:
         first = paper_operator(20).cayley_a(0.5, u).values
         cache = tmp_path / "adisplit"
         built = list(cache.iterdir())
-        assert compiles == ["cc"]
+        assert builds == ["cc"]
         assert [p.name[:9] for p in built] == ["_tridiag-"]  # no temporary left
         assert stat.S_IMODE(cache.stat().st_mode) & 0o077 == 0
         operators._kernel.cache_clear()  # as in a new process
         second = paper_operator(20).cayley_a(0.5, u).values
-        assert compiles == ["cc"]
+        assert builds == ["cc"]
         assert operators._kernel()._name == str(built[0])
         assert np.array_equal(first, second)
+        # another CPU sharing the cache gets a library of its own
+        target = operators._kernel_target()
+        monkeypatch.setattr(operators, "_kernel_target",
+                            lambda: target + "#define __AVX10_2__ 1\n")
+        operators._kernel.cache_clear()
+        assert operators._kernel()._name not in map(str, built)
+        assert builds == ["cc", "cc"] and len(list(cache.iterdir())) == 2
+
+    def test_library_name_hashes_the_target(self):
+        target = operators._kernel_target()
+        names = {operators._kernel_path(t) for t in (
+            target, "#define __AVX2__ 1\n", "#define __AVX512F__ 1\n")}
+        assert len(names) == 3
+        # the same macros in another order name the same file
+        shuffled = "\n".join(reversed(target.splitlines())) + "\n"
+        assert operators._kernel_path(shuffled) == operators._kernel_path(target)
+
+    def test_load_logs_the_library_and_its_target(self, caplog, fresh_loader):
+        with caplog.at_level(logging.DEBUG, logger="adisplit.operators"):
+            lib = operators._kernel()
+            operators._kernel()
+        [record] = caplog.records
+        assert record.levelno == logging.DEBUG
+        message = record.getMessage()
+        assert message.startswith(f"compiled tridiagonal kernel {lib._name}, "
+                                  "vector units: ")
+        if platform.machine() == "x86_64":
+            assert message.split(": ")[1].split()[0] == "sse2"
+
+    def test_native_build_keeps_the_bits(self, monkeypatch, tmp_path, fresh_loader):
+        # the library built without -march=native, whose sweeps are two
+        # doubles wide on x86-64, gives the same bits as the native one
+        def compute():
+            results = []
+            for threads in (1, 2):
+                force_threads(monkeypatch, threads)
+                for m in (17, 257, 513):
+                    op = paper_operator(m)
+                    u = random_field(op.grid, m)
+                    results += [steppers.evolve(op, scheme, 1.0 / 64, 3, u).values
+                                for scheme in (PR, DR)]
+            op = paper_operator(91)
+            u = random_field(op.grid, 4)
+            results += [op.apply_l(u, sigma).values for sigma in (0.25, -0.25)]
+            results += [getattr(op, name)(kappa, u).values
+                        for name in ("solve_resolvent_a", "solve_resolvent_b",
+                                     "cayley_a", "cayley_b")
+                        for kappa in (1e-3, 1.0, 1e3)]
+            return operators._kernel()._name, results
+
+        assert "-march=native" in operators._KERNEL_FLAGS
+        native_name, native = compute()
+        monkeypatch.setattr(operators, "_KERNEL_FLAGS", tuple(
+            flag for flag in operators._KERNEL_FLAGS if flag != "-march=native"))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        operators._kernel.cache_clear()
+        portable_name, portable = compute()
+        assert Path(portable_name).parent == tmp_path / "adisplit"
+        assert native_name != portable_name
+        assert len(native) == len(portable)
+        for got, want in zip(portable, native):
+            assert np.array_equal(got, want)
 
     def test_missing_compiler_falls_back(self, monkeypatch, tmp_path, caplog,
                                          fresh_loader):
