@@ -1,10 +1,12 @@
-/* Line-interleaved SPD tridiagonal solves with a LAPACK dpttrf factor, the
- * Cayley recurrence of the Douglas-Rachford and Peaceman-Rachford schemes
- * built on them, and the five-point stencil of A, B and L = A + B.
+/* Line-interleaved SPD tridiagonal factors and solves, the Cayley
+ * recurrence of the Douglas-Rachford and Peaceman-Rachford schemes built
+ * on them, and the five-point stencil of A, B and L = A + B.
  *
+ * adisplit_factor forms the factor L D L^T of every line's system with the
+ * arithmetic of LAPACK dpttrf, straight into the layout the sweeps read.
  * Each solve handles every grid line of an n x n field, one system per
- * line, from the factor L D L^T of that line.  The arithmetic per line is
- * the one of LAPACK dpttrs (dptts2):
+ * line, from that factor.  The arithmetic per line is the one of LAPACK
+ * dpttrs (dptts2):
  *
  *     forward   x[p] = r[p] - x[p-1] * e[p-1]                  p = 1..n-1
  *     back      x[n-1] = x[n-1] / d[n-1]
@@ -33,7 +35,7 @@
 #define CHUNK 32 /* positions per step of the tile transposes */
 #define SPINS 4096 /* barrier polls before each poll also yields the CPU */
 
-/* read by the loader, which lays out the contiguous-line factor in tiles */
+/* read by the loader, which sizes the contiguous-line factor in tiles */
 const long adisplit_tile = TILE;
 
 /* w lines of length n stored position-major with stride ld: element p of
@@ -287,4 +289,49 @@ void adisplit_stencil(long n, int parts, double sigma, const double *ad,
             for (long i = 0; i < n; i++)
                 yj[i] = xj[i] + yj[i] * sigma;
     }
+}
+
+/* The factor of I + gamma[l] K for lines l = 0..n-1, K the symmetric
+ * tridiagonal matrix of order n with diagonal `diag` and off-diagonal
+ * `off`, with dpttrf's arithmetic per line:
+ *
+ *     d[0] = 1 + gamma diag[0]
+ *     ei = gamma off[p],  e[p] = ei / d[p],
+ *     d[p+1] = (1 + gamma diag[p+1]) - e[p] ei                p = 0..n-2
+ *
+ * The lines are stored in blocks of w, position-major: element p of line
+ * l at (l / w) w n + p w + l % w, so w = n gives the [p][l] layout of
+ * adisplit_solve_strided and w = TILE the [tile][p][l] one of
+ * adisplit_solve_contiguous.  The lines that fill the last block get
+ * d = 1.  `e` must come zeroed: e[n-1] and the filling lines' e stay 0,
+ * and storing no zeros keeps gcc from calling memset, whose PLT entry
+ * would move every other function of the library.  Returns 1 if a pivot
+ * d[p] is not positive, else 0. */
+int adisplit_factor(long n, long w, const double *restrict gamma,
+                    const double *restrict diag, const double *restrict off,
+                    double *restrict d, double *restrict e)
+{
+    int bad = 0;
+    for (long l0 = 0; l0 < n; l0 += w) {
+        long live = n - l0 < w ? n - l0 : w;
+        const double *g = gamma + l0;
+        double *db = d + l0 * n, *eb = e + l0 * n;
+        for (long l = 0; l < live; l++)
+            db[l] = 1.0 + g[l] * diag[0];
+        for (long p = 0; p + 1 < n; p++) {
+            double *dp = db + p * w, *ep = eb + p * w;
+            for (long l = 0; l < live; l++) {
+                double ei = g[l] * off[p];
+                bad |= dp[l] <= 0.0;
+                ep[l] = ei / dp[l];
+                dp[w + l] = (1.0 + g[l] * diag[p + 1]) - ep[l] * ei;
+            }
+        }
+        for (long l = 0; l < live; l++)
+            bad |= db[(n - 1) * w + l] <= 0.0;
+        for (long p = 0; p < n; p++)
+            for (long l = live; l < w; l++)
+                db[p * w + l] = 1.0;
+    }
+    return bad;
 }

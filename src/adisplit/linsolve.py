@@ -2,8 +2,9 @@
 
 ``solve_lh`` solves L v = f with a fast direct solver that diagonalizes the
 Kronecker-sum structure with two 1D symmetric-tridiagonal
-eigendecompositions.  The same eigenvalues give the closed-form stability
-certificate (``operators.stability_certificate``).  ``conjugate_gradient``
+eigendecompositions, taken by numpy's dense ``eigh``.  The same eigenvalues
+give the closed-form stability certificate
+(``operators.stability_certificate``).  ``conjugate_gradient``
 serves Crank-Nicolson's system I - k/2 L, with the tolerance and iteration
 cap of a ``LinearSolverHandle``.  ``power_iteration``, a 2-norm estimate the
 package does not call, stays while the benchmark's span recorder traces it.
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .grid import SAFE_NORM_RANGE, Field, scale_exponent
 
@@ -147,8 +147,8 @@ class KroneckerFactorization:
         s_lam_off = op.k_lambda.off * self.dl_isqrt[:-1] * self.dl_isqrt[1:]
         s_mu_diag = op.k_mu.diag / dm
         s_mu_off = op.k_mu.off * self.dm_isqrt[:-1] * self.dm_isqrt[1:]
-        self.theta_lam, self.v_lam = eigh_tridiagonal(s_lam_diag, s_lam_off)
-        self.theta_mu, self.v_mu = eigh_tridiagonal(s_mu_diag, s_mu_off)
+        self.theta_lam, self.v_lam = _eigh_tridiagonal(s_lam_diag, s_lam_off)
+        self.theta_mu, self.v_mu = _eigh_tridiagonal(s_mu_diag, s_mu_off)
         if np.min(self.theta_lam) < -1e-10 or np.min(self.theta_mu) < -1e-10:
             raise RuntimeError("symmetrized 1D stiffness has a negative eigenvalue")
         # (j, i)-shaped denominator of eigenvalue sums
@@ -161,6 +161,21 @@ class KroneckerFactorization:
         c /= self.denom
         w = self.v_mu @ c @ self.v_lam.T
         return w * np.outer(self.dm_isqrt, self.dl_isqrt)
+
+
+def _eigh_tridiagonal(diag: np.ndarray, off: np.ndarray):
+    """Eigenvalues (ascending) and eigenvectors of the symmetric tridiagonal
+    matrix (diag, off), by numpy's dense ``eigh``.
+
+    LAPACK dsyevd leaves a matrix that is already tridiagonal as it is and
+    ends in dstedc, as SciPy's ``eigh_tridiagonal`` (driver stevd) does, so
+    both give the same eigenpairs, for O(n^3) time and O(n^2) memory.
+    The eigenvectors are returned in Fortran order, as SciPy returns them:
+    the BLAS products in ``solve_stiffness`` round differently for the
+    other layout.
+    """
+    theta, v = np.linalg.eigh(np.diag(diag) + np.diag(off, -1) + np.diag(off, 1))
+    return theta, np.asfortranarray(v)
 
 
 def kronecker_direct_prepare(op) -> KroneckerFactorization:

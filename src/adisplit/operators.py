@@ -5,19 +5,21 @@ lambda(x)*mu(y) and B along y.  With trapezoidal quadrature the mass matrix
 is h^2*I and the stiffness matrices factor into Kronecker products of a 1D
 tridiagonal stiffness matrix and a diagonal coefficient matrix, so A and B
 apply line by line and each resolvent reduces to one SPD tridiagonal
-system per grid line.  The lines are factored by LAPACK dpttrf and solved
-by a small compiled kernel (``_tridiag.c``) that sweeps many lines side by
-side; the same kernel applies A, B or L as one five-point stencil pass,
-and runs the Cayley recurrence t <- C_A C_B t, or its average with t, for
-many steps per call (``cayley_loop``), on two threads from m = 512 where
-two CPUs are available.  The loop knows no scheme: ``steppers.evolve``
-builds the DR and PR runs from it, and this module never imports the
-steppers.  It is built with ``cc`` for the host CPU on the first
-resolvent solve or application in a process (never on import) into a
-per-user cache.  Where it cannot be built the solves fall back to LAPACK
-dpttrs, the applications to numpy and the recurrence to one Cayley call
-per transform, with the same results.  Each operator fixes its path, kernel
-or fallback, at its own first use and keeps it.
+system per grid line.  The lines are factored and solved by a small
+compiled kernel (``_tridiag.c``) that sweeps many lines side by side with
+the arithmetic of LAPACK's dpttrf and dpttrs; the same kernel applies A, B
+or L as one five-point stencil pass, and runs the Cayley recurrence
+t <- C_A C_B t, or its average with t, for many steps per call
+(``cayley_loop``), on two threads from m = 512 where two CPUs are
+available.  The loop knows no scheme: ``steppers.evolve`` builds the DR
+and PR runs from it, and this module never imports the steppers.  It is
+built with ``cc`` for the host CPU on the first resolvent solve or
+application in a process (never on import) into a per-user cache.  Where
+it cannot be built the factors and solves fall back to the same
+recurrences in numpy, the applications to numpy and the recurrence to one
+Cayley call per transform, with the same results.  Each operator fixes its
+path, kernel or fallback, at its own first use and keeps it.  The package
+needs numpy only.
 ``apply_l``, the resolvents and the Cayley transforms return a new field,
 or, given ``out=``, write into that C-contiguous float64 (n, n) array,
 which must not overlap the input, and return it wrapped as a field; the
@@ -43,7 +45,6 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import linsolve
 from .grid import Field, Grid
@@ -129,9 +130,9 @@ class SplitDiffusionOperator:
     @functools.cached_property
     def _lib(self):
         """The compiled kernel this operator runs on, or None for the
-        LAPACK and numpy fallbacks.  Fixed at the operator's first
-        application or solve, so every factor and stencil array it caches
-        belongs to the path that uses it."""
+        numpy fallbacks.  Fixed at the operator's first application or
+        solve, so every factor and stencil array it caches belongs to the
+        path that uses it."""
         return _kernel()
 
     # -- forward applications -------------------------------------------------
@@ -282,11 +283,10 @@ class SplitDiffusionOperator:
     def _factors(self, axis: str, kappa: float):
         """L D L^T factor of I - kappa*A (axis "a") or I - kappa*B (axis "b").
 
-        All n line systems I + gamma_r K are concatenated into one SPD
-        tridiagonal matrix of order n^2 whose off-diagonal is zero where one
-        line meets the next, so the factor never couples two lines.  It is
-        kept in the order the solver sweeps it: the compiled kernel's when
-        it loads, dpttrs's otherwise.
+        One SPD tridiagonal system I + gamma_r K per grid line, factored
+        with dpttrf's arithmetic and kept in the order the solver sweeps
+        it: the compiled kernel's when it loads, the numpy sweeps'
+        otherwise.
         """
         if not 0.0 < kappa < np.inf:
             raise ValueError(
@@ -300,15 +300,10 @@ class SplitDiffusionOperator:
                 (self.k_lambda, self.d_mu) if axis == "a" else (self.k_mu, self.d_lambda)
             )
             gamma = kappa * coef / self.grid.h ** 2
-            d = (1.0 + np.outer(gamma, k1d.diag)).ravel()
-            e = np.outer(gamma, np.append(k1d.off, 0.0)).ravel()[:-1]
-            if d.size > 1:  # the LAPACK wrapper rejects the empty off-diagonal
-                d, e, info = lapack.dpttrf(d, e)
-                _check_lapack("dpttrf", info)
             if self._lib is None:
-                fac = _LapackFactor(axis, d, e)
+                fac = _NumpyFactor(axis, gamma, k1d)
             else:
-                fac = _KernelFactor(self._lib, axis, self.grid.n, d, e)
+                fac = _KernelFactor(self._lib, axis, gamma, k1d)
             self._factor_cache[key] = fac
             if len(self._factor_cache) > FACTOR_CACHE_CAPACITY:
                 self._factor_cache.popitem(last=False)
@@ -340,42 +335,44 @@ class SplitDiffusionOperator:
             )
 
 
-def _check_lapack(routine: str, info: int) -> None:
-    if info != 0:
+def _check_pivots(bad) -> None:
+    if bad:
         raise np.linalg.LinAlgError(
-            f"LAPACK {routine} failed with info={info}"
-            + (" (matrix not positive definite)" if info > 0 else "")
-        )
+            "resolvent factor has a non-positive pivot: the line system is "
+            "not positive definite")
 
 
 class _KernelFactor:
-    """A dpttrf factor in the compiled kernel's sweep order.
+    """A line factor in the compiled kernel's sweep order, formed by the
+    kernel (``adisplit_factor``).
 
     Axis "b" lines run along axis 0 of the C-ordered field, so the factor is
-    transposed to [position][line] and all lines sweep together, row by
-    row, directly on the field.  Axis "a" lines are contiguous; the kernel sweeps them in
-    tiles of ``adisplit_tile`` lines, so the factor is stored
+    stored [position][line] and all lines sweep together, row by row,
+    directly on the field.  Axis "a" lines are contiguous; the kernel sweeps
+    them in tiles of ``adisplit_tile`` lines, so the factor is stored
     [tile][position][line], padded with identity lines (d = 1, e = 0) to
     whole tiles.
     """
 
-    def __init__(self, kernel, axis: str, n: int, d: np.ndarray, e: np.ndarray):
-        d = d.reshape(n, n)
-        e = np.append(e, 0.0).reshape(n, n)  # e[line, n-1] is never read
+    def __init__(self, kernel, axis: str, gamma: np.ndarray, k1d: TridiagonalMatrix):
+        n = gamma.size
         if axis == "b":
-            self.d, self.e = d.T.copy(), e.T.copy()
+            width, shape = n, (n, n)
             self._solve = kernel.adisplit_solve_strided
         else:
-            tile = ctypes.c_long.in_dll(kernel, "adisplit_tile").value
-            lines = -(-n // tile) * tile
-            self.d = np.ones((lines, n))
-            self.e = np.zeros((lines, n))
-            self.d[:n], self.e[:n] = d, e
-            self.d = self.d.reshape(-1, tile, n).transpose(0, 2, 1).copy()
-            self.e = self.e.reshape(-1, tile, n).transpose(0, 2, 1).copy()
+            width = ctypes.c_long.in_dll(kernel, "adisplit_tile").value
+            shape = (-(-n // width), n, width)
             self._solve = kernel.adisplit_solve_contiguous
+        # adisplit_factor stores no zeros: e's last positions and padding
+        # lines keep np.zeros's
+        self.d, self.e = np.empty(shape), np.zeros(shape)
         self.n = n
         self.d_ptr, self.e_ptr = self.d.ctypes.data, self.e.ctypes.data
+        gamma, diag, off = (np.ascontiguousarray(a, dtype=np.float64)
+                            for a in (gamma, k1d.diag, k1d.off))
+        _check_pivots(kernel.adisplit_factor(
+            n, width, gamma.ctypes.data, diag.ctypes.data, off.ctypes.data,
+            self.d_ptr, self.e_ptr))
 
     def solve(self, rhs: np.ndarray, reflect: bool,
               out: np.ndarray | None = None) -> np.ndarray:
@@ -389,28 +386,43 @@ class _KernelFactor:
         return x
 
 
-class _LapackFactor:
-    """A dpttrf factor over contiguous lines, solved by one dpttrs call.
+class _NumpyFactor:
+    """A line factor stored [position][line], formed and solved by numpy
+    one position at a time, with all lines side by side.
 
-    Used where the compiled kernel is unavailable; axis "b" lines are
-    transposed to contiguous rows and back around the solve.
+    The fallback where the compiled kernel is unavailable: the recurrences
+    are dpttrf's and dpttrs's (dptts2's) per line, as in the kernel, so the
+    results are the same.  Axis "b" lines are the columns of the field;
+    axis "a" right-hand sides are transposed in and the solution back out.
     """
 
-    def __init__(self, axis: str, d: np.ndarray, e: np.ndarray):
-        self.axis, self.d, self.e = axis, d, e
+    def __init__(self, axis: str, gamma: np.ndarray, k1d: TridiagonalMatrix):
+        self.axis = axis
+        d = 1.0 + np.outer(k1d.diag, gamma)
+        ei = np.outer(k1d.off, gamma)
+        e = np.zeros_like(d)
+        with np.errstate(all="ignore"):  # a bad pivot raises below
+            for p in range(len(ei)):
+                np.divide(ei[p], d[p], out=e[p])
+                d[p + 1] -= e[p] * ei[p]
+        _check_pivots((d <= 0.0).any())
+        self.d, self.e = d, e
 
     def solve(self, rhs: np.ndarray, reflect: bool,
               out: np.ndarray | None = None) -> np.ndarray:
         """R rhs, or 2 R rhs - rhs with ``reflect``, copied into ``out`` or
         in a new C-ordered array."""
-        lines = rhs.T if self.axis == "b" else rhs
-        if self.d.size == 1:
-            x = lines / self.d
-        else:
-            x, info = lapack.dpttrs(self.d, self.e, lines.ravel())
-            _check_lapack("dpttrs", info)
-            x = x.reshape(lines.shape)
-        if self.axis == "b":
+        d, e = self.d, self.e
+        r = rhs.T if self.axis == "a" else rhs
+        x = np.array(r, dtype=np.float64, order="C")
+        t = np.empty(x.shape[1:])
+        for p in range(1, len(x)):
+            x[p] -= np.multiply(x[p - 1], e[p - 1], out=t)
+        x[-1] /= d[-1]
+        for p in range(len(x) - 2, -1, -1):
+            x[p] /= d[p]
+            x[p] -= np.multiply(x[p + 1], e[p], out=t)
+        if self.axis == "a":
             x = np.ascontiguousarray(x.T)
         if reflect:
             x = 2.0 * x - rhs
@@ -424,9 +436,9 @@ _KERNEL_SOURCE = Path(__file__).with_name("_tridiag.c")
 # -march=native vectorizes the sweeps as wide as the building CPU allows.
 # Every loop of the kernel works element by element, with no reduction, so
 # each element gets the same IEEE result at any vector width; and
-# -ffp-contract=off keeps dpttrs's rounding (no fused multiply-add).  The
-# library may not run on another CPU, so its file name hashes the target
-# the compiler resolves these flags to (_kernel_target).
+# -ffp-contract=off keeps dpttrf's and dpttrs's rounding (no fused
+# multiply-add).  The library may not run on another CPU, so its file name
+# hashes the target the compiler resolves these flags to (_kernel_target).
 _KERNEL_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared",
                  "-fPIC", "-pthread")
 # Vector extensions the DEBUG line at kernel load names where the target
@@ -440,15 +452,16 @@ def _kernel():
     """The compiled line kernel, built on first use, or None.
 
     None means it could not be built or loaded; the reason is logged once
-    and every resolvent then uses LAPACK dpttrs, with the same results.
+    and every resolvent then uses the numpy factor and sweeps, with the
+    same results.
     """
     try:
         target = _kernel_target()
         lib = ctypes.CDLL(str(_build_kernel(target)))
     except (OSError, subprocess.CalledProcessError) as exc:
         detail = getattr(exc, "stderr", None) or exc
-        logger.warning("compiled tridiagonal kernel unavailable, using LAPACK "
-                       "dpttrs: %s", detail)
+        logger.warning("compiled tridiagonal kernel unavailable, using the "
+                       "numpy fallback: %s", detail)
         return None
     if logger.isEnabledFor(logging.DEBUG):
         defined = set(re.findall(r"^#define (\w+) ", target, re.MULTILINE))
@@ -460,6 +473,9 @@ def _kernel():
         fn.argtypes = (ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
                        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int)
         fn.restype = ctypes.c_int
+    lib.adisplit_factor.argtypes = (ctypes.c_long, ctypes.c_long,
+                                    *[ctypes.c_void_p] * 5)
+    lib.adisplit_factor.restype = ctypes.c_int
     lib.adisplit_stencil.argtypes = (ctypes.c_long, ctypes.c_int, ctypes.c_double,
                                      *[ctypes.c_void_p] * 8)
     lib.adisplit_stencil.restype = None

@@ -2,8 +2,9 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
-from adisplit.experiments import PAPER_LAMBDA, PAPER_MU
+from adisplit.experiments import PAPER_LAMBDA, PAPER_MU, coefficient_pair
 from adisplit.grid import Grid, discrete_norm
 from adisplit.linsolve import (
     KroneckerFactorization,
@@ -248,6 +249,24 @@ class TestKroneckerDirect:
         theta = 2.0 - 2.0 * np.cos(np.array([p, q]) * np.pi / m)
         got = fact.solve_stiffness(u)
         assert np.allclose(got, u / theta.sum(), atol=1e-12)
+
+    @pytest.mark.parametrize("coeffs", ["paper", "constant"])
+    def test_eigenpairs_are_scipys_tridiagonal_ones(self, coeffs):
+        # numpy's dense eigh and SciPy's eigh_tridiagonal (driver stevd)
+        # both end in LAPACK dstedc: the same eigenpairs, signs included,
+        # and in the same memory order, which solve_stiffness's bits need
+        for m in (2, 3, 8, 17, 45, 91, 128, 256):
+            op = assemble_split_operator(*coefficient_pair(coeffs), Grid(m))
+            fact = KroneckerFactorization(op)
+            for k1d, coef, theta, v in (
+                    (op.k_lambda, op.d_lambda, fact.theta_lam, fact.v_lam),
+                    (op.k_mu, op.d_mu, fact.theta_mu, fact.v_mu)):
+                isqrt = 1.0 / np.sqrt(coef)
+                want_theta, want_v = eigh_tridiagonal(
+                    k1d.diag / coef, k1d.off * isqrt[:-1] * isqrt[1:])
+                assert theta.tobytes() == want_theta.tobytes()
+                assert v.tobytes() == want_v.tobytes()
+                assert v.strides == want_v.strides
 
     def test_prepare_is_cached(self):
         op = paper_operator(8)

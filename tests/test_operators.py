@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from adisplit import experiments, operators, steppers
 from adisplit.experiments import PAPER_LAMBDA, PAPER_MU, coefficient_pair
@@ -39,11 +40,11 @@ def paper_operator(m):
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 
 
-@pytest.fixture(params=["kernel", "lapack"])
+@pytest.fixture(params=["kernel", "numpy"])
 def line_path(request, monkeypatch):
-    """Run the test with the compiled kernel, or with its fallbacks: LAPACK
-    dpttrs for the resolvents and numpy for A, B and L."""
-    if request.param == "lapack":
+    """Run the test with the compiled kernel, or with its numpy fallbacks
+    for the factors, the resolvents and A, B and L."""
+    if request.param == "numpy":
         monkeypatch.setattr(operators, "_kernel", lambda: None)
     elif shutil.which("cc") is None:
         pytest.skip("no C compiler")
@@ -53,7 +54,7 @@ def line_path(request, monkeypatch):
 
 
 def on_both_paths(monkeypatch, compute):
-    """compute() with the compiled kernel and with the LAPACK fallback."""
+    """compute() with the compiled kernel and with the numpy fallback."""
     assert operators._kernel() is not None
     kernel = compute()
     with monkeypatch.context() as mp:
@@ -334,7 +335,7 @@ class TestResolvents:
 
 @needs_cc
 class TestLinePaths:
-    """The compiled kernel against the LAPACK dpttrf/dpttrs fallback."""
+    """The compiled kernel against the numpy fallback."""
 
     # n = m - 1 lines per direction: 16 and 32 fill whole 16-line tiles,
     # 1, 2, 17, 63 and 90 leave a partial one
@@ -370,7 +371,7 @@ class TestLinePaths:
             assert np.array_equal(got.values, want.values)
 
     def test_operator_keeps_the_path_of_its_first_use(self, monkeypatch):
-        # an operator first used without the kernel caches dpttrs factors;
+        # an operator first used without the kernel caches numpy factors;
         # once the kernel loads again it must still solve with them
         u = random_field(Grid(33), 8)
         for scheme in (PR, DR):
@@ -394,6 +395,73 @@ class TestLinePaths:
                          "cayley_a", "cayley_b"):
                 got = getattr(op, name)(0.5, field).values
                 assert np.array_equal(got, getattr(op, name)(0.5, floats).values)
+
+
+def lapack_factor(op, axis, kappa):
+    """The factor of I - kappa*X by SciPy's LAPACK dpttrf over all lines
+    concatenated, as (d, e) arrays [line][position]; e[line, n-1] is 0."""
+    k1d, coef = (op.k_lambda, op.d_mu) if axis == "a" else (op.k_mu, op.d_lambda)
+    gamma = kappa * coef / op.grid.h ** 2
+    n = op.grid.n
+    d = (1.0 + np.outer(gamma, k1d.diag)).ravel()
+    e = np.outer(gamma, np.append(k1d.off, 0.0)).ravel()[:-1]
+    if d.size > 1:  # the wrapper rejects an empty off-diagonal
+        d, e, info = lapack.dpttrf(d, e)
+        assert info == 0
+    return d.reshape(n, n), np.append(e, 0.0).reshape(n, n)
+
+
+FACTOR_GRIDS = [2, 3, 17, 18, 33, 64, 91, 256, 513]
+FACTOR_KAPPAS = [1e-3, 1.0, 1e3]
+
+
+class TestFactorBits:
+    """Both paths' factors and the numpy solve against SciPy's LAPACK
+    dpttrf and dpttrs, bit for bit."""
+
+    @needs_cc
+    @pytest.mark.parametrize("m", FACTOR_GRIDS)
+    def test_kernel_factor_is_dpttrf_in_the_sweep_layout(self, m):
+        op = paper_operator(m)
+        n = op.grid.n
+        assert op._lib is not None
+        tile = operators.ctypes.c_long.in_dll(op._lib, "adisplit_tile").value
+        blocks = -(-n // tile)
+        for kappa in FACTOR_KAPPAS:
+            d, e = lapack_factor(op, "b", kappa)
+            fac = op._factors("b", kappa)
+            assert fac.d.tobytes() == d.T.tobytes()
+            assert fac.e.tobytes() == e.T.tobytes()
+            # [tile][position][line], padded with identity lines
+            d, e = lapack_factor(op, "a", kappa)
+            pad = blocks * tile - n
+            d = np.vstack([d, np.ones((pad, n))]).reshape(blocks, tile, n)
+            e = np.vstack([e, np.zeros((pad, n))]).reshape(blocks, tile, n)
+            fac = op._factors("a", kappa)
+            assert fac.d.tobytes() == d.transpose(0, 2, 1).tobytes()
+            assert fac.e.tobytes() == e.transpose(0, 2, 1).tobytes()
+
+    @pytest.mark.parametrize("m", FACTOR_GRIDS)
+    def test_numpy_factor_and_solve_are_dpttrf_and_dpttrs(self, monkeypatch, m):
+        monkeypatch.setattr(operators, "_kernel", lambda: None)
+        op = paper_operator(m)
+        rhs = random_field(op.grid, m).values
+        for kappa in FACTOR_KAPPAS:
+            for axis in ("a", "b"):
+                d, e = lapack_factor(op, axis, kappa)
+                fac = op._factors(axis, kappa)
+                assert fac.d.tobytes() == d.T.tobytes()  # [position][line]
+                assert fac.e.tobytes() == e.T.tobytes()
+                lines = rhs if axis == "a" else rhs.T
+                if d.size == 1:
+                    want = lines / d
+                else:
+                    want, info = lapack.dpttrs(d.ravel(), e.ravel()[:-1],
+                                               lines.ravel())
+                    assert info == 0
+                    want = want.reshape(lines.shape)
+                want = want if axis == "a" else want.T
+                assert np.array_equal(fac.solve(rhs, False), want)
 
 
 PR = steppers.SchemeKind.PEACEMAN_RACHFORD
@@ -480,13 +548,13 @@ class TestCayleyLoop:
             assert not thread.is_alive()
         assert all(np.array_equal(g, want) for g in got)
 
-    @pytest.mark.parametrize("path", ["kernel", "lapack"])
+    @pytest.mark.parametrize("path", ["kernel", "numpy"])
     def test_result_buffer(self, monkeypatch, path):
         # the result overwrites u's array, which is returned; out is
         # scratch; zero steps leave u as it is and call no kernel
-        if path == "lapack":
+        if path == "numpy":
             monkeypatch.setattr(operators, "_kernel", lambda: None)
-        calls = [] if path == "lapack" else count_kernel_loops(monkeypatch)
+        calls = [] if path == "numpy" else count_kernel_loops(monkeypatch)
         op = paper_operator(9)
         u = random_field(op.grid, 1)
         for average in (False, True):
@@ -499,7 +567,7 @@ class TestCayleyLoop:
             got = op.cayley_loop(0.1, 0, start, out=np.empty((8, 8)),
                                  average=average)
             assert got is start and np.array_equal(start.values, u.values)
-        assert calls == ([] if path == "lapack" else [(3, False), (3, True)])
+        assert calls == ([] if path == "numpy" else [(3, False), (3, True)])
 
     def test_threads_follow_the_grid_and_the_cpus(self, monkeypatch, caplog):
         for m, cpus, threads in ((511, 2, 1), (512, 2, 2), (512, 1, 1)):
@@ -768,7 +836,7 @@ class TestKernelBuild:
             paper_operator(20).solve_resolvent_a(0.5, u)
         assert operators._kernel() is None
         assert len(caplog.records) == 1
-        assert "dpttrs" in caplog.records[0].getMessage()
+        assert "numpy fallback" in caplog.records[0].getMessage()
         assert np.array_equal(got, want)
 
     def test_source_compiles_without_warnings(self, tmp_path):
@@ -798,6 +866,36 @@ def test_import_starts_no_process():
     assert out.split() == ["[]", "0"]
 
 
+def test_package_runs_without_scipy():
+    # every path of the package needs numpy only: SciPy is a test dependency
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import adisplit\n"
+        "from adisplit import operators, steppers\n"
+        "from adisplit.experiments import PAPER_LAMBDA, PAPER_MU\n"
+        "from adisplit.grid import Field, Grid\n"
+        "from adisplit.linsolve import solve_lh\n"
+        "kernel = operators._kernel\n"
+        "for path in ('kernel', 'numpy'):\n"
+        "    operators._kernel = kernel if path == 'kernel' else lambda: None\n"
+        "    op = operators.assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(17))\n"
+        "    u = Field(op.grid, np.random.default_rng(1).standard_normal((16, 16)))\n"
+        "    for scheme in steppers.SchemeKind:\n"
+        "        steppers.evolve(op, scheme, 1.0 / 64, 3, u)\n"
+        "    solve_lh(op, u)\n"
+        "    operators.stability_certificate(op)\n"
+        "    print(path, op._lib is not None)\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(operators.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    kernel = str(shutil.which("cc") is not None)
+    assert out.split("\n") == [f"kernel {kernel}", "numpy False", "[]", ""]
+
+
 class TestDiagonal:
     def test_matches_dense(self):
         op = paper_operator(9)
@@ -806,15 +904,17 @@ class TestDiagonal:
         assert np.allclose(got, np.diag(l), rtol=1e-14, atol=0.0)
 
 
-def count_dpttrf(monkeypatch):
+def count_factorizations(monkeypatch):
+    """One entry per call of the compiled factor entry."""
     calls = []
-    dpttrf = operators.lapack.dpttrf
+    kernel = operators._kernel()
+    factor = kernel.adisplit_factor
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         calls.append(1)
-        return dpttrf(*args, **kwargs)
+        return factor(*args)
 
-    monkeypatch.setattr(operators.lapack, "dpttrf", counting)
+    monkeypatch.setattr(kernel, "adisplit_factor", counting)
     return calls
 
 
@@ -829,6 +929,7 @@ class TestFactorCache:
             assert len(op._factor_cache) <= FACTOR_CACHE_CAPACITY
         assert len(op._factor_cache) == FACTOR_CACHE_CAPACITY
 
+    @needs_cc
     def test_evicts_least_recently_used(self, monkeypatch):
         op = paper_operator(8)
         u = random_field(op.grid)
@@ -837,18 +938,19 @@ class TestFactorCache:
             op.solve_resolvent_b(0.01 * (i + 1), u)
         op.solve_resolvent_a(0.5, u)  # touch: now the most recent
         op.solve_resolvent_b(10.0, u)  # evicts the oldest b factor instead
-        calls = count_dpttrf(monkeypatch)
+        calls = count_factorizations(monkeypatch)
         op.solve_resolvent_a(0.5, u)
         assert calls == []
         op.solve_resolvent_b(0.01, u)
         assert len(calls) == 1
 
+    @needs_cc
     def test_scheme_loop_factors_once(self, monkeypatch):
         # CN needs R_A(k/2) and R_B(k/4), PR R_A(k/2) and R_B(k/2), DR
         # R_A(k) and R_B(k): five factors, all kept across passes
         op = paper_operator(16)
         u = random_field(op.grid)
-        calls = count_dpttrf(monkeypatch)
+        calls = count_factorizations(monkeypatch)
         k = 2.0 ** -6
         per_pass = []
         for _ in range(4):

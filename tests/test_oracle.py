@@ -145,7 +145,7 @@ def imported_names(path):
 
 class TestPackageBoundary:
     """The dense oracle is test code: the package neither ships nor imports
-    it.  The operator layer sits below the time steppers and never imports
+    it, nor SciPy.  The operator layer sits below the time steppers and never imports
     them."""
 
     PACKAGE = Path(__file__).resolve().parent.parent / "src" / "adisplit"
@@ -161,6 +161,10 @@ class TestPackageBoundary:
 
     def test_no_package_module_imports_the_oracle(self):
         assert self.offenders(sorted(self.PACKAGE.glob("*.py")), "oracle") == []
+
+    def test_no_package_module_imports_scipy(self):
+        # SciPy is a test dependency only: the package runs on numpy
+        assert self.offenders(sorted(self.PACKAGE.glob("*.py")), "scipy") == []
 
     def test_lower_layers_import_nothing_from_the_steppers(self):
         sources = [self.PACKAGE / f"{name}.py"

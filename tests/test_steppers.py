@@ -98,7 +98,7 @@ class MethodRecorder:
         for name in self.NAMES:
             monkeypatch.setattr(SplitDiffusionOperator, name,
                                 self._recording(name, getattr(SplitDiffusionOperator, name)))
-        if path == "lapack":
+        if path == "numpy":
             monkeypatch.setattr(operators, "_kernel", lambda: None)
             return
         kernel = operators._kernel()
@@ -123,10 +123,10 @@ class MethodRecorder:
 
 
 def recorded_evolves(monkeypatch, scheme):
-    """A MethodRecorder of one 7-step evolve at m=8 on the LAPACK fallback
+    """A MethodRecorder of one 7-step evolve at m=8 on the numpy fallback
     and, where a C compiler exists, one on the compiled kernel; each path
     gets its own operator, since the factors it caches are the path's."""
-    paths = ["lapack"] + (["kernel"] if shutil.which("cc") else [])
+    paths = ["numpy"] + (["kernel"] if shutil.which("cc") else [])
     for path in paths:
         op = assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(8))
         with monkeypatch.context() as mp:
