@@ -24,6 +24,10 @@
  * and one worker thread that lives for the call; the two meet at a barrier
  * after each sweep.  Every line keeps the arithmetic of a single-threaded
  * solve, so the split does not change a bit of the result.
+ *
+ * Three element-wise entries at the end of the file serve Crank-Nicolson's
+ * preconditioned CG: the Jacobi term of its preconditioner and the two
+ * vector updates of each iteration.
  */
 #include <pthread.h>
 #include <sched.h>
@@ -334,4 +338,35 @@ int adisplit_factor(long n, long w, const double *restrict gamma,
                 db[p * w + l] = 1.0;
     }
     return bad;
+}
+
+/* Element-wise leaves of the Crank-Nicolson CG loop, over `size` doubles,
+ * each with the operation order of the numpy lines it replaces.  They sit
+ * at the end of the file and call no function, so every function above
+ * keeps its address and its machine code. */
+
+/* out = out + w r: the Jacobi term of the CN preconditioner. */
+void adisplit_add_weighted(long size, const double *restrict w,
+                           const double *restrict r, double *restrict out)
+{
+    for (long i = 0; i < size; i++)
+        out[i] = out[i] + w[i] * r[i];
+}
+
+/* x = x + alpha p and r = r - alpha ap in one pass.  `ap` may be `p`. */
+void adisplit_cg_step(long size, double alpha, const double *p,
+                      const double *ap, double *restrict x, double *restrict r)
+{
+    for (long i = 0; i < size; i++) {
+        x[i] = x[i] + alpha * p[i];
+        r[i] = r[i] - alpha * ap[i];
+    }
+}
+
+/* p = p beta + z: the next search direction. */
+void adisplit_cg_direction(long size, double beta, const double *restrict z,
+                           double *restrict p)
+{
+    for (long i = 0; i < size; i++)
+        p[i] = p[i] * beta + z[i];
 }

@@ -109,7 +109,11 @@ def _cmd_run(args) -> int:
         if u0.grid != grid:
             return _error(f"initial field has m={u0.grid.m}, run uses m={grid.m}")
 
-    u = steppers.evolve(op, steppers.SchemeKind(args.scheme), args.k, n, u0)
+    try:
+        u = steppers.evolve(op, steppers.SchemeKind(args.scheme), args.k, n, u0)
+    except FloatingPointError as exc:
+        # finite initial values whose arithmetic overflows
+        return _error(f"the run overflowed: {exc}")
     print(f"final discrete norm: {discrete_norm(u):.17g}")
     if args.out:
         try:

@@ -13,11 +13,13 @@ package does not call, stays while the benchmark's span recorder traces it.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from . import _kernel
 from .grid import SAFE_NORM_RANGE, Field, scale_exponent
 
 logger = logging.getLogger(__name__)
@@ -31,13 +33,20 @@ class NonConvergenceError(RuntimeError):
         self.residuals = list(residuals) if residuals is not None else []
 
 
+class NonFiniteError(ValueError, FloatingPointError):
+    """CG's right-hand side is not finite: bad input, and in a run that
+    formed it from finite values, an overflow, as evolve's non-finite
+    field is."""
+
+
 @dataclass
 class LinearSolverHandle:
     """Stopping rule of Crank-Nicolson's CG solve of I - k/2 L.
 
     ``cn_step`` is the only reader: CG, preconditioned with the ADI
     resolvents, stops at relative residual ``tol`` and raises
-    NonConvergenceError after ``max_iter`` iterations (None: 10 per unknown).
+    NonConvergenceError after ``max_iter`` iterations (None: 10 per
+    unknown; otherwise a positive integer, bool excluded).
     """
 
     tol: float = 1e-12
@@ -46,10 +55,24 @@ class LinearSolverHandle:
     def __post_init__(self):
         if not 0.0 < self.tol <= 1e-2:
             raise ValueError(f"tol must be in (0, 1e-2], got {self.tol}")
+        if self.max_iter is not None and (
+                isinstance(self.max_iter, bool)
+                or not isinstance(self.max_iter, numbers.Integral)
+                or self.max_iter < 1):
+            raise ValueError(
+                f"max_iter must be None or a positive integer, got {self.max_iter!r}")
 
 
 def _identity(r: np.ndarray) -> np.ndarray:
     return r
+
+
+def _fits(b: np.ndarray, *vectors) -> bool:
+    """Whether the compiled CG updates can take ``vectors``: C-contiguous
+    float64 arrays of b's shape."""
+    return all(isinstance(v, np.ndarray) and v.shape == b.shape
+               and v.dtype == np.float64 and v.flags.c_contiguous
+               for v in vectors)
 
 
 def conjugate_gradient(
@@ -67,12 +90,19 @@ def conjugate_gradient(
     plain CG.  Dot products use numpy's fixed pairwise reduction, so a given
     system solves to bitwise-identical iterates on repeated runs.  Each
     solve's iteration count and final relative residual are logged at DEBUG.
-    ``x``, ``r`` and ``p`` are updated in place through one scratch vector,
-    so an iteration allocates only what ``matvec`` and ``precondition``
-    return; ``matvec`` must not keep the vector it is given.  Either may
+    ``x``, ``r`` and ``p`` are updated in place, so an iteration allocates
+    only what ``matvec`` and ``precondition`` return; ``matvec`` must not
+    keep the vector it is given.  Where the compiled kernel
+    (``_kernel.load()``, called per solve, so even a dense system loads or
+    builds it) is available and ``A p`` or ``z`` is a C-contiguous float64
+    array of b's shape, x += alpha p with r -= alpha A p, and
+    p = p beta + z, each run as one compiled pass; otherwise numpy runs
+    them through one scratch vector.  Both give the
+    same bits, and the dot products are numpy's either way.  Either may
     return a buffer that it overwrites on its next call: CG is done with
     ``A p`` and with ``z`` (copied into or added to ``p``) before it calls
-    the same function again.  A finite ``b``
+    the same function again.  A non-finite ``b`` raises NonFiniteError
+    before any iteration.  A finite ``b``
     whose norm leaves SAFE_NORM_RANGE is solved scaled by a power of two,
     which scales every iterate exactly, and the solution is scaled back.
     """
@@ -82,7 +112,7 @@ def conjugate_gradient(
     scale = 0
     if not SAFE_NORM_RANGE[0] <= bnorm <= SAFE_NORM_RANGE[1]:
         if not np.isfinite(b).all():
-            raise ValueError(f"CG right-hand side is not finite (norm {bnorm})")
+            raise NonFiniteError(f"CG right-hand side is not finite (norm {bnorm})")
         if not b.any():
             return np.zeros_like(b)
         scale = scale_exponent(b)
@@ -97,6 +127,8 @@ def conjugate_gradient(
     z = precondition(r)
     p = z.copy()
     scratch = np.empty_like(b)
+    kernel = _kernel.load() if _fits(b, x, r, p) else None
+    at = x.ctypes.data, r.ctypes.data, p.ctypes.data
     rz = float(r @ z)
     history = [np.sqrt(float(r @ r)) / bnorm]
     iterations = 0
@@ -104,8 +136,11 @@ def conjugate_gradient(
         iterations += 1
         Ap = matvec(p)
         alpha = rz / float(p @ Ap)
-        x += np.multiply(alpha, p, out=scratch)
-        r -= np.multiply(alpha, Ap, out=scratch)
+        if kernel is not None and _fits(b, Ap):
+            kernel.adisplit_cg_step(b.size, alpha, at[2], Ap.ctypes.data, *at[:2])
+        else:
+            x += np.multiply(alpha, p, out=scratch)
+            r -= np.multiply(alpha, Ap, out=scratch)
         rr = float(r @ r)
         history.append(np.sqrt(rr) / bnorm)
         if history[-1] <= tol or not np.isfinite(rr):
@@ -114,8 +149,11 @@ def conjugate_gradient(
         rz_new = float(r @ z)
         # z + beta p: IEEE addition commutes, so updating p in place keeps
         # the bits
-        p *= rz_new / rz
-        p += z
+        if kernel is not None and _fits(b, z):
+            kernel.adisplit_cg_direction(b.size, rz_new / rz, z.ctypes.data, at[2])
+        else:
+            p *= rz_new / rz
+            p += z
         rz = rz_new
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug("CG: %d iterations, relative residual %.3e",

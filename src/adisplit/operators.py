@@ -14,7 +14,8 @@ t <- C_A C_B t, or its average with t, for many steps per call
 available.  The loop knows no scheme: ``steppers.evolve`` builds the DR
 and PR runs from it, and this module never imports the steppers.  It is
 built with ``cc`` for the host CPU on the first resolvent solve or
-application in a process (never on import) into a per-user cache.  Where
+application in a process (never on import) into a per-user cache, by
+:mod:`adisplit._kernel`.  Where
 it cannot be built the factors and solves fall back to the same
 recurrences in numpy, the applications to numpy and the recurrence to one
 Cayley call per transform, with the same results.  Each operator fixes its
@@ -23,7 +24,8 @@ needs numpy only.
 ``apply_l``, the resolvents and the Cayley transforms return a new field,
 or, given ``out=``, write into that C-contiguous float64 (n, n) array,
 which must not overlap the input, and return it wrapped as a field; the
-CN loop reuses its buffers this way.
+CN loop reuses its buffers this way, and its preconditioner is one
+``adi_product`` call.
 
 The stability assumption ||A L^{-1}||_h <= sqrt(|lambda|_inf |mu|_inf /
 (lambda_0 mu_0)) is checked by a closed-form certificate computed from the
@@ -34,19 +36,14 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
 import logging
 import os
-import re
-import subprocess
-import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field
-from pathlib import Path
 
 import numpy as np
 
-from . import linsolve
+from . import _kernel, linsolve
 from .grid import Field, Grid
 
 logger = logging.getLogger(__name__)
@@ -133,7 +130,7 @@ class SplitDiffusionOperator:
         numpy fallbacks.  Fixed at the operator's first application or
         solve, so every factor and stencil array it caches belongs to the
         path that uses it."""
-        return _kernel()
+        return _kernel.load()
 
     # -- forward applications -------------------------------------------------
 
@@ -274,6 +271,33 @@ class SplitDiffusionOperator:
                 t += s
                 t *= 0.5
 
+    def adi_product(self, kappa_a: float, kappa_b: float, r: Field, *,
+                    out: np.ndarray, scratch: np.ndarray, weight: Field) -> Field:
+        """R_B(kappa_b) R_A(kappa_a) R_B(kappa_b) r + weight * r into
+        ``out``, with ``scratch`` as the middle field; neither may overlap
+        the other or an input.  Each solve has the bits of
+        ``solve_resolvent_a``/``_b`` and the sum those of numpy's
+        out + weight * r, which the kernel forms in one pass
+        (``adisplit_add_weighted``)."""
+        for u in (r, weight):
+            self._check(u, out)
+            self._check(u, scratch, "scratch")
+        if np.may_share_memory(out, scratch):
+            raise ValueError("out and scratch must not overlap")
+        x, w = (np.ascontiguousarray(u.values, dtype=np.float64) for u in (r, weight))
+        fac_a, fac_b = self._factors("a", kappa_a), self._factors("b", kappa_b)
+        if self._lib is None:
+            fac_b.solve(x, False, out)
+            fac_a.solve(out, False, scratch)
+            fac_b.solve(scratch, False, out)
+            np.add(out, np.multiply(w, x, out=scratch), out=out)
+            return Field(self.grid, out)
+        at = (x.ctypes.data, out.ctypes.data, scratch.ctypes.data)
+        for fac, i, j in ((fac_b, 0, 1), (fac_a, 1, 2), (fac_b, 2, 1)):
+            fac.solve_at(at[i], at[j], False)
+        self._lib.adisplit_add_weighted(x.size, w.ctypes.data, *at[:2])
+        return Field(self.grid, out)
+
     def _line_solve(self, axis: str, kappa: float, rhs: Field, reflect: bool,
                     out: np.ndarray | None) -> Field:
         self._check(rhs, out)
@@ -309,19 +333,20 @@ class SplitDiffusionOperator:
                 self._factor_cache.popitem(last=False)
         return fac
 
-    def _check(self, u: Field, out: np.ndarray | None = None) -> None:
-        """Reject a field of another grid and an ``out`` the kernels cannot
-        write: of the wrong shape or dtype, not C-contiguous, read-only, or
-        sharing memory with the input."""
+    def _check(self, u: Field, out: np.ndarray | None = None,
+               name: str = "out") -> None:
+        """Reject a field of another grid and an ``out`` (or buffer
+        ``name``) the kernels cannot write: of the wrong shape or dtype,
+        not C-contiguous, read-only, or sharing memory with the input."""
         if u.grid != self.grid:
             raise ValueError(
                 f"field grid m={u.grid.m} does not match operator grid m={self.grid.m}"
             )
         if out is None:
             return
-        self._check_buffer("out", out)
+        self._check_buffer(name, out)
         if np.may_share_memory(out, u.values):
-            raise ValueError("out must not overlap the input field")
+            raise ValueError(f"{name} must not overlap the input field")
 
     def _check_buffer(self, name: str, a) -> None:
         n = self.grid.n
@@ -380,10 +405,14 @@ class _KernelFactor:
         C-ordered array."""
         r = np.ascontiguousarray(rhs, dtype=np.float64)
         x = np.empty_like(r) if out is None else out
-        if self._solve(self.n, self.d_ptr, self.e_ptr,
-                       r.ctypes.data, x.ctypes.data, reflect) != 0:
-            raise MemoryError("tridiagonal kernel could not allocate its tile")
+        self.solve_at(r.ctypes.data, x.ctypes.data, reflect)
         return x
+
+    def solve_at(self, r: int, x: int, reflect: bool) -> None:
+        """``solve`` between the C-ordered float64 fields at addresses r
+        and x."""
+        if self._solve(self.n, self.d_ptr, self.e_ptr, r, x, reflect) != 0:
+            raise MemoryError("tridiagonal kernel could not allocate its tile")
 
 
 class _NumpyFactor:
@@ -432,107 +461,11 @@ class _NumpyFactor:
         return out
 
 
-_KERNEL_SOURCE = Path(__file__).with_name("_tridiag.c")
-# -march=native vectorizes the sweeps as wide as the building CPU allows.
-# Every loop of the kernel works element by element, with no reduction, so
-# each element gets the same IEEE result at any vector width; and
-# -ffp-contract=off keeps dpttrf's and dpttrs's rounding (no fused
-# multiply-add).  The library may not run on another CPU, so its file name
-# hashes the target the compiler resolves these flags to (_kernel_target).
-_KERNEL_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared",
-                 "-fPIC", "-pthread")
-# Vector extensions the DEBUG line at kernel load names where the target
-# defines them
-_VECTOR_MACROS = ("__SSE2__", "__AVX__", "__AVX2__", "__AVX512F__",
-                  "__ARM_NEON", "__ARM_FEATURE_SVE")
-
-
-@functools.cache
-def _kernel():
-    """The compiled line kernel, built on first use, or None.
-
-    None means it could not be built or loaded; the reason is logged once
-    and every resolvent then uses the numpy factor and sweeps, with the
-    same results.
-    """
-    try:
-        target = _kernel_target()
-        lib = ctypes.CDLL(str(_build_kernel(target)))
-    except (OSError, subprocess.CalledProcessError) as exc:
-        detail = getattr(exc, "stderr", None) or exc
-        logger.warning("compiled tridiagonal kernel unavailable, using the "
-                       "numpy fallback: %s", detail)
-        return None
-    if logger.isEnabledFor(logging.DEBUG):
-        defined = set(re.findall(r"^#define (\w+) ", target, re.MULTILINE))
-        units = [name.strip("_").lower() for name in _VECTOR_MACROS
-                 if name in defined]
-        logger.debug("compiled tridiagonal kernel %s, vector units: %s",
-                     lib._name, " ".join(units) or "none")
-    for fn in (lib.adisplit_solve_strided, lib.adisplit_solve_contiguous):
-        fn.argtypes = (ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
-                       ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int)
-        fn.restype = ctypes.c_int
-    lib.adisplit_factor.argtypes = (ctypes.c_long, ctypes.c_long,
-                                    *[ctypes.c_void_p] * 5)
-    lib.adisplit_factor.restype = ctypes.c_int
-    lib.adisplit_stencil.argtypes = (ctypes.c_long, ctypes.c_int, ctypes.c_double,
-                                     *[ctypes.c_void_p] * 8)
-    lib.adisplit_stencil.restype = None
-    lib.adisplit_cayley_loop.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.c_int,
-                                         ctypes.c_int, *[ctypes.c_void_p] * 6)
-    lib.adisplit_cayley_loop.restype = ctypes.c_int
-    return lib
-
-
 def _cpus() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _kernel_target() -> str:
-    """The target ``cc`` resolves _KERNEL_FLAGS to on this machine: the
-    macros it predefines, which name the architecture, every instruction
-    set extension -march=native enables and the compiler's version."""
-    return subprocess.run(
-        ["cc", *_KERNEL_FLAGS, "-E", "-dM", "-x", "c", os.devnull],
-        check=True, capture_output=True, text=True).stdout
-
-
-def _kernel_path(target: str) -> Path:
-    """Where the library built from the source with _KERNEL_FLAGS for
-    ``target`` (as _kernel_target gives it) lives in the per-user cache:
-    a file named by a hash of the source, the flags and the target."""
-    key = "\n".join((*_KERNEL_FLAGS, *sorted(target.splitlines()))).encode()
-    tag = hashlib.sha256(_KERNEL_SOURCE.read_bytes() + key).hexdigest()[:16]
-    base = os.environ.get("XDG_CACHE_HOME", "")
-    cache = Path(base if os.path.isabs(base) else Path.home() / ".cache") / "adisplit"
-    return cache / f"_tridiag-{tag}.so"
-
-
-def _build_kernel(target: str) -> Path:
-    """Path of the kernel library for ``target`` in the per-user cache,
-    compiling it if absent.
-
-    It is compiled into a temporary file that is then renamed into place,
-    so concurrent builds never load a partial library.
-    """
-    path = _kernel_path(target)
-    if path.exists():
-        return path
-    path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".so")
-    os.close(fd)
-    try:
-        subprocess.run(["cc", *_KERNEL_FLAGS, "-o", tmp, str(_KERNEL_SOURCE)],
-                       check=True, capture_output=True, text=True)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return path
 
 
 def assemble_split_operator(lam, mu, grid: Grid) -> SplitDiffusionOperator:

@@ -2,18 +2,21 @@
 
 The step maps only require the capability set apply_a / apply_b / apply_l /
 solve_resolvent_a / solve_resolvent_b, with cayley_a and cayley_loop for
-``evolve`` and diagonal_l for the Crank-Nicolson preconditioner, so any
-pair of dissipative operators with computable resolvents plugs in;
-cayley_loop(kappa, n, u, out=, average=) runs n steps of the Cayley
-recurrence t <- C_A C_B t, averaged with t for DR, on u's array with
-``out`` as scratch (see ``evolve``), and Crank-Nicolson calls
-apply_l(u, sigma) for u + sigma L u.  Each result is a new field unless
-the call passes ``out=``, a C-contiguous float64 array that does not
-overlap the input; ``evolve`` and ``cn_step`` do so inside their loops,
-into buffers that live for one call, so a DR or PR run and a CG iteration
-allocate no field per step.  The diffusion instance lives in
+``evolve`` and diagonal_l and adi_product for the Crank-Nicolson
+preconditioner, so any pair of dissipative operators with computable
+resolvents plugs in; cayley_loop(kappa, n, u, out=, average=) runs n
+steps of the Cayley recurrence t <- C_A C_B t, averaged with t for DR, on
+u's array with ``out`` as scratch (see ``evolve``);
+adi_product(kappa_a, kappa_b, r, out=, scratch=, weight=) writes
+R_B(kappa_b) R_A(kappa_a) R_B(kappa_b) r + weight * r into ``out``; and
+Crank-Nicolson calls apply_l(u, sigma) for u + sigma L u.  Each result is
+a new field unless the call passes ``out=``, a C-contiguous float64 array
+that does not overlap the input; ``evolve`` and ``cn_step`` do so inside
+their loops, into buffers that live for one call, so a DR or PR run and a
+CG iteration allocate no field per step.  The diffusion instance lives in
 :mod:`adisplit.operators`, whose compiled kernel runs the DR and PR loops
-in a few calls.
+in a few calls, and each CG iteration of CN in a few passes besides the
+dot products.
 """
 
 from __future__ import annotations
@@ -83,24 +86,21 @@ def cn_preconditioner(op, k: float):
     symmetric (the mass matrix is h^2 I), so the product R_B^T R_A R_B is SPD
     by congruence and adding the positive diagonal w J keeps it SPD, as
     preconditioned CG requires.  Returns a callable ``precondition(r)`` on
-    flat residual vectors.  It returns its own output vector, which it
-    overwrites on the next call; that vector and two scratch fields live as
-    long as the callable.
+    flat residual vectors: one ``op.adi_product`` call, with the bits of
+    the three resolvent calls and numpy's sum of the Jacobi term.  It
+    returns its own output vector, which it overwrites on the next call;
+    that vector and one scratch field live as long as the callable.
     """
     half, quarter = 0.5 * k, 0.25 * k
     grid = op.grid
     n = grid.n
-    jacobi = CN_JACOBI_WEIGHT / (1.0 - half * op.diagonal_l().values)
-    s1, s2, out = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
-    f1, f2 = Field(grid, s1), Field(grid, s2)
+    jacobi = Field(grid, CN_JACOBI_WEIGHT / (1.0 - half * op.diagonal_l().values))
+    out, scratch = np.empty((n, n)), np.empty((n, n))
     z = out.reshape(-1)
 
     def precondition(r):
-        r2 = r.reshape(n, n)
-        op.solve_resolvent_b(quarter, Field(grid, r2), out=s1)
-        op.solve_resolvent_a(half, f1, out=s2)
-        op.solve_resolvent_b(quarter, f2, out=out)
-        np.add(out, np.multiply(jacobi, r2, out=s1), out=out)
+        op.adi_product(half, quarter, Field(grid, r.reshape(n, n)), out=out,
+                       scratch=scratch, weight=jacobi)
         return z
 
     return precondition
@@ -174,7 +174,8 @@ def evolve(
     written.  Crank-Nicolson builds its preconditioner once per run.  A
     step size that is not positive and finite and an n_steps that is not
     a non-negative integer raise before any work; a non-finite final field
-    raises FloatingPointError.
+    raises FloatingPointError, and so does CN's CG on a non-finite
+    right-hand side (``linsolve.NonFiniteError``).
     """
     n_steps = operator.index(n_steps)
     if n_steps < 0:

@@ -373,6 +373,32 @@ class TestCli:
         assert captured.err.startswith("error: --initial ")
         assert captured.err.count("\n") == 1 and captured.out == ""
 
+    @pytest.mark.parametrize("scheme,message", [
+        ("pr", "pr evolve with k=0.0625 over 8 steps produced a non-finite field"),
+        ("cn", "CG right-hand side is not finite"),
+    ])
+    def test_run_overflowing_initial_file(self, tmp_path, capsys, scheme, message):
+        # finite values whose first operator application overflows
+        path = tmp_path / "huge.txt"
+        write_field(path, Field(Grid(8), np.full((7, 7), 1e308)))
+        code = main(["run", "--scheme", scheme, "--m", "8", "--k", "1/16",
+                     "--initial", "file", str(path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: the run overflowed: ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_run_fault_is_not_reported_as_overflow(self, monkeypatch):
+        # only an overflow is bad input; any other error of the run is a
+        # fault and keeps its traceback
+        def faulty(*args):
+            raise ValueError("a fault")
+
+        monkeypatch.setattr(steppers, "evolve", faulty)
+        with pytest.raises(ValueError, match="a fault"):
+            main(["run", "--scheme", "cn", "--m", "8", "--k", "1/16"])
+
     def test_run_unwritable_out(self, tmp_path, capsys):
         out = tmp_path / "missing" / "f.txt"
         code = main(["run", "--scheme", "pr", "--m", "8", "--k", "1/16",

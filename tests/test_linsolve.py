@@ -1,9 +1,12 @@
+import collections
 import logging
+import shutil
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+from adisplit import _kernel, steppers
 from adisplit.experiments import PAPER_LAMBDA, PAPER_MU, coefficient_pair
 from adisplit.grid import Grid, discrete_norm
 from adisplit.linsolve import (
@@ -63,6 +66,15 @@ class TestHandle:
     def test_bad_tol(self, tol):
         with pytest.raises(ValueError):
             LinearSolverHandle(tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [-1, 0, 2.5, True, False, 3.0, "3"])
+    def test_bad_max_iter(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            LinearSolverHandle(max_iter=max_iter)
+
+    @pytest.mark.parametrize("max_iter", [None, 1, 40, np.int64(7)])
+    def test_max_iter_none_or_positive_integer(self, max_iter):
+        assert LinearSolverHandle(max_iter=max_iter).max_iter == max_iter
 
 
 class TestConjugateGradient:
@@ -133,8 +145,10 @@ class TestConjugateGradient:
         def matvec(v):
             raise AssertionError("CG must not iterate on a non-finite right-hand side")
 
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(ValueError, match="not finite") as err:
             conjugate_gradient(matvec, b)
+        # a run that overflowed into it reports it as evolve does
+        assert isinstance(err.value, FloatingPointError)
 
     @pytest.mark.parametrize("scale", [1e300, 1e-200])
     def test_extreme_rhs_is_solved(self, scale):
@@ -186,6 +200,120 @@ class TestConjugateGradient:
         with pytest.raises(NonConvergenceError) as err:
             conjugate_gradient(lambda v: mat @ v, b, tol=1e-14, max_iter=2)
         assert len(err.value.residuals) >= 2
+
+
+def count_kernel_updates(monkeypatch):
+    """Calls of the compiled CG updates, by entry name."""
+    kernel = _kernel.load()
+    calls = collections.Counter()
+    for name in ("adisplit_cg_step", "adisplit_cg_direction"):
+        def counted(*args, fn=getattr(kernel, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(kernel, name, counted)
+    return calls
+
+
+def traced_cg(matvec, precondition, b, **kwargs):
+    """conjugate_gradient's solution (None if it raised), its residual
+    history (None if it converged), and copies of every p given to
+    ``matvec`` and every r given to ``precondition``."""
+    ps, rs = [], []
+
+    def traced_matvec(v):
+        ps.append(v.copy())
+        return matvec(v)
+
+    def traced_precondition(r):
+        rs.append(r.copy())
+        return precondition(r)
+
+    try:
+        x = conjugate_gradient(traced_matvec, b, precondition=traced_precondition,
+                               **kwargs)
+        return x, None, ps, rs
+    except NonConvergenceError as err:
+        return None, err.residuals, ps, rs
+
+
+def assert_same_run(got, want):
+    (x, history, ps, rs), (x0, history0, ps0, rs0) = got, want
+    assert (x is None) == (x0 is None)
+    if x is not None:
+        assert x.tobytes() == x0.tobytes()
+    assert history == history0
+    assert len(ps) == len(ps0) > 1 and len(rs) == len(rs0)
+    for a, b in zip(ps + rs, ps0 + rs0):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+class TestCompiledUpdates:
+    """CG's compiled vector updates against its numpy lines."""
+
+    @pytest.fixture
+    def system(self):
+        mat, b = ill_conditioned_system()
+        diag = np.diag(mat)
+        return (lambda v: mat @ v), (lambda r: r / diag), b
+
+    @pytest.mark.parametrize("stop", [dict(tol=1e-12), dict(tol=1e-300, max_iter=7)])
+    def test_same_iterates_history_and_count(self, monkeypatch, system, stop):
+        matvec, precondition, b = system
+        calls = count_kernel_updates(monkeypatch)
+        got = traced_cg(matvec, precondition, b, **stop)
+        iterations = len(got[2])
+        assert calls["adisplit_cg_step"] == iterations
+        assert calls["adisplit_cg_direction"] == len(got[3]) - 1
+        calls.clear()
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+        want = traced_cg(matvec, precondition, b, **stop)
+        assert calls == {}
+        assert_same_run(got, want)
+
+    @pytest.mark.parametrize("which", ["matvec", "precondition"])
+    def test_strided_results_take_the_numpy_updates(self, monkeypatch, system, which):
+        # numpy's dot products round a strided vector differently, so the
+        # reference strides it too
+        matvec, precondition, b = system
+        buf = np.empty(2 * b.size)
+
+        def strided(f):
+            def apply(v):
+                buf[::2] = f(v)
+                return buf[::2]
+            return apply
+
+        if which == "matvec":
+            matvec = strided(matvec)
+        else:
+            precondition = strided(precondition)
+        calls = count_kernel_updates(monkeypatch)
+        got = traced_cg(matvec, precondition, b, tol=1e-12)
+        fused = "adisplit_cg_direction" if which == "matvec" else "adisplit_cg_step"
+        assert set(calls) == {fused}
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+        assert_same_run(got, traced_cg(matvec, precondition, b, tol=1e-12))
+
+    def test_crank_nicolson_runs_the_compiled_updates(self, monkeypatch):
+        op = paper_operator(17)
+        u = random_field(op.grid, 3)
+        want = steppers.cn_step(op, 2.0 ** -6, u)
+        calls = count_kernel_updates(monkeypatch)
+        matvecs = []
+        apply_l = op.apply_l
+
+        def counted_apply_l(*args, **kwargs):
+            matvecs.append(1)
+            return apply_l(*args, **kwargs)
+
+        monkeypatch.setattr(op, "apply_l", counted_apply_l)
+        got = steppers.cn_step(op, 2.0 ** -6, u)
+        assert got.values.tobytes() == want.values.tobytes()
+        # one apply_l builds the right-hand side
+        assert calls["adisplit_cg_step"] == len(matvecs) - 1 > 1
+        assert calls["adisplit_cg_direction"] == len(matvecs) - 2
 
 
 class TestSolveLh:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from adisplit import experiments, operators, steppers
+from adisplit import _kernel, experiments, operators, steppers
 from adisplit.experiments import PAPER_LAMBDA, PAPER_MU, coefficient_pair
 from adisplit.grid import Field, Grid, discrete_inner_product, discrete_norm
 from adisplit.operators import (
@@ -45,20 +45,20 @@ def line_path(request, monkeypatch):
     """Run the test with the compiled kernel, or with its numpy fallbacks
     for the factors, the resolvents and A, B and L."""
     if request.param == "numpy":
-        monkeypatch.setattr(operators, "_kernel", lambda: None)
+        monkeypatch.setattr(_kernel, "load", lambda: None)
     elif shutil.which("cc") is None:
         pytest.skip("no C compiler")
     else:
-        assert operators._kernel() is not None
+        assert _kernel.load() is not None
     return request.param
 
 
 def on_both_paths(monkeypatch, compute):
     """compute() with the compiled kernel and with the numpy fallback."""
-    assert operators._kernel() is not None
+    assert _kernel.load() is not None
     kernel = compute()
     with monkeypatch.context() as mp:
-        mp.setattr(operators, "_kernel", lambda: None)
+        mp.setattr(_kernel, "load", lambda: None)
         fallback = compute()
     return kernel, fallback
 
@@ -377,9 +377,9 @@ class TestLinePaths:
         for scheme in (PR, DR):
             op = paper_operator(33)
             with monkeypatch.context() as mp:
-                mp.setattr(operators, "_kernel", lambda: None)
+                mp.setattr(_kernel, "load", lambda: None)
                 steppers.evolve(op, scheme, 1.0 / 64, 5, u)
-            assert operators._kernel() is not None
+            assert _kernel.load() is not None
             got = steppers.evolve(op, scheme, 1.0 / 64, 5, u)
             want = steppers.evolve(paper_operator(33), scheme, 1.0 / 64, 5, u)
             assert np.array_equal(got.values, want.values)
@@ -443,7 +443,7 @@ class TestFactorBits:
 
     @pytest.mark.parametrize("m", FACTOR_GRIDS)
     def test_numpy_factor_and_solve_are_dpttrf_and_dpttrs(self, monkeypatch, m):
-        monkeypatch.setattr(operators, "_kernel", lambda: None)
+        monkeypatch.setattr(_kernel, "load", lambda: None)
         op = paper_operator(m)
         rhs = random_field(op.grid, m).values
         for kappa in FACTOR_KAPPAS:
@@ -484,7 +484,7 @@ def force_threads(monkeypatch, threads):
 
 def count_kernel_loops(monkeypatch):
     """The (steps, average) of every call of the compiled Cayley loop."""
-    kernel = operators._kernel()
+    kernel = _kernel.load()
     loop = kernel.adisplit_cayley_loop
     calls = []
 
@@ -553,7 +553,7 @@ class TestCayleyLoop:
         # the result overwrites u's array, which is returned; out is
         # scratch; zero steps leave u as it is and call no kernel
         if path == "numpy":
-            monkeypatch.setattr(operators, "_kernel", lambda: None)
+            monkeypatch.setattr(_kernel, "load", lambda: None)
         calls = [] if path == "numpy" else count_kernel_loops(monkeypatch)
         op = paper_operator(9)
         u = random_field(op.grid, 1)
@@ -728,12 +728,119 @@ class TestOut:
         assert np.array_equal(u.values, before)
 
 
+def separate_adi_product(op, kappa_a, kappa_b, r, weight):
+    """The ADI product by three separate resolvent calls and numpy's
+    out + weight * r: the operations ``adi_product`` replaces."""
+    w = op.solve_resolvent_b(kappa_b, op.solve_resolvent_a(
+        kappa_a, op.solve_resolvent_b(kappa_b, r))).values
+    return np.add(w, np.multiply(weight.values, r.values))
+
+
+class TestAdiProduct:
+    """``adi_product`` on the kernel and on the fallback paths."""
+
+    @pytest.mark.parametrize("m", [2, 3, 17, 18, 64, 257])
+    def test_equals_the_separate_solves(self, line_path, m):
+        op = paper_operator(m)
+        r, weight = random_field(op.grid, m), random_field(op.grid, m + 1)
+        before = r.values.copy()
+        out, scratch = (np.full_like(r.values, np.nan) for _ in range(2))
+        for kappa_a, kappa_b in ((2.0 ** -11, 2.0 ** -12), (0.5, 0.25), (1e3, 1e-3)):
+            want = separate_adi_product(op, kappa_a, kappa_b, r, weight)
+            got = op.adi_product(kappa_a, kappa_b, r, out=out, scratch=scratch,
+                                 weight=weight)
+            assert got.values is out
+            assert out.tobytes() == want.tobytes()
+        assert np.array_equal(r.values, before)
+
+    @needs_cc
+    @pytest.mark.parametrize("m", [2, 3, 17, 18, 64, 257])
+    def test_paths_agree_bit_for_bit(self, monkeypatch, m):
+        r, weight = random_field(Grid(m), m), random_field(Grid(m), m + 1)
+
+        def compute():
+            op = paper_operator(m)
+            out, scratch = np.empty_like(r.values), np.empty_like(r.values)
+            return op.adi_product(0.5, 0.25, r, out=out, scratch=scratch,
+                                  weight=weight).values
+
+        got, want = on_both_paths(monkeypatch, compute)
+        assert got.tobytes() == want.tobytes()
+
+    def test_other_layouts_and_types_of_the_inputs(self, line_path):
+        op = paper_operator(20)
+        ints = np.arange(19 * 19).reshape(19, 19) % 7 - 3
+        floats = Field(op.grid, ints.astype(float))
+        want = separate_adi_product(op, 0.5, 0.25, floats, floats)
+        for field in (Field(op.grid, np.asfortranarray(ints.astype(float))),
+                      Field(op.grid, ints)):
+            out, scratch = np.empty((19, 19)), np.empty((19, 19))
+            op.adi_product(0.5, 0.25, field, out=out, scratch=scratch, weight=field)
+            assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad,message", [
+        ("out shape", "out must be"), ("scratch shape", "scratch must be"),
+        ("out read-only", "out must be"), ("scratch read-only", "scratch must be"),
+        ("out Fortran order", "out must be"), ("scratch float32", "scratch must be"),
+        ("out is r", "out must not overlap"),
+        ("scratch overlaps r", "scratch must not overlap"),
+        ("out overlaps the weight", "out must not overlap"),
+        ("out is scratch", "out and scratch must not overlap"),
+        ("out overlaps scratch", "out and scratch must not overlap"),
+    ])
+    def test_unusable_buffers_rejected(self, line_path, bad, message):
+        op = paper_operator(9)
+        n = op.grid.n
+        nn = n * n
+        # r and the weight live in one array, so that C-ordered views of
+        # it can overlap either
+        base = random_field(Grid(2 * n + 1), 1).values.reshape(-1)
+        r = Field(op.grid, base[:nn].reshape(n, n))
+        weight = Field(op.grid, base[2 * nn:3 * nn].reshape(n, n))
+        out, scratch = np.empty((n, n)), np.empty((n, n))
+        pair = np.empty(nn + n)
+        if bad == "out shape":
+            out = np.empty((n, n + 1))
+        elif bad == "scratch shape":
+            scratch = np.empty((n + 1, n))
+        elif bad == "out read-only":
+            out.flags.writeable = False
+        elif bad == "scratch read-only":
+            scratch.flags.writeable = False
+        elif bad == "out Fortran order":
+            out = np.empty((n, n), order="F")
+        elif bad == "scratch float32":
+            scratch = np.empty((n, n), dtype=np.float32)
+        elif bad == "out is r":
+            out = r.values
+        elif bad == "scratch overlaps r":
+            scratch = base[n:n + nn].reshape(n, n)
+        elif bad == "out overlaps the weight":
+            out = base[2 * nn - n:3 * nn - n].reshape(n, n)
+        elif bad == "out is scratch":
+            out = scratch
+        else:
+            out, scratch = pair[:nn].reshape(n, n), pair[n:].reshape(n, n)
+        before = base.copy()
+        with pytest.raises(ValueError, match=message):
+            op.adi_product(0.5, 0.25, r, out=out, scratch=scratch, weight=weight)
+        assert np.array_equal(base, before)
+
+    def test_rejects_a_field_of_another_grid(self, line_path):
+        op = paper_operator(9)
+        r, other = random_field(op.grid, 1), random_field(Grid(10), 2)
+        buffers = dict(out=np.empty((8, 8)), scratch=np.empty((8, 8)))
+        for r_, w in ((other, r), (r, other)):
+            with pytest.raises(ValueError, match="grid"):
+                op.adi_product(0.5, 0.25, r_, weight=w, **buffers)
+
+
 @pytest.fixture
 def fresh_loader():
     """Forget the loaded kernel before and after the test."""
-    operators._kernel.cache_clear()
+    _kernel.load.cache_clear()
     yield
-    operators._kernel.cache_clear()
+    _kernel.load.cache_clear()
 
 
 @needs_cc
@@ -748,7 +855,7 @@ class TestKernelBuild:
                 builds.append(args[0])
             return run(args, **kwargs)
 
-        monkeypatch.setattr(operators.subprocess, "run", counting_run)
+        monkeypatch.setattr(subprocess, "run", counting_run)
         u = random_field(Grid(20))
         first = paper_operator(20).cayley_a(0.5, u).values
         cache = tmp_path / "adisplit"
@@ -756,32 +863,32 @@ class TestKernelBuild:
         assert builds == ["cc"]
         assert [p.name[:9] for p in built] == ["_tridiag-"]  # no temporary left
         assert stat.S_IMODE(cache.stat().st_mode) & 0o077 == 0
-        operators._kernel.cache_clear()  # as in a new process
+        _kernel.load.cache_clear()  # as in a new process
         second = paper_operator(20).cayley_a(0.5, u).values
         assert builds == ["cc"]
-        assert operators._kernel()._name == str(built[0])
+        assert _kernel.load()._name == str(built[0])
         assert np.array_equal(first, second)
         # another CPU sharing the cache gets a library of its own
-        target = operators._kernel_target()
-        monkeypatch.setattr(operators, "_kernel_target",
+        target = _kernel.target()
+        monkeypatch.setattr(_kernel, "target",
                             lambda: target + "#define __AVX10_2__ 1\n")
-        operators._kernel.cache_clear()
-        assert operators._kernel()._name not in map(str, built)
+        _kernel.load.cache_clear()
+        assert _kernel.load()._name not in map(str, built)
         assert builds == ["cc", "cc"] and len(list(cache.iterdir())) == 2
 
     def test_library_name_hashes_the_target(self):
-        target = operators._kernel_target()
-        names = {operators._kernel_path(t) for t in (
+        target = _kernel.target()
+        names = {_kernel.library_path(t) for t in (
             target, "#define __AVX2__ 1\n", "#define __AVX512F__ 1\n")}
         assert len(names) == 3
         # the same macros in another order name the same file
         shuffled = "\n".join(reversed(target.splitlines())) + "\n"
-        assert operators._kernel_path(shuffled) == operators._kernel_path(target)
+        assert _kernel.library_path(shuffled) == _kernel.library_path(target)
 
     def test_load_logs_the_library_and_its_target(self, caplog, fresh_loader):
         with caplog.at_level(logging.DEBUG, logger="adisplit.operators"):
-            lib = operators._kernel()
-            operators._kernel()
+            lib = _kernel.load()
+            _kernel.load()
         [record] = caplog.records
         assert record.levelno == logging.DEBUG
         message = record.getMessage()
@@ -809,14 +916,14 @@ class TestKernelBuild:
                         for name in ("solve_resolvent_a", "solve_resolvent_b",
                                      "cayley_a", "cayley_b")
                         for kappa in (1e-3, 1.0, 1e3)]
-            return operators._kernel()._name, results
+            return _kernel.load()._name, results
 
-        assert "-march=native" in operators._KERNEL_FLAGS
+        assert "-march=native" in _kernel.FLAGS
         native_name, native = compute()
-        monkeypatch.setattr(operators, "_KERNEL_FLAGS", tuple(
-            flag for flag in operators._KERNEL_FLAGS if flag != "-march=native"))
+        monkeypatch.setattr(_kernel, "FLAGS", tuple(
+            flag for flag in _kernel.FLAGS if flag != "-march=native"))
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        operators._kernel.cache_clear()
+        _kernel.load.cache_clear()
         portable_name, portable = compute()
         assert Path(portable_name).parent == tmp_path / "adisplit"
         assert native_name != portable_name
@@ -828,13 +935,13 @@ class TestKernelBuild:
                                          fresh_loader):
         u = random_field(Grid(20))
         want = paper_operator(20).cayley_b(0.5, u).values
-        operators._kernel.cache_clear()
+        _kernel.load.cache_clear()
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         monkeypatch.setenv("PATH", str(tmp_path))  # no cc on it
         with caplog.at_level(logging.WARNING, logger="adisplit.operators"):
             got = paper_operator(20).cayley_b(0.5, u).values
             paper_operator(20).solve_resolvent_a(0.5, u)
-        assert operators._kernel() is None
+        assert _kernel.load() is None
         assert len(caplog.records) == 1
         assert "numpy fallback" in caplog.records[0].getMessage()
         assert np.array_equal(got, want)
@@ -842,8 +949,8 @@ class TestKernelBuild:
     def test_source_compiles_without_warnings(self, tmp_path):
         subprocess.run(
             ["cc", "-std=c11", "-Wall", "-Wextra", "-Wpedantic", "-Wshadow",
-             "-Werror", *operators._KERNEL_FLAGS,
-             "-o", str(tmp_path / "kernel.so"), str(operators._KERNEL_SOURCE)],
+             "-Werror", *_kernel.FLAGS,
+             "-o", str(tmp_path / "kernel.so"), str(_kernel.SOURCE)],
             check=True, capture_output=True,
         )
 
@@ -857,7 +964,7 @@ def test_import_starts_no_process():
         "'os.fork', 'os.exec', 'os.spawn')\n"
         "sys.addaudithook(lambda event, args: event in spawn and seen.append(event))\n"
         "import adisplit\n"
-        "print(seen, adisplit.operators._kernel.cache_info().currsize)\n"
+        "print(seen, adisplit._kernel.load.cache_info().currsize)\n"
     )
     src = str(Path(operators.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
@@ -872,13 +979,13 @@ def test_package_runs_without_scipy():
         "import sys\n"
         "import numpy as np\n"
         "import adisplit\n"
-        "from adisplit import operators, steppers\n"
+        "from adisplit import _kernel, operators, steppers\n"
         "from adisplit.experiments import PAPER_LAMBDA, PAPER_MU\n"
         "from adisplit.grid import Field, Grid\n"
         "from adisplit.linsolve import solve_lh\n"
-        "kernel = operators._kernel\n"
+        "load = _kernel.load\n"
         "for path in ('kernel', 'numpy'):\n"
-        "    operators._kernel = kernel if path == 'kernel' else lambda: None\n"
+        "    _kernel.load = load if path == 'kernel' else lambda: None\n"
         "    op = operators.assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(17))\n"
         "    u = Field(op.grid, np.random.default_rng(1).standard_normal((16, 16)))\n"
         "    for scheme in steppers.SchemeKind:\n"
@@ -907,7 +1014,7 @@ class TestDiagonal:
 def count_factorizations(monkeypatch):
     """One entry per call of the compiled factor entry."""
     calls = []
-    kernel = operators._kernel()
+    kernel = _kernel.load()
     factor = kernel.adisplit_factor
 
     def counting(*args):

@@ -4,7 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
-from adisplit import linsolve, operators
+from adisplit import _kernel, linsolve, operators
 from adisplit.experiments import PAPER_LAMBDA, PAPER_MU, prepare_initial_data
 from adisplit.grid import Field, Grid, discrete_norm
 from adisplit.operators import SplitDiffusionOperator, assemble_split_operator
@@ -58,12 +58,14 @@ class ZeroATestDouble:
 
 class CallCounter:
     """Delegates to a real operator, counts calls of each method and
-    records the address of each call's ``out=`` array (None without one)."""
+    records the address of each call's ``out=`` and ``scratch=`` arrays
+    (None without one)."""
 
     def __init__(self, op):
         self.op = op
         self.calls = collections.Counter()
         self.outs = collections.defaultdict(list)
+        self.scratches = collections.defaultdict(list)
 
     def __getattr__(self, name):
         attr = getattr(self.op, name)
@@ -72,8 +74,9 @@ class CallCounter:
 
         def counted(*args, **kwargs):
             self.calls[name] += 1
-            out = kwargs.get("out")
-            self.outs[name].append(None if out is None else out.ctypes.data)
+            for key, seen in (("out", self.outs), ("scratch", self.scratches)):
+                buffer = kwargs.get(key)
+                seen[name].append(None if buffer is None else buffer.ctypes.data)
             return attr(*args, **kwargs)
 
         return counted
@@ -99,9 +102,9 @@ class MethodRecorder:
             monkeypatch.setattr(SplitDiffusionOperator, name,
                                 self._recording(name, getattr(SplitDiffusionOperator, name)))
         if path == "numpy":
-            monkeypatch.setattr(operators, "_kernel", lambda: None)
+            monkeypatch.setattr(_kernel, "load", lambda: None)
             return
-        kernel = operators._kernel()
+        kernel = _kernel.load()
         loop = kernel.adisplit_cayley_loop
 
         def counted_loop(n, steps, average, *args):
@@ -522,24 +525,34 @@ class TestCrankNicolsonSolve:
         assert precondition(r1).tobytes() == kept.tobytes()
 
     def test_cg_iterations_allocate_no_field(self, op16):
-        # every apply_l inside CG and every resolvent of the preconditioner
-        # writes into a workspace of the step; only the right-hand side
-        # (I + k/2 L) u is a new field
+        # every apply_l inside CG writes into one workspace of the step and
+        # every preconditioner call into the same out and scratch fields;
+        # only the right-hand side (I + k/2 L) u is a new field.  CG
+        # preconditions once before its first iteration and once after
+        # each but the last
         rec = CallCounter(op16)
         cn_step(rec, 0.05, random_field(op16.grid, 9))
         matvecs = [a for a in rec.outs["apply_l"] if a is not None]
         assert rec.outs["apply_l"].count(None) == 1 and len(matvecs) > 1
-        assert len(set(matvecs)) == 1
-        solves = rec.outs["solve_resolvent_a"] + rec.outs["solve_resolvent_b"]
-        assert None not in solves and len(set(solves)) == 3
+        outs, scratches = rec.outs["adi_product"], rec.scratches["adi_product"]
+        assert len(outs) == len(matvecs)
+        assert len(set(outs)) == len(set(scratches)) == len(set(matvecs)) == 1
+        assert len({outs[0], scratches[0], matvecs[0]}) == 3
+        assert "solve_resolvent_a" not in rec.calls
+        assert "solve_resolvent_b" not in rec.calls
 
     def test_evolve_builds_the_preconditioner_once(self, op16):
+        # one Jacobi diagonal and one pair of preconditioner fields for
+        # every step of the run
         rec = CallCounter(op16)
         u = random_field(op16.grid, 10)
         got = evolve(rec, SchemeKind.CRANK_NICOLSON, 0.05, 4, u)
         assert rec.calls["diagonal_l"] == 1
         assert rec.outs["apply_l"].count(None) == 4
-        assert None not in rec.outs["solve_resolvent_a"] + rec.outs["solve_resolvent_b"]
+        outs, scratches = rec.outs["adi_product"], rec.scratches["adi_product"]
+        assert len(outs) > 4 * 2
+        assert len(set(outs)) == len(set(scratches)) == 1
+        assert None not in outs + scratches and outs[0] != scratches[0]
         want = u
         for _ in range(4):
             want = cn_step(op16, 0.05, want)
