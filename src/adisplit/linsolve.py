@@ -6,8 +6,9 @@ eigendecompositions, taken by numpy's dense ``eigh``.  The same eigenvalues
 give the closed-form stability certificate
 (``operators.stability_certificate``).  ``conjugate_gradient``
 serves Crank-Nicolson's system I - k/2 L, with the tolerance and iteration
-cap of a ``LinearSolverHandle``.  ``power_iteration``, a 2-norm estimate the
-package does not call, stays while the benchmark's span recorder traces it.
+cap of a ``LinearSolverHandle``, on vectors the caller owns.
+``power_iteration``, a 2-norm estimate the package does not call, stays
+while the benchmark's span recorder traces it.
 """
 
 from __future__ import annotations
@@ -67,99 +68,122 @@ def _identity(r: np.ndarray) -> np.ndarray:
     return r
 
 
-def _fits(b: np.ndarray, *vectors) -> bool:
-    """Whether the compiled CG updates can take ``vectors``: C-contiguous
-    float64 arrays of b's shape."""
-    return all(isinstance(v, np.ndarray) and v.shape == b.shape
-               and v.dtype == np.float64 and v.flags.c_contiguous
-               for v in vectors)
+def _vector(name: str, v, shape) -> np.ndarray:
+    """v, if the compiled updates can take it: a C-contiguous float64
+    array of ``shape``."""
+    if not (isinstance(v, np.ndarray) and v.shape == shape
+            and v.dtype == np.float64 and v.flags.c_contiguous):
+        raise ValueError(
+            f"CG's {name} must be a C-contiguous float64 array of shape {shape}, "
+            f"got {getattr(v, 'dtype', type(v).__name__)} {getattr(v, 'shape', '')}")
+    return v
 
 
 def conjugate_gradient(
     matvec: Callable[[np.ndarray], np.ndarray],
-    b: np.ndarray,
+    r: np.ndarray,
+    x: np.ndarray,
+    p: np.ndarray,
     tol: float = 1e-12,
     max_iter: int | None = None,
     precondition: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
-    """CG for an SPD operator, relative-residual stopping rule.
+    """CG for an SPD operator, relative-residual stopping rule; returns x.
 
-    ``precondition`` applies an SPD approximation of the inverse to a
-    residual, which makes this preconditioned CG; the stopping rule still
-    measures the plain residual ||b - A x|| / ||b||.  With ``None`` it is
-    plain CG.  Dot products use numpy's fixed pairwise reduction, so a given
-    system solves to bitwise-identical iterates on repeated runs.  Each
-    solve's iteration count and final relative residual are logged at DEBUG.
-    ``x``, ``r`` and ``p`` are updated in place, so an iteration allocates
-    only what ``matvec`` and ``precondition`` return; ``matvec`` must not
-    keep the vector it is given.  Where the compiled kernel
-    (``_kernel.load()``, called per solve, so even a dense system loads or
-    builds it) is available and ``A p`` or ``z`` is a C-contiguous float64
-    array of b's shape, x += alpha p with r -= alpha A p, and
-    p = p beta + z, each run as one compiled pass; otherwise numpy runs
-    them through one scratch vector.  Both give the
-    same bits, and the dot products are numpy's either way.  Either may
-    return a buffer that it overwrites on its next call: CG is done with
-    ``A p`` and with ``z`` (copied into or added to ``p``) before it calls
-    the same function again.  A non-finite ``b`` raises NonFiniteError
-    before any iteration.  A finite ``b``
-    whose norm leaves SAFE_NORM_RANGE is solved scaled by a power of two,
-    which scales every iterate exactly, and the solution is scaled back.
+    The solve runs on three vectors the caller owns, distinct writeable
+    C-contiguous float64 arrays of one shape, checked once per solve:
+    ``r`` holds the right-hand side b on entry and the residual
+    afterwards, ``x`` receives the solution and ``p`` the search
+    directions.  ``precondition`` applies an SPD approximation of the
+    inverse to a residual, which makes this preconditioned CG; the
+    stopping rule still measures the plain residual ||b - A x|| / ||b||.
+    With ``None`` it is plain CG.  ``matvec(p)`` and ``precondition(r)``
+    return C-contiguous float64 vectors of r's shape, each checked unless
+    it is the array that function returned last time.
+    Either may return a buffer that it overwrites on its next call, and
+    the preconditioner may overwrite ``A p``: CG is done with ``A p``
+    before it preconditions, and with ``z`` (copied into or added to
+    ``p``) before its next matvec.  ``matvec`` must not keep the vector
+    it is given.  Dot products use numpy's fixed pairwise reduction, so a
+    given system solves to bitwise-identical iterates on repeated runs.
+    Each solve's iteration count and final relative residual are logged
+    at DEBUG.  Where the compiled kernel (``_kernel.load()``, called per
+    solve, so even a dense system loads or builds it) is available,
+    x += alpha p with r -= alpha A p, and p = p beta + z, each run as one
+    compiled pass; otherwise numpy runs them.  Both give the same bits, and the dot products are numpy's
+    either way.  A non-finite b raises NonFiniteError before any
+    iteration and leaves r as it was.  A finite b whose norm leaves
+    SAFE_NORM_RANGE is solved scaled by a power of two in r, which scales
+    every iterate exactly, and the solution is scaled back.
     """
-    b = np.asarray(b, dtype=float)
+    for name, v in (("r", r), ("x", x), ("p", p)):
+        if not _vector(name, v, np.shape(r)).flags.writeable:
+            raise ValueError(f"CG's {name} must be writeable")
+    if any(np.may_share_memory(a, b) for a, b in ((r, x), (r, p), (x, p))):
+        raise ValueError("CG's r, x and p must not overlap")
     with np.errstate(over="ignore"):
-        bnorm = float(np.linalg.norm(b))
+        bnorm = float(np.linalg.norm(r))
     scale = 0
+    x.fill(0.0)
     if not SAFE_NORM_RANGE[0] <= bnorm <= SAFE_NORM_RANGE[1]:
-        if not np.isfinite(b).all():
+        if not np.isfinite(r).all():
             raise NonFiniteError(f"CG right-hand side is not finite (norm {bnorm})")
-        if not b.any():
-            return np.zeros_like(b)
-        scale = scale_exponent(b)
-        b = np.ldexp(b, -scale)
-        bnorm = float(np.linalg.norm(b))
+        if not r.any():
+            return x
+        scale = scale_exponent(r)
+        np.ldexp(r, -scale, out=r)
+        bnorm = float(np.linalg.norm(r))
     if max_iter is None:
-        max_iter = 10 * b.size
+        max_iter = 10 * r.size
     if precondition is None:
         precondition = _identity
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = precondition(r)
-    p = z.copy()
-    scratch = np.empty_like(b)
-    kernel = _kernel.load() if _fits(b, x, r, p) else None
+    kernel = _kernel.load()
     at = x.ctypes.data, r.ctypes.data, p.ctypes.data
+    seen = {}
+
+    def address(name, v):
+        """v's address, checked unless v is what ``name`` was last time."""
+        known = seen.get(name)
+        if known is None or known[0] is not v:
+            known = seen[name] = _vector(name, v, r.shape), v.ctypes.data
+        return known[1]
+
+    z = precondition(r)
+    address("z", z)
+    np.copyto(p, z)
     rz = float(r @ z)
     history = [np.sqrt(float(r @ r)) / bnorm]
     iterations = 0
     while history[-1] > tol and iterations < max_iter:
         iterations += 1
         Ap = matvec(p)
+        at_ap = address("A p", Ap)
         alpha = rz / float(p @ Ap)
-        if kernel is not None and _fits(b, Ap):
-            kernel.adisplit_cg_step(b.size, alpha, at[2], Ap.ctypes.data, *at[:2])
+        if kernel is None:
+            x += alpha * p
+            r -= alpha * Ap
         else:
-            x += np.multiply(alpha, p, out=scratch)
-            r -= np.multiply(alpha, Ap, out=scratch)
+            kernel.adisplit_cg_step(r.size, alpha, at[2], at_ap, *at[:2])
         rr = float(r @ r)
         history.append(np.sqrt(rr) / bnorm)
         if history[-1] <= tol or not np.isfinite(rr):
             break
         z = precondition(r)
+        at_z = address("z", z)
         rz_new = float(r @ z)
         # z + beta p: IEEE addition commutes, so updating p in place keeps
         # the bits
-        if kernel is not None and _fits(b, z):
-            kernel.adisplit_cg_direction(b.size, rz_new / rz, z.ctypes.data, at[2])
-        else:
+        if kernel is None:
             p *= rz_new / rz
             p += z
+        else:
+            kernel.adisplit_cg_direction(r.size, rz_new / rz, at_z, at[2])
         rz = rz_new
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug("CG: %d iterations, relative residual %.3e",
                      iterations, history[-1])
     if history[-1] <= tol:
-        return np.ldexp(x, scale) if scale else x
+        return np.ldexp(x, scale, out=x) if scale else x
     raise NonConvergenceError(
         f"CG did not reach relative residual {tol} in {iterations} iterations "
         f"(last residual {history[-1]:.3e})",

@@ -23,9 +23,11 @@ path, kernel or fallback, at its own first use and keeps it.  The package
 needs numpy only.
 ``apply_l``, the resolvents and the Cayley transforms return a new field,
 or, given ``out=``, write into that C-contiguous float64 (n, n) array,
-which must not overlap the input, and return it wrapped as a field; the
-CN loop reuses its buffers this way, and its preconditioner is one
-``adi_product`` call.
+which must not overlap the input, and return it wrapped as a field.  An
+operator lends scratch fields for the length of a run and keeps up to
+FIELD_POOL_CAPACITY of them between runs (``lend_fields``); a
+Crank-Nicolson run takes its fields there and binds its preconditioner,
+an ADI product, to them once (``bind_adi_product``).
 
 The stability assumption ||A L^{-1}||_h <= sqrt(|lambda|_inf |mu|_inf /
 (lambda_0 mu_0)) is checked by a closed-form certificate computed from the
@@ -38,7 +40,7 @@ import ctypes
 import functools
 import logging
 import os
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -54,6 +56,9 @@ COEFF_SAMPLE_POINTS = 10_001
 # adds R_B(k/4)) keys, five with all three schemes; at m=1024 a factor
 # holds about 16 MB.
 FACTOR_CACHE_CAPACITY = 6
+# Scratch fields kept per operator between the runs it lends them to: the
+# six of one Crank-Nicolson run.
+FIELD_POOL_CAPACITY = 6
 # parts argument of the compiled stencil
 _PART_A, _PART_B, _PART_SHIFT = 1, 2, 4
 # Interior unknowns x steps per call of the compiled Cayley loop: a few
@@ -123,6 +128,8 @@ class SplitDiffusionOperator:
     mu_0: float
     _factor_cache: OrderedDict = dc_field(default_factory=OrderedDict, repr=False)
     _kron_factorization: object = dc_field(default=None, repr=False)
+    _pool: deque = dc_field(
+        default_factory=lambda: deque(maxlen=FIELD_POOL_CAPACITY), repr=False)
 
     @functools.cached_property
     def _lib(self):
@@ -187,13 +194,32 @@ class SplitDiffusionOperator:
             self.k_mu.diag, self.k_mu.off, -self.d_lambda / h2)]
         return arrays, [a.ctypes.data for a in arrays]
 
-    def diagonal_l(self) -> Field:
-        """The diagonal of L as a field (for Jacobi-type preconditioning)."""
+    def diagonal_l(self, *, out: np.ndarray | None = None) -> Field:
+        """The diagonal of L as a field (for Jacobi-type preconditioning),
+        in ``out`` if given."""
         h2 = self.grid.h ** 2
-        diag = np.outer(self.d_mu, self.k_lambda.diag)
+        diag = np.outer(self.d_mu, self.k_lambda.diag, out=out)
         diag += np.outer(self.k_mu.diag, self.d_lambda)
         diag /= -h2
         return Field(self.grid, diag)
+
+    def lend_fields(self, count: int) -> list:
+        """``count`` C-contiguous float64 (n, n) fields of unspecified
+        values, the pool's first, for the caller alone until it passes
+        them to ``take_back``.  Deque pops and appends are atomic, so
+        threads that share the operator never share a field."""
+        fields = []
+        for _ in range(count):
+            try:
+                fields.append(self._pool.pop())
+            except IndexError:
+                fields.append(np.empty((self.grid.n, self.grid.n)))
+        return fields
+
+    def take_back(self, fields) -> None:
+        """Return lent fields; the pool keeps the FIELD_POOL_CAPACITY
+        returned last."""
+        self._pool.extend(fields)
 
     # -- resolvents -----------------------------------------------------------
 
@@ -271,32 +297,44 @@ class SplitDiffusionOperator:
                 t += s
                 t *= 0.5
 
-    def adi_product(self, kappa_a: float, kappa_b: float, r: Field, *,
-                    out: np.ndarray, scratch: np.ndarray, weight: Field) -> Field:
-        """R_B(kappa_b) R_A(kappa_a) R_B(kappa_b) r + weight * r into
-        ``out``, with ``scratch`` as the middle field; neither may overlap
-        the other or an input.  Each solve has the bits of
-        ``solve_resolvent_a``/``_b`` and the sum those of numpy's
-        out + weight * r, which the kernel forms in one pass
-        (``adisplit_add_weighted``)."""
-        for u in (r, weight):
-            self._check(u, out)
-            self._check(u, scratch, "scratch")
+    def bind_adi_product(self, kappa_a: float, kappa_b: float, *,
+                         r: np.ndarray, weight: np.ndarray, out: np.ndarray,
+                         scratch: np.ndarray):
+        """A callable that writes R_B(kappa_b) R_A(kappa_a) R_B(kappa_b) r
+        + weight * r into ``out``, for what ``r`` holds at each call, with
+        ``scratch`` as the middle field.
+
+        Checked here, once: each array is a writeable C-contiguous float64
+        (n, n) array, and out and scratch overlap neither each other nor
+        an input.  The factors and addresses are taken here too, so a call
+        is three line solves and the sum, each with the bits of
+        ``solve_resolvent_a``/``_b`` and of numpy's out + weight * r
+        (``adisplit_add_weighted`` on the kernel)."""
+        arrays = dict(r=r, weight=weight, out=out, scratch=scratch)
+        for name, a in arrays.items():
+            self._check_buffer(name, a)
+        for name in ("out", "scratch"):
+            if any(np.may_share_memory(arrays[name], x) for x in (r, weight)):
+                raise ValueError(f"{name} must not overlap the input field")
         if np.may_share_memory(out, scratch):
             raise ValueError("out and scratch must not overlap")
-        x, w = (np.ascontiguousarray(u.values, dtype=np.float64) for u in (r, weight))
         fac_a, fac_b = self._factors("a", kappa_a), self._factors("b", kappa_b)
         if self._lib is None:
-            fac_b.solve(x, False, out)
-            fac_a.solve(out, False, scratch)
-            fac_b.solve(scratch, False, out)
-            np.add(out, np.multiply(w, x, out=scratch), out=out)
-            return Field(self.grid, out)
-        at = (x.ctypes.data, out.ctypes.data, scratch.ctypes.data)
-        for fac, i, j in ((fac_b, 0, 1), (fac_a, 1, 2), (fac_b, 2, 1)):
-            fac.solve_at(at[i], at[j], False)
-        self._lib.adisplit_add_weighted(x.size, w.ctypes.data, *at[:2])
-        return Field(self.grid, out)
+            def product():
+                fac_b.solve(r, False, out)
+                fac_a.solve(out, False, scratch)
+                fac_b.solve(scratch, False, out)
+                np.add(out, np.multiply(weight, r, out=scratch), out=out)
+            return product
+        add, size = self._lib.adisplit_add_weighted, r.size
+        at_r, at_w, at_o, at_s = (a.ctypes.data for a in arrays.values())
+
+        def product(arrays=arrays):  # the default keeps the arrays alive
+            fac_b.solve_at(at_r, at_o, False)
+            fac_a.solve_at(at_o, at_s, False)
+            fac_b.solve_at(at_s, at_o, False)
+            add(size, at_w, at_r, at_o)
+        return product
 
     def _line_solve(self, axis: str, kappa: float, rhs: Field, reflect: bool,
                     out: np.ndarray | None) -> Field:

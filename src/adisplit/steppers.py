@@ -2,21 +2,24 @@
 
 The step maps only require the capability set apply_a / apply_b / apply_l /
 solve_resolvent_a / solve_resolvent_b, with cayley_a and cayley_loop for
-``evolve`` and diagonal_l and adi_product for the Crank-Nicolson
-preconditioner, so any pair of dissipative operators with computable
+``evolve``, and diagonal_l, lend_fields / take_back and bind_adi_product
+for Crank-Nicolson, so any pair of dissipative operators with computable
 resolvents plugs in; cayley_loop(kappa, n, u, out=, average=) runs n
 steps of the Cayley recurrence t <- C_A C_B t, averaged with t for DR, on
-u's array with ``out`` as scratch (see ``evolve``);
-adi_product(kappa_a, kappa_b, r, out=, scratch=, weight=) writes
+u's array with ``out`` as scratch (see ``evolve``); lend_fields(count)
+lends C-contiguous float64 (n, n) fields until take_back(fields), from a
+bounded pool the operator keeps between runs;
+bind_adi_product(kappa_a, kappa_b, r=, weight=, out=, scratch=) checks
+four fields once and returns a callable that writes
 R_B(kappa_b) R_A(kappa_a) R_B(kappa_b) r + weight * r into ``out``; and
 Crank-Nicolson calls apply_l(u, sigma) for u + sigma L u.  Each result is
 a new field unless the call passes ``out=``, a C-contiguous float64 array
-that does not overlap the input; ``evolve`` and ``cn_step`` do so inside
-their loops, into buffers that live for one call, so a DR or PR run and a
-CG iteration allocate no field per step.  The diffusion instance lives in
-:mod:`adisplit.operators`, whose compiled kernel runs the DR and PR loops
-in a few calls, and each CG iteration of CN in a few passes besides the
-dot products.
+that does not overlap the input; ``evolve`` does so inside its loops, so
+a DR or PR run allocates no field per step, and a CN run works in the
+fields it borrows, so it allocates none but its result.  The diffusion
+instance lives in :mod:`adisplit.operators`, whose compiled kernel runs
+the DR and PR loops in a few calls, and each CG iteration of CN in a few
+passes besides the dot products.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ def pr_step(op, k: float, u: Field) -> Field:
 CN_JACOBI_WEIGHT = 0.1
 
 
-def cn_preconditioner(op, k: float):
+def cn_preconditioner(op, k: float, r, z, middle, jacobi):
     """Approximate inverse of I - k/2 L for Crank-Nicolson's CG solve.
 
     M^{-1} = R_B(k/4) R_A(k/2) R_B(k/4) + w J with R_X(kappa) = (I - kappa X)^{-1},
@@ -85,25 +88,58 @@ def cn_preconditioner(op, k: float):
     bounds the preconditioned spectrum away from zero there.  A and B are
     symmetric (the mass matrix is h^2 I), so the product R_B^T R_A R_B is SPD
     by congruence and adding the positive diagonal w J keeps it SPD, as
-    preconditioned CG requires.  Returns a callable ``precondition(r)`` on
-    flat residual vectors: one ``op.adi_product`` call, with the bits of
-    the three resolvent calls and numpy's sum of the Jacobi term.  It
-    returns its own output vector, which it overwrites on the next call;
-    that vector and one scratch field live as long as the callable.
+    preconditioned CG requires.  It writes w J into the caller's (n, n)
+    field ``jacobi`` and binds ``op.bind_adi_product`` to r, jacobi, z
+    and middle.  The callable ``precondition(_)`` it returns writes
+    M^{-1} r into z, for what r holds then, with the bits of the three
+    resolvent calls and numpy's sum of the Jacobi term, and returns z's
+    flat view; it ignores its argument, so CG must run on r's field.
     """
-    half, quarter = 0.5 * k, 0.25 * k
-    grid = op.grid
-    n = grid.n
-    jacobi = Field(grid, CN_JACOBI_WEIGHT / (1.0 - half * op.diagonal_l().values))
-    out, scratch = np.empty((n, n)), np.empty((n, n))
-    z = out.reshape(-1)
+    half = 0.5 * k
+    np.multiply(half, op.diagonal_l(out=jacobi).values, out=jacobi)
+    np.divide(CN_JACOBI_WEIGHT, np.subtract(1.0, jacobi, out=jacobi), out=jacobi)
+    product = op.bind_adi_product(half, 0.25 * k, r=r, weight=jacobi, out=z,
+                                  scratch=middle)
+    z_flat = z.reshape(-1)
 
-    def precondition(r):
-        op.adi_product(half, quarter, Field(grid, r.reshape(n, n)), out=out,
-                       scratch=scratch, weight=jacobi)
-        return z
+    def precondition(_):
+        product()
+        return z_flat
 
     return precondition
+
+
+class _CnRun:
+    """The fields a CN run borrows from its operator: the iterate x, CG's
+    residual r (first the right-hand side), direction p and A p, and the
+    preconditioner's z and Jacobi weights, with CG's operator and
+    preconditioner bound to them.  CG is done with A p before it
+    preconditions, so A p's field is the preconditioner's middle field
+    too."""
+
+    def __init__(self, op, k: float):
+        self.op = op
+        self.r, p, ap, z, jacobi = op.lend_fields(5)
+        self.precondition = cn_preconditioner(op, k, self.r, z, ap, jacobi)
+        # x, which the run returns and which is the one field a run of
+        # pooled fields allocates, is lent after the weights: it takes the
+        # memory of diagonal_l's temporary instead of adding to it
+        (self.x,) = op.lend_fields(1)
+        self.fields = [self.x, self.r, p, ap, z, jacobi]
+        self.vectors = self.r.reshape(-1), self.x.reshape(-1), p.reshape(-1)
+        grid, minus_half, ap_flat = op.grid, -0.5 * k, ap.reshape(-1)
+
+        def matvec(v):
+            # u + (-half) L u equals u - half L u bit for bit
+            op.apply_l(Field(grid, v.reshape(grid.n, grid.n)), minus_half, out=ap)
+            return ap_flat
+
+        self.matvec = matvec
+
+    def close(self, result: Field) -> None:
+        """Give the fields back but the one ``result`` holds, which leaves
+        the pool for good, so no later run writes it."""
+        self.op.take_back([a for a in self.fields if a is not result.values])
 
 
 def cn_step(
@@ -111,42 +147,36 @@ def cn_step(
     k: float,
     u: Field,
     handle: linsolve.LinearSolverHandle | None = None,
-    precondition=None,
+    run: _CnRun | None = None,
 ) -> Field:
     """Crank-Nicolson (trapezoidal) step: solve (I - k/2 L) w = (I + k/2 L) u.
 
     The system is SPD, solved by CG preconditioned with
     :func:`cn_preconditioner` to the handle's relative residual (default
-    1e-12); ``precondition`` is that callable built beforehand for the same
-    ``op`` and ``k``, or None to build it here.  CG's operator writes into a
-    workspace vector of this call, the preconditioner into its own.  This is
-    the reference integrator; it involves a full 2D solve and is not a
-    splitting.
+    1e-12), on the fields of ``run``: the right-hand side goes into its r,
+    so u may be its x, into which CG solves.  The step returns that x,
+    which the run's next step overwrites (``evolve`` makes one run, for
+    the same ``op`` and ``k``, for all its steps); with ``run`` None the
+    step borrows a run's fields from ``op`` and keeps only x, which it
+    returns.  This is the reference integrator; it involves a full 2D
+    solve and is not a splitting.
     """
     _check_step(k)
     if handle is None:
         handle = linsolve.LinearSolverHandle()
-    if precondition is None:
-        precondition = cn_preconditioner(op, k)
-    half = 0.5 * k
-    rhs = op.apply_l(u, half)
-    grid = op.grid
-    n = grid.n
-    a_out = np.empty((n, n))
-
-    def matvec(v):
-        # u + (-half) L u equals u - half L u bit for bit
-        op.apply_l(Field(grid, v.reshape(n, n)), -half, out=a_out)
-        return a_out.reshape(-1)
-
-    x = linsolve.conjugate_gradient(
-        matvec,
-        rhs.values.ravel(),
-        tol=handle.tol,
-        max_iter=handle.max_iter,
-        precondition=precondition,
-    )
-    return Field(grid, x.reshape(n, n))
+    own = run is None
+    if own:
+        run = _CnRun(op, k)
+    x = Field(op.grid, run.x)
+    try:
+        op.apply_l(u, 0.5 * k, out=run.r)
+        linsolve.conjugate_gradient(
+            run.matvec, *run.vectors, tol=handle.tol, max_iter=handle.max_iter,
+            precondition=run.precondition)
+        return x
+    finally:
+        if own:
+            run.close(x)
 
 
 def evolve(
@@ -171,11 +201,13 @@ def evolve(
     never, and equals the composed one-step maps up to roundoff.  The
     recurrence is one ``op.cayley_loop`` call on t's array, with a second
     buffer as its scratch and the final solve's output; ``u0`` is never
-    written.  Crank-Nicolson builds its preconditioner once per run.  A
-    step size that is not positive and finite and an n_steps that is not
-    a non-negative integer raise before any work; a non-finite final field
-    raises FloatingPointError, and so does CN's CG on a non-finite
-    right-hand side (``linsolve.NonFiniteError``).
+    written.  Crank-Nicolson borrows its fields from ``op`` and binds its
+    preconditioner to them once per run; the field of the last iterate,
+    which it returns, does not go back.  A step size that is not positive
+    and finite and an n_steps that is not a non-negative integer raise
+    before any work; a non-finite final field raises FloatingPointError,
+    and so does CN's CG on a non-finite right-hand side
+    (``linsolve.NonFiniteError``).
     """
     n_steps = operator.index(n_steps)
     if n_steps < 0:
@@ -185,9 +217,12 @@ def evolve(
     if n_steps == 0:
         pass
     elif scheme is SchemeKind.CRANK_NICOLSON:
-        precondition = cn_preconditioner(op, k)
-        for _ in range(n_steps):
-            u = cn_step(op, k, u, handle, precondition)
+        run = _CnRun(op, k)
+        try:
+            for _ in range(n_steps):
+                u = cn_step(op, k, u, handle, run)
+        finally:
+            run.close(u)
     else:
         pr = scheme is SchemeKind.PEACEMAN_RACHFORD
         kappa = 0.5 * k if pr else k

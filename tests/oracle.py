@@ -94,10 +94,10 @@ def cg_solve_l(op, f: Field, tol: float) -> Field:
     grid = op.grid
     n = grid.n
     h2 = grid.h ** 2
+    r = (-h2 * f.values).ravel()
     x = conjugate_gradient(
         lambda v: -h2 * op.apply_l(Field(grid, v.reshape(n, n))).values.ravel(),
-        (-h2 * f.values).ravel(),
-        tol=tol,
+        r, np.empty_like(r), np.empty_like(r), tol=tol,
     )
     return Field(grid, x.reshape(n, n))
 

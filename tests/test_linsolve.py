@@ -56,6 +56,12 @@ def ill_conditioned_system(n=60, seed=2):
     return mat, rng.standard_normal(n)
 
 
+def cg(matvec, b, **kwargs):
+    """conjugate_gradient on fresh vectors: r a copy of b, x and p empty."""
+    r = np.array(b, dtype=np.float64)
+    return conjugate_gradient(matvec, r, np.empty_like(r), np.empty_like(r), **kwargs)
+
+
 class TestHandle:
     def test_defaults(self):
         h = LinearSolverHandle()
@@ -83,23 +89,23 @@ class TestConjugateGradient:
         q = rng.standard_normal((12, 12))
         mat = q @ q.T + 12 * np.eye(12)
         b = rng.standard_normal(12)
-        x = conjugate_gradient(lambda v: mat @ v, b, tol=1e-13)
+        x = cg(lambda v: mat @ v, b, tol=1e-13)
         assert np.linalg.norm(mat @ x - b) <= 1e-12 * np.linalg.norm(b)
 
     def test_zero_rhs(self):
-        x = conjugate_gradient(lambda v: v, np.zeros(5))
+        x = cg(lambda v: v, np.zeros(5))
         assert np.all(x == 0.0)
 
     def test_no_preconditioner_is_plain_cg_bit_for_bit(self):
         mat, b = ill_conditioned_system()
         want = reference_cg(lambda v: mat @ v, b, 1e-12)
-        got = conjugate_gradient(lambda v: mat @ v, b, tol=1e-12, precondition=None)
+        got = cg(lambda v: mat @ v, b, tol=1e-12, precondition=None)
         assert np.array_equal(got, want)
 
     def test_identity_preconditioner_is_plain_cg_bit_for_bit(self):
         mat, b = ill_conditioned_system()
-        plain = conjugate_gradient(lambda v: mat @ v, b, tol=1e-12)
-        pcg = conjugate_gradient(lambda v: mat @ v, b, tol=1e-12,
+        plain = cg(lambda v: mat @ v, b, tol=1e-12)
+        pcg = cg(lambda v: mat @ v, b, tol=1e-12,
                                  precondition=lambda r: r)
         assert np.array_equal(plain, pcg)
 
@@ -113,7 +119,7 @@ class TestConjugateGradient:
                 calls.append(1)
                 return mat @ v
 
-            x = conjugate_gradient(matvec, b, tol=1e-12, precondition=pc)
+            x = cg(matvec, b, tol=1e-12, precondition=pc)
             assert np.linalg.norm(mat @ x - b) <= 1e-11 * np.linalg.norm(b)
             counts[name] = len(calls)
         assert counts["jacobi"] < counts["plain"] / 3
@@ -132,9 +138,9 @@ class TestConjugateGradient:
             np.divide(r, diag, out=z)
             return z
 
-        want = conjugate_gradient(lambda v: mat @ v, b, tol=1e-12,
+        want = cg(lambda v: mat @ v, b, tol=1e-12,
                                   precondition=lambda r: r / diag)
-        got = conjugate_gradient(matvec_into, b, tol=1e-12, precondition=jacobi_into)
+        got = cg(matvec_into, b, tol=1e-12, precondition=jacobi_into)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -145,24 +151,70 @@ class TestConjugateGradient:
         def matvec(v):
             raise AssertionError("CG must not iterate on a non-finite right-hand side")
 
+        r = b.copy()
         with pytest.raises(ValueError, match="not finite") as err:
-            conjugate_gradient(matvec, b)
+            conjugate_gradient(matvec, r, np.empty(16), np.empty(16))
         # a run that overflowed into it reports it as evolve does
         assert isinstance(err.value, FloatingPointError)
+        assert np.array_equal(r, b, equal_nan=True)
+
+    def test_solves_in_the_callers_vectors(self):
+        mat, b = ill_conditioned_system()
+        want = cg(lambda v: mat @ v, b, tol=1e-12)
+        r, x, p = b.copy(), np.full_like(b, np.nan), np.full_like(b, np.nan)
+        got = conjugate_gradient(lambda v: mat @ v, r, x, p, tol=1e-12)
+        assert got is x and x.tobytes() == want.tobytes()
+        # r ends as the residual b - A x that the stopping rule measured
+        assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(b)
+        assert np.allclose(r, b - mat @ x, rtol=0, atol=1e-9 * np.linalg.norm(b))
+
+    @pytest.mark.parametrize("bad,message", [
+        ("r list", "r must be"), ("x float32", "x must be"),
+        ("p strided", "p must be"), ("x shape", "x must be"),
+        ("p Fortran order", "p must be"), ("r read-only", "r must be writeable"),
+        ("x is r", "must not overlap"), ("p overlaps x", "must not overlap"),
+    ])
+    def test_unusable_vectors_rejected_before_any_work(self, bad, message):
+        # 2 x 3 vectors, so that a Fortran-ordered one is not C-contiguous
+        shape = (2, 3)
+        pair = np.zeros(12)
+        vectors = dict(r=np.ones(shape), x=np.zeros(shape), p=np.zeros(shape))
+        if bad == "r list":
+            vectors["r"] = vectors["r"].tolist()
+        elif bad == "x float32":
+            vectors["x"] = np.zeros(shape, dtype=np.float32)
+        elif bad == "p strided":
+            vectors["p"] = pair[::2].reshape(shape)
+        elif bad == "x shape":
+            vectors["x"] = np.zeros((2, 4))
+        elif bad == "p Fortran order":
+            vectors["p"] = np.zeros(shape, order="F")
+        elif bad == "r read-only":
+            vectors["r"].flags.writeable = False
+        elif bad == "x is r":
+            vectors["x"] = vectors["r"]
+        else:
+            vectors["x"], vectors["p"] = pair[:6].reshape(shape), pair[2:8].reshape(shape)
+
+        def matvec(v):
+            raise AssertionError("CG must check its vectors before iterating")
+
+        with pytest.raises(ValueError, match=message):
+            conjugate_gradient(matvec, vectors["r"], vectors["x"], vectors["p"])
 
     @pytest.mark.parametrize("scale", [1e300, 1e-200])
     def test_extreme_rhs_is_solved(self, scale):
         # the plain norm of the right-hand side over- or underflows
         mat, b = ill_conditioned_system()
-        x = conjugate_gradient(lambda v: mat @ v, scale * b, tol=1e-12)
+        x = cg(lambda v: mat @ v, scale * b, tol=1e-12)
         residual = (mat @ x) / scale - b
         assert np.linalg.norm(residual) <= 1e-11 * np.linalg.norm(b)
 
     def test_extreme_rhs_scales_the_solution_exactly(self):
         mat, b = ill_conditioned_system()
-        x = conjugate_gradient(lambda v: mat @ v, b, tol=1e-12)
+        x = cg(lambda v: mat @ v, b, tol=1e-12)
         for e in (1000, -700):
-            got = conjugate_gradient(lambda v: mat @ v, np.ldexp(b, e), tol=1e-12)
+            got = cg(lambda v: mat @ v, np.ldexp(b, e), tol=1e-12)
             assert np.array_equal(got, np.ldexp(x, e))
 
     def test_nonfinite_residual_stops_at_once(self):
@@ -173,13 +225,13 @@ class TestConjugateGradient:
             return np.full_like(v, np.nan)
 
         with pytest.raises(NonConvergenceError):
-            conjugate_gradient(matvec, np.ones(400))
+            cg(matvec, np.ones(400))
         assert len(calls) == 1
 
     def test_logs_iterations_and_residual_at_debug(self, caplog):
         mat, b = ill_conditioned_system()
         with caplog.at_level(logging.DEBUG, logger="adisplit.linsolve"):
-            conjugate_gradient(lambda v: mat @ v, b, tol=1e-12)
+            cg(lambda v: mat @ v, b, tol=1e-12)
         records = [r for r in caplog.records if r.name == "adisplit.linsolve"]
         assert len(records) == 1
         assert records[0].levelno == logging.DEBUG
@@ -189,7 +241,7 @@ class TestConjugateGradient:
     def test_silent_above_debug(self, caplog):
         mat, b = ill_conditioned_system()
         with caplog.at_level(logging.INFO, logger="adisplit.linsolve"):
-            conjugate_gradient(lambda v: mat @ v, b, tol=1e-12)
+            cg(lambda v: mat @ v, b, tol=1e-12)
         assert not [r for r in caplog.records if r.name == "adisplit.linsolve"]
 
     def test_nonconvergence_carries_history(self):
@@ -198,7 +250,7 @@ class TestConjugateGradient:
         mat = q @ q.T + 1e-6 * np.eye(20)
         b = rng.standard_normal(20)
         with pytest.raises(NonConvergenceError) as err:
-            conjugate_gradient(lambda v: mat @ v, b, tol=1e-14, max_iter=2)
+            cg(lambda v: mat @ v, b, tol=1e-14, max_iter=2)
         assert len(err.value.residuals) >= 2
 
 
@@ -230,7 +282,7 @@ def traced_cg(matvec, precondition, b, **kwargs):
         return precondition(r)
 
     try:
-        x = conjugate_gradient(traced_matvec, b, precondition=traced_precondition,
+        x = cg(traced_matvec, b, precondition=traced_precondition,
                                **kwargs)
         return x, None, ps, rs
     except NonConvergenceError as err:
@@ -272,29 +324,42 @@ class TestCompiledUpdates:
         assert calls == {}
         assert_same_run(got, want)
 
+    @pytest.mark.parametrize("path", ["kernel", "numpy"])
     @pytest.mark.parametrize("which", ["matvec", "precondition"])
-    def test_strided_results_take_the_numpy_updates(self, monkeypatch, system, which):
-        # numpy's dot products round a strided vector differently, so the
-        # reference strides it too
+    @pytest.mark.parametrize("call", [0, 1])
+    @pytest.mark.parametrize("bad", ["strided", "float32", "short", "list"])
+    def test_results_the_updates_cannot_take_are_rejected(
+            self, monkeypatch, system, path, which, call, bad):
+        # a result is checked whenever it is another array than the last
+        # one, before any update uses it
         matvec, precondition, b = system
         buf = np.empty(2 * b.size)
+        made = []
 
-        def strided(f):
+        def unusable(f):
             def apply(v):
-                buf[::2] = f(v)
-                return buf[::2]
+                y = f(v)
+                made.append(y)
+                if len(made) - 1 != call:
+                    return y
+                buf[::2] = y
+                return {"strided": buf[::2], "float32": y.astype(np.float32),
+                        "short": y[1:], "list": list(y)}[bad]
             return apply
 
         if which == "matvec":
-            matvec = strided(matvec)
+            matvec = unusable(matvec)
         else:
-            precondition = strided(precondition)
-        calls = count_kernel_updates(monkeypatch)
-        got = traced_cg(matvec, precondition, b, tol=1e-12)
-        fused = "adisplit_cg_direction" if which == "matvec" else "adisplit_cg_step"
-        assert set(calls) == {fused}
-        monkeypatch.setattr(_kernel, "load", lambda: None)
-        assert_same_run(got, traced_cg(matvec, precondition, b, tol=1e-12))
+            precondition = unusable(precondition)
+        updates = count_kernel_updates(monkeypatch)
+        if path == "numpy":
+            monkeypatch.setattr(_kernel, "load", lambda: None)
+        name = "A p" if which == "matvec" else "z"
+        with pytest.raises(ValueError, match=f"CG's {name} must be"):
+            cg(matvec, b, tol=1e-12, precondition=precondition)
+        kernel = path == "kernel"
+        assert updates["adisplit_cg_step"] == call * kernel
+        assert updates["adisplit_cg_direction"] == call * kernel * (which == "matvec")
 
     def test_crank_nicolson_runs_the_compiled_updates(self, monkeypatch):
         op = paper_operator(17)

@@ -730,109 +730,145 @@ class TestOut:
 
 def separate_adi_product(op, kappa_a, kappa_b, r, weight):
     """The ADI product by three separate resolvent calls and numpy's
-    out + weight * r: the operations ``adi_product`` replaces."""
+    out + weight * r: the operations ``bind_adi_product`` replaces."""
+    r = Field(op.grid, r)
     w = op.solve_resolvent_b(kappa_b, op.solve_resolvent_a(
         kappa_a, op.solve_resolvent_b(kappa_b, r))).values
-    return np.add(w, np.multiply(weight.values, r.values))
+    return np.add(w, np.multiply(weight, r.values))
 
 
-class TestAdiProduct:
-    """``adi_product`` on the kernel and on the fallback paths."""
+class TestBoundAdiProduct:
+    """``bind_adi_product`` on the kernel and on the fallback paths."""
 
     @pytest.mark.parametrize("m", [2, 3, 17, 18, 64, 257])
     def test_equals_the_separate_solves(self, line_path, m):
         op = paper_operator(m)
-        r, weight = random_field(op.grid, m), random_field(op.grid, m + 1)
-        before = r.values.copy()
-        out, scratch = (np.full_like(r.values, np.nan) for _ in range(2))
+        r, weight = (random_field(op.grid, m + i).values for i in range(2))
+        out, scratch = (np.full_like(r, np.nan) for _ in range(2))
         for kappa_a, kappa_b in ((2.0 ** -11, 2.0 ** -12), (0.5, 0.25), (1e3, 1e-3)):
-            want = separate_adi_product(op, kappa_a, kappa_b, r, weight)
-            got = op.adi_product(kappa_a, kappa_b, r, out=out, scratch=scratch,
-                                 weight=weight)
-            assert got.values is out
-            assert out.tobytes() == want.tobytes()
-        assert np.array_equal(r.values, before)
+            product = op.bind_adi_product(kappa_a, kappa_b, r=r, weight=weight,
+                                          out=out, scratch=scratch)
+            # each call reads what r holds then
+            for seed in (m + 2, m + 3):
+                r[...] = random_field(op.grid, seed).values
+                before = r.copy()
+                want = separate_adi_product(op, kappa_a, kappa_b, r, weight)
+                assert product() is None
+                assert out.tobytes() == want.tobytes()
+                assert np.array_equal(r, before)
 
     @needs_cc
     @pytest.mark.parametrize("m", [2, 3, 17, 18, 64, 257])
     def test_paths_agree_bit_for_bit(self, monkeypatch, m):
-        r, weight = random_field(Grid(m), m), random_field(Grid(m), m + 1)
+        r, weight = random_field(Grid(m), m).values, random_field(Grid(m), m + 1).values
 
         def compute():
             op = paper_operator(m)
-            out, scratch = np.empty_like(r.values), np.empty_like(r.values)
-            return op.adi_product(0.5, 0.25, r, out=out, scratch=scratch,
-                                  weight=weight).values
+            out, scratch = np.empty_like(r), np.empty_like(r)
+            op.bind_adi_product(0.5, 0.25, r=r, weight=weight, out=out,
+                                scratch=scratch)()
+            return out
 
         got, want = on_both_paths(monkeypatch, compute)
         assert got.tobytes() == want.tobytes()
-
-    def test_other_layouts_and_types_of_the_inputs(self, line_path):
-        op = paper_operator(20)
-        ints = np.arange(19 * 19).reshape(19, 19) % 7 - 3
-        floats = Field(op.grid, ints.astype(float))
-        want = separate_adi_product(op, 0.5, 0.25, floats, floats)
-        for field in (Field(op.grid, np.asfortranarray(ints.astype(float))),
-                      Field(op.grid, ints)):
-            out, scratch = np.empty((19, 19)), np.empty((19, 19))
-            op.adi_product(0.5, 0.25, field, out=out, scratch=scratch, weight=field)
-            assert out.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bad,message", [
         ("out shape", "out must be"), ("scratch shape", "scratch must be"),
         ("out read-only", "out must be"), ("scratch read-only", "scratch must be"),
         ("out Fortran order", "out must be"), ("scratch float32", "scratch must be"),
+        ("r Fortran order", "r must be"), ("weight integer", "weight must be"),
+        ("r of another grid", "r must be"), ("weight of another grid", "weight must be"),
         ("out is r", "out must not overlap"),
         ("scratch overlaps r", "scratch must not overlap"),
         ("out overlaps the weight", "out must not overlap"),
         ("out is scratch", "out and scratch must not overlap"),
         ("out overlaps scratch", "out and scratch must not overlap"),
     ])
-    def test_unusable_buffers_rejected(self, line_path, bad, message):
+    def test_unusable_arrays_rejected_when_bound(self, line_path, bad, message):
         op = paper_operator(9)
         n = op.grid.n
         nn = n * n
         # r and the weight live in one array, so that C-ordered views of
         # it can overlap either
         base = random_field(Grid(2 * n + 1), 1).values.reshape(-1)
-        r = Field(op.grid, base[:nn].reshape(n, n))
-        weight = Field(op.grid, base[2 * nn:3 * nn].reshape(n, n))
-        out, scratch = np.empty((n, n)), np.empty((n, n))
+        arrays = dict(r=base[:nn].reshape(n, n), weight=base[2 * nn:3 * nn].reshape(n, n),
+                      out=np.empty((n, n)), scratch=np.empty((n, n)))
         pair = np.empty(nn + n)
-        if bad == "out shape":
-            out = np.empty((n, n + 1))
-        elif bad == "scratch shape":
-            scratch = np.empty((n + 1, n))
-        elif bad == "out read-only":
-            out.flags.writeable = False
-        elif bad == "scratch read-only":
-            scratch.flags.writeable = False
-        elif bad == "out Fortran order":
-            out = np.empty((n, n), order="F")
+        name = bad.split()[0]
+        if bad.endswith("shape"):
+            arrays[name] = np.empty((n, n + 1))
+        elif bad.endswith("read-only"):
+            arrays[name].flags.writeable = False
+        elif bad.endswith("Fortran order"):
+            arrays[name] = np.asfortranarray(arrays[name])
         elif bad == "scratch float32":
-            scratch = np.empty((n, n), dtype=np.float32)
+            arrays[name] = np.empty((n, n), dtype=np.float32)
+        elif bad == "weight integer":
+            arrays[name] = np.ones((n, n), dtype=np.int64)
+        elif bad.endswith("another grid"):
+            arrays[name] = random_field(Grid(10), 2).values
         elif bad == "out is r":
-            out = r.values
+            arrays["out"] = arrays["r"]
         elif bad == "scratch overlaps r":
-            scratch = base[n:n + nn].reshape(n, n)
+            arrays["scratch"] = base[n:n + nn].reshape(n, n)
         elif bad == "out overlaps the weight":
-            out = base[2 * nn - n:3 * nn - n].reshape(n, n)
+            arrays["out"] = base[2 * nn - n:3 * nn - n].reshape(n, n)
         elif bad == "out is scratch":
-            out = scratch
+            arrays["out"] = arrays["scratch"]
         else:
-            out, scratch = pair[:nn].reshape(n, n), pair[n:].reshape(n, n)
+            arrays["out"], arrays["scratch"] = pair[:nn].reshape(n, n), pair[n:].reshape(n, n)
         before = base.copy()
         with pytest.raises(ValueError, match=message):
-            op.adi_product(0.5, 0.25, r, out=out, scratch=scratch, weight=weight)
+            op.bind_adi_product(0.5, 0.25, **arrays)
         assert np.array_equal(base, before)
+        assert not op._factor_cache
 
-    def test_rejects_a_field_of_another_grid(self, line_path):
+
+class TestFieldPool:
+    def test_lends_each_field_once_and_keeps_at_most_the_cap(self):
         op = paper_operator(9)
-        r, other = random_field(op.grid, 1), random_field(Grid(10), 2)
-        buffers = dict(out=np.empty((8, 8)), scratch=np.empty((8, 8)))
-        for r_, w in ((other, r), (r, other)):
-            with pytest.raises(ValueError, match="grid"):
-                op.adi_product(0.5, 0.25, r_, weight=w, **buffers)
+        cap = operators.FIELD_POOL_CAPACITY
+        lent = op.lend_fields(2 * cap)
+        assert len({a.ctypes.data for a in lent}) == 2 * cap
+        for a in lent:
+            assert a.shape == (8, 8) and a.dtype == np.float64
+            assert a.flags.c_contiguous and a.flags.writeable
+        op.take_back(lent[:cap])
+        op.take_back(lent[cap:])
+        assert len(op._pool) == cap
+        again = op.lend_fields(cap + 1)
+        # the fields returned last, then a new one
+        assert {a.ctypes.data for a in again[:cap]} == {a.ctypes.data for a in lent[cap:]}
+        assert all(again[cap] is not a for a in lent)
+        assert not op._pool
+
+    def test_threads_sharing_the_operator_never_share_a_field(self):
+        op = paper_operator(9)
+        rounds, errors = 300, []
+
+        def work(tag):
+            for _ in range(rounds):
+                fields = op.lend_fields(3)
+                for a in fields:
+                    a.fill(tag)
+                time.sleep(0)
+                if any((a != tag).any() for a in fields):
+                    errors.append(tag)
+                op.take_back(fields)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(tag,)) for tag in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(op._pool) == operators.FIELD_POOL_CAPACITY
 
 
 @pytest.fixture

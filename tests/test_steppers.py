@@ -1,10 +1,13 @@
 import collections
 import shutil
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from adisplit import _kernel, linsolve, operators
+from adisplit import _kernel, linsolve, operators, steppers
 from adisplit.experiments import PAPER_LAMBDA, PAPER_MU, prepare_initial_data
 from adisplit.grid import Field, Grid, discrete_norm
 from adisplit.operators import SplitDiffusionOperator, assemble_split_operator
@@ -22,6 +25,7 @@ import oracle
 from oracle import random_field, zero_field
 
 ONE = lambda x: np.ones_like(np.asarray(x, dtype=float))
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 
 
 def scalar_op():
@@ -493,16 +497,25 @@ class TestCrankNicolsonSolve:
         k = 100.0
         a, b, l = oracle.dense_assemble(op)
         eye = np.eye(op.grid.interior_count)
-        precondition = cn_preconditioner(op, k)
-        got = np.column_stack([precondition(col).copy() for col in eye])
+        r, z, middle, jacobi = op.lend_fields(4)
+        precondition = cn_preconditioner(op, k, r, z, middle, jacobi)
+        columns = []
+        for col in eye:
+            r[...] = col.reshape(r.shape)
+            columns.append(precondition(None).copy())
+        got = np.column_stack(columns)
         r_b = np.linalg.inv(eye - 0.25 * k * b)
         r_a = np.linalg.inv(eye - 0.5 * k * a)
-        jacobi = CN_JACOBI_WEIGHT / np.diag(eye - 0.5 * k * l)
-        want = r_b @ r_a @ r_b + np.diag(jacobi)
+        weights = CN_JACOBI_WEIGHT / np.diag(eye - 0.5 * k * l)
+        want = r_b @ r_a @ r_b + np.diag(weights)
         scale = np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
         assert np.max(np.abs(got - got.T)) <= 1e-13 * scale
         assert np.min(np.linalg.eigvalsh(0.5 * (got + got.T))) > 0.0
+        # the weights are numpy's formula of them, bit for bit
+        half = 0.5 * k
+        assert jacobi.tobytes() == (
+            CN_JACOBI_WEIGHT / (1.0 - half * op.diagonal_l().values)).tobytes()
 
     @pytest.mark.parametrize("m,k", [(24, 100.0), (16, 0.5)])
     def test_matches_dense_map(self, m, k):
@@ -514,49 +527,120 @@ class TestCrankNicolsonSolve:
             rel = discrete_norm(cn_step(op, k, u) - want) / discrete_norm(want)
             assert rel <= 1e-9
 
-    def test_preconditioner_overwrites_its_own_output(self, op16):
-        precondition = cn_preconditioner(op16, 0.05)
+    def test_preconditioner_reads_r_and_overwrites_z(self, op16):
+        r, z, middle, jacobi = op16.lend_fields(4)
+        precondition = cn_preconditioner(op16, 0.05, r, z, middle, jacobi)
         rng = np.random.default_rng(3)
-        r1, r2 = rng.standard_normal((2, op16.grid.interior_count))
-        first = precondition(r1)
+        r1, r2 = rng.standard_normal((2,) + r.shape)
+        r[...] = r1
+        first = precondition(None)
+        assert np.shares_memory(first, z) and first.shape == (r.size,)
         kept = first.copy()
-        assert precondition(r2) is first
+        r[...] = r2
+        assert precondition(None) is first
         assert not np.array_equal(first, kept)
-        assert precondition(r1).tobytes() == kept.tobytes()
+        r[...] = r1
+        assert precondition(None).tobytes() == kept.tobytes()
 
-    def test_cg_iterations_allocate_no_field(self, op16):
-        # every apply_l inside CG writes into one workspace of the step and
-        # every preconditioner call into the same out and scratch fields;
-        # only the right-hand side (I + k/2 L) u is a new field.  CG
-        # preconditions once before its first iteration and once after
-        # each but the last
-        rec = CallCounter(op16)
-        cn_step(rec, 0.05, random_field(op16.grid, 9))
-        matvecs = [a for a in rec.outs["apply_l"] if a is not None]
-        assert rec.outs["apply_l"].count(None) == 1 and len(matvecs) > 1
-        outs, scratches = rec.outs["adi_product"], rec.scratches["adi_product"]
-        assert len(outs) == len(matvecs)
-        assert len(set(outs)) == len(set(scratches)) == len(set(matvecs)) == 1
-        assert len({outs[0], scratches[0], matvecs[0]}) == 3
+    def test_cg_iterations_allocate_no_field(self):
+        # the right-hand side goes into one borrowed field and every
+        # apply_l inside CG into another, which is also the preconditioner's
+        # middle field; the preconditioner is bound once, and the step
+        # gives its fields back but the one it returns
+        op = assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(16))
+        rec = CallCounter(op)
+        got = cn_step(rec, 0.05, random_field(op.grid, 9))
+        rhs, *matvecs = rec.outs["apply_l"]
+        assert len(matvecs) > 1 and len(set(matvecs)) == 1
+        # x is lent on its own, after the Jacobi weights
+        assert rec.calls["lend_fields"] == 2 and rec.calls["take_back"] == 1
+        assert rec.calls["bind_adi_product"] == rec.calls["diagonal_l"] == 1
+        bound = rec.outs["bind_adi_product"] + rec.scratches["bind_adi_product"]
+        pool = {a.ctypes.data for a in op._pool}
+        assert len(pool) == operators.FIELD_POOL_CAPACITY - 1
+        assert got.values.ctypes.data not in pool
+        assert {rhs, matvecs[0], *bound} <= pool
+        assert len({rhs, matvecs[0], *bound}) == 3 and bound[1] == matvecs[0]
         assert "solve_resolvent_a" not in rec.calls
         assert "solve_resolvent_b" not in rec.calls
 
     def test_evolve_builds_the_preconditioner_once(self, op16):
-        # one Jacobi diagonal and one pair of preconditioner fields for
-        # every step of the run
+        # one set of borrowed fields, one Jacobi diagonal and one bound
+        # preconditioner for every step of the run
         rec = CallCounter(op16)
         u = random_field(op16.grid, 10)
         got = evolve(rec, SchemeKind.CRANK_NICOLSON, 0.05, 4, u)
-        assert rec.calls["diagonal_l"] == 1
-        assert rec.outs["apply_l"].count(None) == 4
-        outs, scratches = rec.outs["adi_product"], rec.scratches["adi_product"]
-        assert len(outs) > 4 * 2
-        assert len(set(outs)) == len(set(scratches)) == 1
-        assert None not in outs + scratches and outs[0] != scratches[0]
+        for name in ("take_back", "diagonal_l", "bind_adi_product"):
+            assert rec.calls[name] == 1, name
+        assert rec.calls["lend_fields"] == 2
+        outs = rec.outs["apply_l"]
+        assert None not in outs and len(set(outs)) == 2 and len(outs) > 4 * 2
         want = u
         for _ in range(4):
             want = cn_step(op16, 0.05, want)
         assert np.array_equal(got.values, want.values)
+
+    @needs_cc
+    def test_a_second_run_allocates_only_its_result(self):
+        # numpy reports its allocations to tracemalloc; the second run
+        # borrows the first run's fields, so its peak above the start is
+        # the result it returns, the isfinite mask of it, a few Python
+        # objects and, while diagonal_l forms its broadcast products,
+        # numpy's 128 KB of iterator buffers, whatever the grid
+        op = assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(256))
+        u0 = random_field(op.grid, 13)
+        k = 2.0 ** -10
+        evolve(op, SchemeKind.CRANK_NICOLSON, k, 3, u0)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            got = evolve(op, SchemeKind.CRANK_NICOLSON, k, 3, u0)
+            peak = tracemalloc.get_traced_memory()[1] - start
+            run = steppers._CnRun(op, k)
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            step = cn_step(op, k, u0, None, run)
+            step_peak = tracemalloc.get_traced_memory()[1] - start
+            run.close(step)
+        finally:
+            tracemalloc.stop()
+        nbytes = got.values.nbytes
+        assert nbytes <= peak <= nbytes + got.values.size + 2 ** 17 + 16384
+        # a step on a run's fields allocates no field at all
+        assert step.values is run.x and step_peak <= 16384
+
+    def test_two_threads_on_one_operator_give_the_serial_result(self):
+        op = assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(40))
+        k = 2.0 ** -6
+        inputs = [random_field(op.grid, seed) for seed in range(4)]
+        want = [evolve(op, SchemeKind.CRANK_NICOLSON, k, 3, u).values
+                for u in inputs]
+        got = [[] for _ in inputs]
+        barrier = threading.Barrier(len(inputs))
+
+        def work(i):
+            barrier.wait()
+            for _ in range(3):
+                got[i].append(evolve(op, SchemeKind.CRANK_NICOLSON, k, 3,
+                                     inputs[i]).values)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(len(inputs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for results, values in zip(got, want):
+            assert len(results) == 3
+            for result in results:
+                assert result.tobytes() == values.tobytes()
+        assert len(op._pool) == operators.FIELD_POOL_CAPACITY
 
     def test_few_operator_applications_on_smooth_data(self):
         # the paper's initial data at m=128, k=2^-10: the unpreconditioned
@@ -582,8 +666,9 @@ class TestCrankNicolsonSolve:
             f = Field(op.grid, v.reshape(n, n))
             return (f - 0.5 * k * op.apply_l(f)).values.ravel()
 
-        rhs = u + 0.5 * k * op.apply_l(u)
-        want = linsolve.conjugate_gradient(matvec, rhs.values.ravel())
+        rhs = (u + 0.5 * k * op.apply_l(u)).values.ravel()
+        want = linsolve.conjugate_gradient(matvec, rhs, np.empty_like(rhs),
+                                           np.empty_like(rhs))
         assert counter.calls["apply_l"] - 1 < len(plain) / 2
         assert np.max(np.abs(got.values.ravel() - want)) <= 1e-9
 
@@ -601,6 +686,40 @@ class TestCrankNicolsonSolve:
             evolve(rec, SchemeKind.CRANK_NICOLSON, 0.05, 2, u, handle)
             counts.append(rec.calls["apply_l"])
         assert counts[0] < counts[1]
+
+
+class TestBorrowedFields:
+    """A CN run works in fields its operator lends: what it returns and
+    what it reads must stay apart from them."""
+
+    def test_a_later_run_leaves_a_returned_field_alone(self):
+        op = assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(20))
+        k = 2.0 ** -6
+        first = evolve(op, SchemeKind.CRANK_NICOLSON, k, 3, random_field(op.grid, 1))
+        single = cn_step(op, k, random_field(op.grid, 2))
+        kept = [first.values.copy(), single.values.copy()]
+        for scheme in (SchemeKind.CRANK_NICOLSON, SchemeKind.PEACEMAN_RACHFORD):
+            evolve(op, scheme, k, 3, random_field(op.grid, 3))
+            for field, values in zip((first, single), kept):
+                assert field.values.tobytes() == values.tobytes()
+                assert not any(np.shares_memory(field.values, a) for a in op._pool)
+
+    @pytest.mark.parametrize("path", ["kernel", "numpy"])
+    def test_u0_stays_unwritten_and_out_of_the_pool(self, monkeypatch, path):
+        if path == "numpy":
+            monkeypatch.setattr(_kernel, "load", lambda: None)
+        elif not shutil.which("cc"):
+            pytest.skip("no C compiler")
+        op = assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(20))
+        ints = np.arange(19 * 19).reshape(19, 19) % 7 - 3
+        want = evolve(op, SchemeKind.CRANK_NICOLSON, 0.05, 3,
+                      Field(op.grid, ints.astype(float))).values
+        for values in (np.asfortranarray(ints.astype(float)), ints):
+            before = values.copy()
+            got = evolve(op, SchemeKind.CRANK_NICOLSON, 0.05, 3, Field(op.grid, values))
+            assert got.values.tobytes() == want.tobytes()
+            assert np.array_equal(values, before) and values.dtype == before.dtype
+            assert not any(np.shares_memory(values, a) for a in op._pool)
 
 
 class TestNonFinite:
