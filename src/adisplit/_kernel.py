@@ -17,11 +17,13 @@ import logging
 import os
 import re
 import tempfile
+import zlib
 from pathlib import Path
 
-# hashlib and subprocess are imported inside the functions that use them,
-# at the first kernel use, so that ``import adisplit`` loads neither and
-# its peak memory stays lower.
+# subprocess is imported inside the functions that use it, at the first
+# kernel use, so that ``import adisplit`` does not load it.  The library's
+# name takes zlib's checksums, not hashlib's digests: numpy has loaded zlib
+# already, while hashlib loads OpenSSL, 3.4 MB of resident pages.
 
 # The kernel's messages go out on the logger of the operators that use it
 logger = logging.getLogger("adisplit.operators")
@@ -98,12 +100,14 @@ def target() -> str:
 
 def library_path(host: str) -> Path:
     """Where the library built from SOURCE with FLAGS for ``host`` (as
-    ``target`` gives it) lives in the per-user cache: a file named by a
-    hash of the source, the flags and the target."""
-    import hashlib
-
+    ``target`` gives it) lives in the per-user cache: a file named by the
+    CRC-32 and Adler-32 checksums of the source, the flags and the target.
+    CRC-32 detects every change confined to 32 consecutive bits, so a
+    one-byte edit of the source or one changed macro always names another
+    file."""
     key = "\n".join((*FLAGS, *sorted(host.splitlines()))).encode()
-    tag = hashlib.sha256(SOURCE.read_bytes() + key).hexdigest()[:16]
+    data = SOURCE.read_bytes() + key
+    tag = f"{zlib.crc32(data):08x}{zlib.adler32(data):08x}"
     base = os.environ.get("XDG_CACHE_HOME", "")
     cache = Path(base if os.path.isabs(base) else Path.home() / ".cache") / "adisplit"
     return cache / f"_tridiag-{tag}.so"

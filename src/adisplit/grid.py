@@ -152,9 +152,13 @@ def interpolate(g: Callable, grid: Grid) -> Field:
 
     This realizes the trapezoidal-quadrature orthogonal projection, which on
     continuous functions coincides with piecewise-bilinear interpolation.
+    g gets an open mesh: x of shape (1, n) and y of shape (n, 1), with
+    n = grid.n, and must broadcast them; its result, an (n, n) array or
+    anything that broadcasts to one, holds the value at (x_i, y_j) in
+    [j, i].  A separable g thus evaluates its factors on n points, not n^2.
     """
     xi = grid.interior_nodes()
-    X, Y = np.meshgrid(xi, xi, indexing="xy")  # X[j, i] = x_i, Y[j, i] = y_j
+    X, Y = np.meshgrid(xi, xi, indexing="xy", sparse=True)
     vals = np.asarray(g(X, Y), dtype=float)
     vals = np.broadcast_to(vals, (grid.n, grid.n)).copy()
     if not np.all(np.isfinite(vals)):

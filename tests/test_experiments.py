@@ -1,5 +1,7 @@
 import csv
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -235,6 +237,60 @@ class TestRunConvergence:
         a = run_convergence(config, reference_data=ref)
         b = run_convergence(config)
         assert a.errors() == b.errors()
+
+    def test_rows_free_their_operator_before_the_error(self, monkeypatch):
+        # measure_error's buffers must not add to a live row operator's
+        # resolvent factors or the row's initial field
+        config = small_config()
+        ref = experiments.compute_reference(config.reference, config.t_end,
+                                            config.coeff)
+        want = run_convergence(config, reference_data=ref).errors()
+        assemble, prolong = assemble_split_operator, prolong_to
+        measure = measure_error
+        held, measured = [], []
+
+        def tracked_assemble(*args):
+            op = assemble(*args)
+            held.append(weakref.ref(op))
+            return op
+
+        def tracked_prolong(u, grid):
+            v = prolong(u, grid)
+            held.append(weakref.ref(v.values))
+            return v
+
+        def checked_measure(u, u_ref):
+            measured.append([ref() is None for ref in held])
+            return measure(u, u_ref)
+
+        monkeypatch.setattr(experiments, "assemble_split_operator", tracked_assemble)
+        monkeypatch.setattr(experiments, "prolong_to", tracked_prolong)
+        monkeypatch.setattr(experiments, "measure_error", checked_measure)
+        gc.disable()  # only reference counts may free them
+        try:
+            got = run_convergence(config, reference_data=ref).errors()
+        finally:
+            gc.enable()
+        assert got == want
+        # the first measurement's own prolongation is tracked too
+        assert [len(dead) for dead in measured] == [2, 5]
+        assert all(all(dead) for dead in measured)
+
+    @pytest.mark.parametrize("m_u, m_eta", [(16, 16), (16, 32), (32, 16)])
+    def test_reference_data_from_another_grid_rejected(self, monkeypatch,
+                                                       m_u, m_eta):
+        def no_rows(*args):
+            raise AssertionError("no row may run")
+
+        monkeypatch.setattr(steppers, "evolve", no_rows)
+        config = small_config()  # reference m=32
+        data = (Field(Grid(m_u), np.ones((m_u - 1, m_u - 1))),
+                Field(Grid(m_eta), np.ones((m_eta - 1, m_eta - 1))))
+        with pytest.raises(ValueError) as info:
+            run_convergence(config, reference_data=data)
+        assert str(info.value) == (
+            f"reference data on grids m={m_u} (solution) and m={m_eta} "
+            "(initial data) do not match the reference grid m=32")
 
     def test_render_and_csv(self, tmp_path):
         report = ConvergenceReport(

@@ -172,6 +172,34 @@ class TestInterpolate:
             np.sin(3 * np.pi * xi[5]) * np.cos(2 * np.pi * xi[2])
         )
 
+    @pytest.mark.parametrize("g", [
+        lambda x, y: np.sin(3 * np.pi * x) * np.cos(2 * np.pi * y),
+        lambda x, y: np.sin(np.pi * x) * np.sin(2 * np.pi * y),
+        lambda x, y: np.exp(x) * y + x * y ** 2,
+        lambda x, y: np.sin(x),
+        lambda x, y: 2.5,
+        lambda x, y: np.sin(x * y),
+    ], ids=["eta0", "sine-mode", "polynomial", "x-only", "scalar", "non-separable"])
+    @pytest.mark.parametrize("m", [3, 8, 23, 91, 256, 512])
+    def test_open_mesh_gives_the_full_mesh_bits(self, g, m):
+        grid = Grid(m)
+        xi = grid.interior_nodes()
+        X, Y = np.meshgrid(xi, xi, indexing="xy")
+        full = np.broadcast_to(np.asarray(g(X, Y), dtype=float), X.shape)
+        assert np.array_equal(interpolate(g, grid).values, full)
+
+    def test_g_gets_an_open_mesh(self):
+        shapes = []
+
+        def g(x, y):
+            shapes.append((x.shape, y.shape))
+            return x - y
+
+        u = interpolate(g, Grid(5))
+        assert shapes == [((1, 4), (4, 1))]
+        xi = Grid(5).interior_nodes()
+        assert u.values[3, 1] == xi[1] - xi[3]
+
     def test_reproduces_fe_functions(self):
         g = Grid(8)
         u = random_field(g, 6)

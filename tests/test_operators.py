@@ -991,6 +991,51 @@ class TestKernelBuild:
         )
 
 
+def test_library_name_hashes_the_source(monkeypatch, tmp_path):
+    # one changed byte anywhere in the source names another library
+    host = "#define __SSE2__ 1\n"
+    source = _kernel.SOURCE.read_bytes()
+    original = _kernel.library_path(host)
+    copy = tmp_path / "_tridiag.c"
+    copy.write_bytes(source)
+    monkeypatch.setattr(_kernel, "SOURCE", copy)
+    assert _kernel.library_path(host) == original
+    names = {original}
+    for at in (0, len(source) // 2, len(source) - 1):
+        for flip in (0x01, 0x80):
+            edited = bytearray(source)
+            edited[at] ^= flip
+            copy.write_bytes(bytes(edited))
+            names.add(_kernel.library_path(host))
+    copy.write_bytes(source + b" ")
+    names.add(_kernel.library_path(host))
+    assert len(names) == 8
+
+
+def test_kernel_runs_leave_openssl_unloaded():
+    # the library's name takes zlib's checksums; hashlib would load
+    # OpenSSL's _hashlib and its resident pages into every process.  The
+    # field comes from interpolate: numpy.random imports hashlib itself.
+    code = (
+        "import sys\n"
+        "from adisplit import operators, steppers\n"
+        "from adisplit.experiments import ETA0, PAPER_LAMBDA, PAPER_MU\n"
+        "from adisplit.grid import Grid, interpolate\n"
+        "op = operators.assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(17))\n"
+        "u = interpolate(ETA0, op.grid)\n"
+        "for scheme in steppers.SchemeKind:\n"
+        "    steppers.evolve(op, scheme, 1.0 / 64, 3, u)\n"
+        "print(op._lib is not None, sorted(name for name in sys.modules\n"
+        "                                  if 'hashlib' in name))\n"
+    )
+    src = str(Path(operators.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    kernel = str(shutil.which("cc") is not None)
+    assert out == f"{kernel} []\n"
+
+
 def test_import_starts_no_process():
     # the kernel is built on the first resolvent solve, never on import
     code = (

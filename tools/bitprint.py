@@ -1,7 +1,7 @@
 """Bit fingerprint of the package's numerical results, one sha256 per
 backend and loop thread count.
 
-    OPENBLAS_NUM_THREADS=1 python3 tools/bitprint.py
+    OPENBLAS_NUM_THREADS=1 python3 tools/bitprint.py [SRC]
 
 For each backend (the compiled kernel, then the numpy fallback) and each
 loop thread count (1, then 2) it prints one line ``<backend> threads=<t>
@@ -9,30 +9,39 @@ loop thread count (1, then 2) it prints one line ``<backend> threads=<t>
 coefficients and a seeded random field, the DR, PR and CN ``evolve`` runs
 of ``STEPS`` steps at every k in ``STEP_SIZES``; ``apply_l`` plain and
 with sigma = -0.25 and 0.25; and ``solve_resolvent_a/b`` and
-``cayley_a/b`` at every kappa in ``KAPPAS``.  Two trees of the package
-compute the same bits when they print the same lines on one machine, so a
-change that claims identical results runs this on both and compares.
+``cayley_a/b`` at every kappa in ``KAPPAS``.  It also covers the
+experiments' building blocks (``experiment_results``): ``interpolate`` of
+ETA0 and a sine mode, ``prepare_initial_data``, ``prolong_to`` onto a
+finer, a nested coarser and a non-nested grid, and the errors of a small
+``run_convergence`` table whose last row is finer than its reference.  Two
+trees of the package compute the same bits when they print the same lines
+on one machine, so a change that claims identical results runs this on
+both and compares.  When this tool itself changes, run the new tool
+against both trees: ``SRC`` names the ``src`` directory to import the
+package from.
 
 No hash is stored with the package: CN's CG takes numpy's dot products,
 whose rounding depends on the BLAS numpy uses and on its thread count, so
 the CN part of each hash is particular to the machine's numpy build.
 Compare two trees on one machine with the same BLAS settings.  The
 fallback lines do not depend on the loop thread count; they are printed
-for both so that the four lines line up with the kernel's.  It imports
-the package from the ``src`` directory next to ``tools``.
+for both so that the four lines line up with the kernel's.  Without
+``SRC`` it imports the package from the ``src`` directory next to
+``tools``.
 """
 
 import hashlib
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+sys.path.insert(0, sys.argv[1] if len(sys.argv) > 1
+                else str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from adisplit import _kernel, operators  # noqa: E402
-from adisplit.experiments import PAPER_LAMBDA, PAPER_MU  # noqa: E402
-from adisplit.grid import Field, Grid  # noqa: E402
+from adisplit import _kernel, experiments, operators  # noqa: E402
+from adisplit.experiments import ETA0, PAPER_LAMBDA, PAPER_MU  # noqa: E402
+from adisplit.grid import Field, Grid, interpolate, prolong_to  # noqa: E402
 from adisplit.steppers import SchemeKind, evolve  # noqa: E402
 
 GRIDS = (2, 3, 17, 18, 64, 91, 257, 513)
@@ -58,11 +67,37 @@ def results(m: int):
             yield f(kappa, u)
 
 
+def sine_mode(x, y):
+    return np.sin(np.pi * x) * np.sin(2.0 * np.pi * y)
+
+
+def experiment_results():
+    """The experiments' results the hash covers, as arrays, in a fixed
+    order: at m=64 the interpolants, the paper's initial data and its
+    prolongations onto m=128, the nested m=32 and the non-nested m=45; then
+    a PR table's errors against an m=64 reference, rows m=16, 32 and 128."""
+    grid = Grid(64)
+    yield interpolate(ETA0, grid).values
+    yield interpolate(sine_mode, grid).values
+    op = operators.assemble_split_operator(PAPER_LAMBDA, PAPER_MU, grid)
+    eta = experiments.prepare_initial_data(op)
+    yield eta.values
+    for m in (128, 32, 45):
+        yield prolong_to(eta, Grid(m)).values
+    config = experiments.ExperimentConfig(
+        scheme=SchemeKind.PEACEMAN_RACHFORD,
+        rows=[(1.0 / 16, 16), (1.0 / 32, 32), (1.0 / 128, 128)],
+        reference=experiments.ReferenceSpec(m=64, k=1.0 / 256))
+    yield np.array(experiments.run_convergence(config).errors())
+
+
 def fingerprint() -> str:
     digest = hashlib.sha256()
     for m in GRIDS:
         for field in results(m):
             digest.update(np.ascontiguousarray(field.values).tobytes())
+    for values in experiment_results():
+        digest.update(np.ascontiguousarray(values).tobytes())
     return digest.hexdigest()
 
 
