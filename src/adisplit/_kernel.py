@@ -48,7 +48,7 @@ _C_TYPES = {"l": ctypes.c_long, "i": ctypes.c_int, "d": ctypes.c_double,
 SIGNATURES = {
     "adisplit_solve_strided": ("i", "lppppi"),
     "adisplit_solve_contiguous": ("i", "lppppi"),
-    "adisplit_factor": ("i", "llppppp"),
+    "adisplit_factor": ("i", "llppp"),
     "adisplit_stencil": ("", "lidpppppppp"),
     "adisplit_cayley_loop": ("i", "lliipppppp"),
     "adisplit_add_weighted": ("", "lppp"),

@@ -3,21 +3,28 @@
  * on them, and the five-point stencil of A, B and L = A + B.
  *
  * adisplit_factor forms the factor L D L^T of every line's system with the
- * arithmetic of LAPACK dpttrf, straight into the layout the sweeps read.
- * Each solve handles every grid line of an n x n field, one system per
- * line, from that factor.  The arithmetic per line is the one of LAPACK
- * dpttrs (dptts2):
+ * arithmetic of LAPACK dpttrf and stores its multipliers e, straight into
+ * the layout the sweeps read.  A factor is those multipliers and the line
+ * coefficients (gamma, diag, off): dpttrf forms each pivot as
+ * d[p] = (1 + gamma diag[p]) - e[p-1] (gamma off[p-1]), with no division,
+ * so a sweep recomputes it from e[p-1], bit for bit, and no pivot is
+ * stored.  Each solve handles every grid line of an n x n field, one
+ * system per line, from that factor.  The arithmetic per line is the one
+ * of LAPACK dpttrs (dptts2), with each division moved into the forward
+ * pass, where x[p] is final:
  *
- *     forward   x[p] = r[p] - x[p-1] * e[p-1]                  p = 1..n-1
- *     back      x[n-1] = x[n-1] / d[n-1]
- *               x[p] = x[p] / d[p] - x[p+1] * e[p]              p = n-2..0
+ *     forward   t[0] = r[0],  t[p] = r[p] - t[p-1] * e[p-1]     p = 1..n-1
+ *               x[p] = t[p] / d[p]                              p = 0..n-1
+ *     back      x[p] = x[p] - x[p+1] * e[p]                     p = n-2..0
  *
- * so, built without floating-point contraction, the results equal dpttrs
- * bit for bit.  Many lines run side by side, which removes the wait of
- * each unknown on the one before it.  With `reflect` set the back sweep
- * also overwrites x[p+1] with 2 x[p+1] - r[p+1] as soon as x[p] no longer
- * needs it, so the output holds the Cayley transform 2 R r - r.
- * `r` and `x` must not overlap.
+ * Every operation has dpttrs's operands, so, built without floating-point
+ * contraction, the results equal dpttrs bit for bit.  The undivided t[p]
+ * is carried to the next position in a buffer of one value per line.
+ * Many lines run side by side, which removes the wait of each unknown on
+ * the one before it.  With `reflect` set the back sweep also overwrites
+ * x[p+1] with 2 x[p+1] - r[p+1] as soon as x[p] no longer needs it, so
+ * the output holds the Cayley transform 2 R r - r.  `r` and `x` must not
+ * overlap.
  *
  * adisplit_cayley_loop runs many time steps of the Cayley recurrence in
  * one call.  It may split every sweep's lines between the calling thread
@@ -42,30 +49,43 @@
 /* read by the loader, which sizes the contiguous-line factor in tiles */
 const long adisplit_tile = TILE;
 
+/* A factor comes as two arrays.  `c`, the line coefficients, holds
+ * diag[0..n-1], then off[0..n-2], then gamma of every stored line: n on the
+ * strided axis, padded with zeros to whole tiles on the contiguous one, so
+ * that a padding line gets pivot 1.  `e` holds the multipliers in the
+ * sweep layout of its axis. */
+#define GAMMA(c, n) ((c) + 2 * (n) - 1)
+
 /* w lines of length n stored position-major with stride ld: element p of
- * line l at p*ld + l, in the factor as in r and x. */
-static void sweep(long n, long w, long ld, const double *restrict d,
-                  const double *restrict e, const double *restrict r,
-                  double *restrict x, int reflect)
+ * line l at p*ld + l, in e as in r and x.  c holds the line coefficients,
+ * g the w lines' gamma and t, w doubles of scratch, the carried values
+ * from position 1 on; position 0's are r's.  Copying r into t instead
+ * made gcc call memcpy, a new PLT entry (see adisplit_factor). */
+static void sweep(long n, long w, long ld, const double *restrict c,
+                  const double *restrict g, const double *restrict e,
+                  const double *restrict r, double *restrict x,
+                  double *restrict t, int reflect)
 {
+    const double *diag = c, *off = c + n;
     long p, l;
+    const double *tq = r; /* the undivided x of position p - 1 */
     for (l = 0; l < w; l++)
-        x[l] = r[l];
+        x[l] = r[l] / (1.0 + g[l] * diag[0]);
     for (p = 1; p < n; p++) {
-        double *xp = x + p * ld;
-        const double *xq = xp - ld, *rp = r + p * ld, *ep = e + (p - 1) * ld;
-        for (l = 0; l < w; l++)
-            xp[l] = rp[l] - xq[l] * ep[l];
+        double *xp = x + p * ld, dg = diag[p], of = off[p - 1];
+        const double *rp = r + p * ld, *ep = e + (p - 1) * ld;
+        for (l = 0; l < w; l++) {
+            double tp = rp[l] - tq[l] * ep[l];
+            xp[l] = tp / ((1.0 + g[l] * dg) - ep[l] * (g[l] * of));
+            t[l] = tp;
+        }
+        tq = t;
     }
-    double *xl = x + (n - 1) * ld;
-    const double *dl = d + (n - 1) * ld;
-    for (l = 0; l < w; l++)
-        xl[l] = xl[l] / dl[l];
     for (p = n - 2; p >= 0; p--) {
         double *xp = x + p * ld, *xn = xp + ld;
-        const double *dp = d + p * ld, *ep = e + p * ld, *rn = r + (p + 1) * ld;
+        const double *ep = e + p * ld, *rn = r + (p + 1) * ld;
         for (l = 0; l < w; l++)
-            xp[l] = xp[l] / dp[l] - xn[l] * ep[l];
+            xp[l] = xp[l] - xn[l] * ep[l];
         if (reflect)
             for (l = 0; l < w; l++)
                 xn[l] = 2.0 * xn[l] - rn[l];
@@ -77,25 +97,30 @@ static void sweep(long n, long w, long ld, const double *restrict d,
 
 /* Lines along the slow axis (field[p][i] is element p of line i): the
  * field is already position-major, so all n lines sweep together.
- * d and e are stored [p][i]. */
-int adisplit_solve_strided(long n, const double *d, const double *e,
+ * e is stored [p][i].  Returns -1 if the carried values cannot be
+ * allocated. */
+int adisplit_solve_strided(long n, const double *c, const double *e,
                            const double *r, double *x, int reflect)
 {
-    sweep(n, n, n, d, e, r, x, reflect);
+    double *t = calloc(n, sizeof(double));
+    if (t == NULL)
+        return -1;
+    sweep(n, n, n, c, GAMMA(c, n), e, r, x, t, reflect);
+    free(t);
     return 0;
 }
 
 /* Contiguous lines (field[l][p] is element p of line l), tiles b0..b1-1:
  * each block of TILE lines is gathered into a position-major tile, swept
- * and scattered back.  d and e are stored [block][p][l], padded to whole
- * blocks; `tile` holds 2 TILE n doubles.  With `average` the scatter
- * writes (t + x) * 0.5 over x, t being the tile's result. */
-static void tiles(long n, long b0, long b1, const double *restrict d,
+ * and scattered back.  e is stored [block][p][l], padded to whole blocks;
+ * `tile` holds 2 TILE n doubles.  With `average` the scatter writes
+ * (t + x) * 0.5 over x, t being the tile's result. */
+static void tiles(long n, long b0, long b1, const double *restrict c,
                   const double *restrict e, const double *restrict r,
                   double *restrict x, int reflect, int average,
                   double *restrict tile)
 {
-    double *tr = tile, *tx = tile + TILE * n;
+    double *tr = tile, *tx = tile + TILE * n, carry[TILE];
     for (long b = b0; b < b1; b++) {
         long lines = n - b * TILE < TILE ? n - b * TILE : TILE;
         const double *rb = r + b * TILE * n;
@@ -108,8 +133,8 @@ static void tiles(long n, long b0, long b1, const double *restrict d,
                 for (long p = q; p < qe; p++)
                     tr[p * TILE + l] = rb[l * n + p];
         }
-        sweep(n, TILE, TILE, d + b * TILE * n, e + b * TILE * n, tr, tx,
-              reflect);
+        sweep(n, TILE, TILE, c, GAMMA(c, n) + b * TILE, e + b * TILE * n, tr,
+              tx, carry, reflect);
         for (long q = 0; q < n; q += CHUNK) {
             long qe = q + CHUNK < n ? q + CHUNK : n;
             for (long l = 0; l < lines; l++) {
@@ -128,13 +153,13 @@ static void tiles(long n, long b0, long b1, const double *restrict d,
 
 /* All contiguous lines in tiles of TILE.  Returns -1 if the tile cannot
  * be allocated. */
-int adisplit_solve_contiguous(long n, const double *d, const double *e,
+int adisplit_solve_contiguous(long n, const double *c, const double *e,
                               const double *r, double *x, int reflect)
 {
     double *tile = calloc(2 * TILE * (size_t)n, sizeof(double));
     if (tile == NULL)
         return -1;
-    tiles(n, 0, (n + TILE - 1) / TILE, d, e, r, x, reflect, 0, tile);
+    tiles(n, 0, (n + TILE - 1) / TILE, c, e, r, x, reflect, 0, tile);
     free(tile);
     return 0;
 }
@@ -142,7 +167,7 @@ int adisplit_solve_contiguous(long n, const double *d, const double *e,
 struct loop {
     long n, steps;
     int average, parts;
-    const double *da, *ea, *db, *eb;
+    const double *ca, *ea, *cb, *eb;
     double *u, *v, *tile;
     atomic_int arrived, phase;
 };
@@ -168,25 +193,29 @@ static void meet(struct loop *s)
 }
 
 /* Part `part` of `s->parts`: columns i0..i1-1 of every B sweep and tiles
- * b0..b1-1 of every A sweep.  The fields are read into locals once, and
- * each branch passes `average` to `tiles` as a constant: with one call
- * taking it as a variable, gcc -O3 inlined `tiles` everywhere, and both
- * this loop at m = 16 and adisplit_solve_contiguous ran 3-9% slower. */
+ * b0..b1-1 of every A sweep.  The part's (2 TILE + 1) n doubles of `tile`
+ * are the A sweep's tile and then the B sweep's carried values.  The
+ * fields are read into locals once, and each branch passes `average` to
+ * `tiles` as a constant: with one call taking it as a variable, gcc -O3
+ * inlined `tiles` everywhere, and both this loop at m = 16 and
+ * adisplit_solve_contiguous ran 3-9% slower. */
 static void run_part(struct loop *s, int part)
 {
     long n = s->n, steps = s->steps, nb = (n + TILE - 1) / TILE;
     long i0 = part * n / s->parts, i1 = (part + 1) * n / s->parts;
     long b0 = part * nb / s->parts, b1 = (part + 1) * nb / s->parts;
     int average = s->average;
-    const double *da = s->da, *ea = s->ea, *db = s->db + i0, *eb = s->eb + i0;
-    double *u = s->u, *v = s->v, *tile = s->tile + part * 2 * TILE * n;
+    const double *ca = s->ca, *ea = s->ea, *cb = s->cb, *eb = s->eb + i0;
+    const double *gb = GAMMA(cb, n) + i0;
+    double *u = s->u, *v = s->v, *tile = s->tile + part * (2 * TILE + 1) * n;
+    double *carry = tile + 2 * TILE * n;
     for (long step = 0; step < steps; step++) {
-        sweep(n, i1 - i0, n, db, eb, u + i0, v + i0, 1);
+        sweep(n, i1 - i0, n, cb, gb, eb, u + i0, v + i0, carry, 1);
         meet(s);
         if (average)
-            tiles(n, b0, b1, da, ea, v, u, 1, 1, tile);
+            tiles(n, b0, b1, ca, ea, v, u, 1, 1, tile);
         else
-            tiles(n, b0, b1, da, ea, v, u, 1, 0, tile);
+            tiles(n, b0, b1, ca, ea, v, u, 1, 0, tile);
         meet(s);
     }
 }
@@ -208,15 +237,15 @@ static void *worker(void *arg)
  * number of threads used (1 where the worker cannot be started), or -1 if
  * the tiles cannot be allocated. */
 int adisplit_cayley_loop(long n, long steps, int average, int threads,
-                         const double *da, const double *ea, const double *db,
+                         const double *ca, const double *ea, const double *cb,
                          const double *eb, double *u, double *v)
 {
     struct loop s = {.n = n, .steps = steps, .average = average,
                      .parts = threads >= 2 ? 2 : 1,
-                     .da = da, .ea = ea, .db = db, .eb = eb, .u = u, .v = v};
+                     .ca = ca, .ea = ea, .cb = cb, .eb = eb, .u = u, .v = v};
     atomic_init(&s.arrived, 0);
     atomic_init(&s.phase, 0);
-    s.tile = calloc(s.parts * 2 * TILE * (size_t)n, sizeof(double));
+    s.tile = calloc(s.parts * (2 * TILE + 1) * (size_t)n, sizeof(double));
     if (s.tile == NULL)
         return -1;
     pthread_t other;
@@ -295,47 +324,46 @@ void adisplit_stencil(long n, int parts, double sigma, const double *ad,
     }
 }
 
-/* The factor of I + gamma[l] K for lines l = 0..n-1, K the symmetric
- * tridiagonal matrix of order n with diagonal `diag` and off-diagonal
- * `off`, with dpttrf's arithmetic per line:
+/* The multipliers of the factor of I + gamma[l] K for lines l = 0..n-1,
+ * K the symmetric tridiagonal matrix of order n with diagonal `diag` and
+ * off-diagonal `off`, all three read from the line coefficients `c`, with
+ * dpttrf's arithmetic per line:
  *
  *     d[0] = 1 + gamma diag[0]
  *     ei = gamma off[p],  e[p] = ei / d[p],
  *     d[p+1] = (1 + gamma diag[p+1]) - e[p] ei                p = 0..n-2
  *
+ * Only e is stored.  The pivots of the current position live in `d`, w
+ * doubles of scratch; a sweep recomputes them with the same operations.
  * The lines are stored in blocks of w, position-major: element p of line
  * l at (l / w) w n + p w + l % w, so w = n gives the [p][l] layout of
  * adisplit_solve_strided and w = TILE the [tile][p][l] one of
- * adisplit_solve_contiguous.  The lines that fill the last block get
- * d = 1.  `e` must come zeroed: e[n-1] and the filling lines' e stay 0,
- * and storing no zeros keeps gcc from calling memset, whose PLT entry
- * would move every other function of the library.  Returns 1 if a pivot
- * d[p] is not positive, else 0. */
-int adisplit_factor(long n, long w, const double *restrict gamma,
-                    const double *restrict diag, const double *restrict off,
+ * adisplit_solve_contiguous.  `e` must come zeroed: e[n-1] and the lines
+ * that fill the last block stay 0, and storing no zeros keeps gcc from
+ * calling memset, whose PLT entry would move every other function of the
+ * library.  Returns 1 if a pivot is not positive, else 0. */
+int adisplit_factor(long n, long w, const double *restrict c,
                     double *restrict d, double *restrict e)
 {
+    const double *diag = c, *off = c + n, *gamma = GAMMA(c, n);
     int bad = 0;
     for (long l0 = 0; l0 < n; l0 += w) {
         long live = n - l0 < w ? n - l0 : w;
         const double *g = gamma + l0;
-        double *db = d + l0 * n, *eb = e + l0 * n;
+        double *eb = e + l0 * n;
         for (long l = 0; l < live; l++)
-            db[l] = 1.0 + g[l] * diag[0];
+            d[l] = 1.0 + g[l] * diag[0];
         for (long p = 0; p + 1 < n; p++) {
-            double *dp = db + p * w, *ep = eb + p * w;
+            double *ep = eb + p * w;
             for (long l = 0; l < live; l++) {
                 double ei = g[l] * off[p];
-                bad |= dp[l] <= 0.0;
-                ep[l] = ei / dp[l];
-                dp[w + l] = (1.0 + g[l] * diag[p + 1]) - ep[l] * ei;
+                bad |= d[l] <= 0.0;
+                ep[l] = ei / d[l];
+                d[l] = (1.0 + g[l] * diag[p + 1]) - ep[l] * ei;
             }
         }
         for (long l = 0; l < live; l++)
-            bad |= db[(n - 1) * w + l] <= 0.0;
-        for (long p = 0; p < n; p++)
-            for (long l = live; l < w; l++)
-                db[p * w + l] = 1.0;
+            bad |= d[l] <= 0.0;
     }
     return bad;
 }

@@ -4,23 +4,23 @@ The 2D operator splits as L = A + B where A acts along x with coefficient
 lambda(x)*mu(y) and B along y.  With trapezoidal quadrature the mass matrix
 is h^2*I and the stiffness matrices factor into Kronecker products of a 1D
 tridiagonal stiffness matrix and a diagonal coefficient matrix, so A and B
-apply line by line and each resolvent reduces to one SPD tridiagonal
-system per grid line.  The lines are factored and solved by a small
-compiled kernel (``_tridiag.c``) that sweeps many lines side by side with
-the arithmetic of LAPACK's dpttrf and dpttrs; the same kernel applies A, B
-or L as one five-point stencil pass, and runs the Cayley recurrence
-t <- C_A C_B t, or its average with t, for many steps per call
-(``cayley_loop``), on two threads from m = 512 where two CPUs are
-available.  The loop knows no scheme: ``steppers.evolve`` builds the DR
-and PR runs from it, and this module never imports the steppers.  It is
-built with ``cc`` for the host CPU on the first resolvent solve or
-application in a process (never on import) into a per-user cache, by
-:mod:`adisplit._kernel`.  Where
-it cannot be built the factors and solves fall back to the same
-recurrences in numpy, the applications to numpy and the recurrence to one
-Cayley call per transform, with the same results.  Each operator fixes its
-path, kernel or fallback, at its own first use and keeps it.  The package
-needs numpy only.
+apply line by line and each resolvent reduces to one SPD tridiagonal system
+per grid line.  The lines are factored and solved by a small compiled
+kernel (``_tridiag.c``) that sweeps many lines side by side with the
+arithmetic of LAPACK's dpttrf and dpttrs.  Its factors keep dpttrf's
+multipliers only, one field's worth: each sweep recomputes the pivots from
+them bit for bit.  The same kernel applies A, B or L as one five-point
+stencil pass, and runs the Cayley recurrence t <- C_A C_B t, or its
+average with t, for many steps per call (``cayley_loop``), on two threads
+from m = 512 where two CPUs are available.  The loop knows no scheme:
+``steppers.evolve`` builds the DR and PR runs from it, and this module
+never imports the steppers.  It is built with ``cc`` for the host CPU on
+the first resolvent solve or application in a process (never on import)
+into a per-user cache, by :mod:`adisplit._kernel`.  Where it cannot be
+built the factors and solves fall back to the same recurrences in numpy,
+the applications to numpy and the recurrence to one Cayley call per
+transform, with the same results.  Each operator fixes its path, kernel or
+fallback, at its own first use and keeps it.  The package needs numpy only.
 ``apply_l``, the resolvents and the Cayley transforms return a new field,
 or, given ``out=``, write into that C-contiguous float64 (n, n) array,
 which must not overlap the input, and return it wrapped as a field.  An
@@ -54,7 +54,7 @@ COEFF_SAMPLE_POINTS = 10_001
 # Resolvent factors kept per operator, least recently used evicted first.
 # One step size needs two (DR), two (PR) or three (CN, whose preconditioner
 # adds R_B(k/4)) keys, five with all three schemes; at m=1024 a factor
-# holds about 16 MB.
+# holds about 8 MB.
 FACTOR_CACHE_CAPACITY = 6
 # Scratch fields kept per operator between the runs it lends them to: the
 # six of one Crank-Nicolson run.
@@ -272,7 +272,7 @@ class SplitDiffusionOperator:
             for done in range(0, n_steps, per_call):
                 threads = self._lib.adisplit_cayley_loop(
                     n, min(per_call, n_steps - done), average, want,
-                    fac_a.d_ptr, fac_a.e_ptr, fac_b.d_ptr, fac_b.e_ptr,
+                    fac_a.c_ptr, fac_a.e_ptr, fac_b.c_ptr, fac_b.e_ptr,
                     u.values.ctypes.data, out.ctypes.data)
                 if threads < 0:
                     raise MemoryError("Cayley loop could not allocate its tiles")
@@ -407,35 +407,34 @@ def _check_pivots(bad) -> None:
 
 class _KernelFactor:
     """A line factor in the compiled kernel's sweep order, formed by the
-    kernel (``adisplit_factor``).
+    kernel (``adisplit_factor``): dpttrf's multipliers ``e`` and the line
+    coefficients ``c`` (K's diagonal and off-diagonal, then gamma per
+    line), from which every sweep recomputes dpttrf's pivots bit for bit.
 
-    Axis "b" lines run along axis 0 of the C-ordered field, so the factor is
-    stored [position][line] and all lines sweep together, row by row,
-    directly on the field.  Axis "a" lines are contiguous; the kernel sweeps
-    them in tiles of ``adisplit_tile`` lines, so the factor is stored
-    [tile][position][line], padded with identity lines (d = 1, e = 0) to
-    whole tiles.
+    e is stored [block][position][line].  Axis "b" lines run along axis 0
+    of the C-ordered field, so they form one block and all sweep together,
+    row by row, directly on the field.  Axis "a" lines are contiguous; the
+    kernel sweeps them in tiles of ``adisplit_tile`` lines, one block each,
+    padded to whole tiles with identity lines (gamma = 0, e = 0).
     """
 
     def __init__(self, kernel, axis: str, gamma: np.ndarray, k1d: TridiagonalMatrix):
         n = gamma.size
         if axis == "b":
-            width, shape = n, (n, n)
-            self._solve = kernel.adisplit_solve_strided
+            width, self._solve = n, kernel.adisplit_solve_strided
         else:
             width = ctypes.c_long.in_dll(kernel, "adisplit_tile").value
-            shape = (-(-n // width), n, width)
             self._solve = kernel.adisplit_solve_contiguous
         # adisplit_factor stores no zeros: e's last positions and padding
         # lines keep np.zeros's
-        self.d, self.e = np.empty(shape), np.zeros(shape)
+        self.e = np.zeros((-(-n // width), n, width))
+        self.c = np.concatenate((k1d.diag, k1d.off, gamma,
+                                 np.zeros(-n % width)), dtype=np.float64)
         self.n = n
-        self.d_ptr, self.e_ptr = self.d.ctypes.data, self.e.ctypes.data
-        gamma, diag, off = (np.ascontiguousarray(a, dtype=np.float64)
-                            for a in (gamma, k1d.diag, k1d.off))
+        self.c_ptr, self.e_ptr = self.c.ctypes.data, self.e.ctypes.data
+        pivots = np.empty(width)  # one position's, scratch of the factor
         _check_pivots(kernel.adisplit_factor(
-            n, width, gamma.ctypes.data, diag.ctypes.data, off.ctypes.data,
-            self.d_ptr, self.e_ptr))
+            n, width, self.c_ptr, pivots.ctypes.data, self.e_ptr))
 
     def solve(self, rhs: np.ndarray, reflect: bool,
               out: np.ndarray | None = None) -> np.ndarray:
@@ -449,8 +448,8 @@ class _KernelFactor:
     def solve_at(self, r: int, x: int, reflect: bool) -> None:
         """``solve`` between the C-ordered float64 fields at addresses r
         and x."""
-        if self._solve(self.n, self.d_ptr, self.e_ptr, r, x, reflect) != 0:
-            raise MemoryError("tridiagonal kernel could not allocate its tile")
+        if self._solve(self.n, self.c_ptr, self.e_ptr, r, x, reflect) != 0:
+            raise MemoryError("tridiagonal kernel could not allocate its scratch")
 
 
 class _NumpyFactor:

@@ -422,24 +422,64 @@ class TestFactorBits:
     @needs_cc
     @pytest.mark.parametrize("m", FACTOR_GRIDS)
     def test_kernel_factor_is_dpttrf_in_the_sweep_layout(self, m):
+        # the kernel stores dpttrf's e, and the pivots its sweeps recompute
+        # from e and the line coefficients c, in the kernel's operation
+        # order, are dpttrf's d; axis "a" is padded to whole tiles with
+        # identity lines (gamma 0, so pivot 1, and e = 0)
         op = paper_operator(m)
         n = op.grid.n
         assert op._lib is not None
         tile = operators.ctypes.c_long.in_dll(op._lib, "adisplit_tile").value
-        blocks = -(-n // tile)
         for kappa in FACTOR_KAPPAS:
-            d, e = lapack_factor(op, "b", kappa)
-            fac = op._factors("b", kappa)
-            assert fac.d.tobytes() == d.T.tobytes()
-            assert fac.e.tobytes() == e.T.tobytes()
-            # [tile][position][line], padded with identity lines
-            d, e = lapack_factor(op, "a", kappa)
-            pad = blocks * tile - n
-            d = np.vstack([d, np.ones((pad, n))]).reshape(blocks, tile, n)
-            e = np.vstack([e, np.zeros((pad, n))]).reshape(blocks, tile, n)
-            fac = op._factors("a", kappa)
-            assert fac.d.tobytes() == d.transpose(0, 2, 1).tobytes()
-            assert fac.e.tobytes() == e.transpose(0, 2, 1).tobytes()
+            for axis, k1d, coef in (("a", op.k_lambda, op.d_mu),
+                                    ("b", op.k_mu, op.d_lambda)):
+                d, e = lapack_factor(op, axis, kappa)  # [line][position]
+                fac = op._factors(axis, kappa)
+                # [block][position][line], blocks of whole tiles on axis "a"
+                width = tile if axis == "a" else n
+                pad = -n % width
+                d = np.vstack([d, np.ones((pad, n))])
+                e = np.vstack([e, np.zeros((pad, n))])
+                stored = e.reshape(-1, width, n).transpose(0, 2, 1)
+                assert fac.e.tobytes() == stored.tobytes()
+                lines = fac.e.transpose(0, 2, 1).reshape(-1, n)
+                diag, off, gamma = np.split(fac.c, [n, 2 * n - 1])
+                want = np.zeros(len(d))
+                want[:n] = kappa * coef / op.grid.h ** 2
+                assert diag.tobytes() == k1d.diag.tobytes()
+                assert off.tobytes() == k1d.off.tobytes()
+                assert gamma.tobytes() == want.tobytes()
+                g = gamma[:, None]
+                pivots = np.empty_like(d)
+                pivots[:, 0] = 1.0 + gamma * diag[0]
+                pivots[:, 1:] = (1.0 + g * diag[1:]) - lines[:, :-1] * (g * off)
+                assert pivots.tobytes() == d.tobytes()
+
+    @needs_cc
+    @pytest.mark.parametrize("m", [2, 17, 18, 91, 256])
+    def test_kernel_factor_holds_multipliers_and_line_data(self, m):
+        # n^2 multipliers, rounded up to whole tiles on axis "a", and O(n)
+        # line coefficients: no field-sized array of pivots
+        op = paper_operator(m)
+        n = op.grid.n
+        tile = operators.ctypes.c_long.in_dll(op._lib, "adisplit_tile").value
+        for axis, lines in (("a", -(-n // tile) * tile), ("b", n)):
+            fac = op._factors(axis, 0.5)
+            held = sum(a.nbytes for a in vars(fac).values()
+                       if isinstance(a, np.ndarray))
+            assert lines * n * 8 <= held <= (lines * n + 3 * n + tile) * 8
+
+    @needs_cc
+    def test_strided_solve_reports_a_failed_allocation(self):
+        # calloc of 2^61 doubles overflows size_t and fails before the
+        # sweep touches an array; the factor turns -1 into MemoryError
+        lib = _kernel.load()
+        assert lib.adisplit_solve_strided(2 ** 61, None, None, None, None, 0) == -1
+        op = paper_operator(8)
+        fac = op._factors("b", 0.5)
+        fac._solve = lambda *args: -1
+        with pytest.raises(MemoryError, match="could not allocate"):
+            op.solve_resolvent_b(0.5, random_field(op.grid))
 
     @pytest.mark.parametrize("m", FACTOR_GRIDS)
     def test_numpy_factor_and_solve_are_dpttrf_and_dpttrs(self, monkeypatch, m):

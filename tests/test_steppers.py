@@ -584,9 +584,9 @@ class TestCrankNicolsonSolve:
     def test_a_second_run_allocates_only_its_result(self):
         # numpy reports its allocations to tracemalloc; the second run
         # borrows the first run's fields, so its peak above the start is
-        # the result it returns, the isfinite mask of it, a few Python
-        # objects and, while diagonal_l forms its broadcast products,
-        # numpy's 128 KB of iterator buffers, whatever the grid
+        # the result it returns, a few Python objects and, while
+        # diagonal_l forms its broadcast products, numpy's 128 KB of
+        # iterator buffers, whatever the grid
         op = assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(256))
         u0 = random_field(op.grid, 13)
         k = 2.0 ** -10
@@ -605,7 +605,7 @@ class TestCrankNicolsonSolve:
         finally:
             tracemalloc.stop()
         nbytes = got.values.nbytes
-        assert nbytes <= peak <= nbytes + got.values.size + 2 ** 17 + 16384
+        assert nbytes <= peak <= nbytes + 2 ** 17 + 16384
         # a step on a run's fields allocates no field at all
         assert step.values is run.x and step_peak <= 16384
 
@@ -732,6 +732,31 @@ class TestNonFinite:
         message = rf"{scheme.value}.*k=0\.01.*5 steps"
         with pytest.raises(FloatingPointError, match=message):
             evolve(op8, scheme, 0.01, 5, Field(op8.grid, values))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    def test_zero_steps_check_the_initial_field(self, op8, scheme, bad):
+        # -inf reaches only the minimum, +inf only the maximum
+        values = random_field(op8.grid).values
+        values[4, 1] = bad
+        with pytest.raises(FloatingPointError, match="0 steps.*non-finite"):
+            evolve(op8, scheme, 0.01, 0, Field(op8.grid, values))
+
+    def test_the_check_allocates_no_mask(self):
+        # numpy reports its allocations to tracemalloc; a zero-step run is
+        # the finiteness check alone, where a bool mask would take n^2 bytes
+        op = assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(256))
+        u = random_field(op.grid, 3)
+        for scheme in SchemeKind:
+            evolve(op, scheme, 0.01, 0, u)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                evolve(op, scheme, 0.01, 0, u)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            assert peak < 4096, scheme
 
     def test_nan_initial_field_crank_nicolson(self, op8):
         values = random_field(op8.grid).values

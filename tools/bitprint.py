@@ -8,12 +8,15 @@ loop thread count (1, then 2) it prints one line ``<backend> threads=<t>
 <sha256>``.  The hash covers, at m in ``GRIDS`` on the paper's
 coefficients and a seeded random field, the DR, PR and CN ``evolve`` runs
 of ``STEPS`` steps at every k in ``STEP_SIZES``; ``apply_l`` plain and
-with sigma = -0.25 and 0.25; and ``solve_resolvent_a/b`` and
-``cayley_a/b`` at every kappa in ``KAPPAS``.  It also covers the
-experiments' building blocks (``experiment_results``): ``interpolate`` of
-ETA0 and a sine mode, ``prepare_initial_data``, ``prolong_to`` onto a
-finer, a nested coarser and a non-nested grid, and the errors of a small
-``run_convergence`` table whose last row is finer than its reference.  Two
+with sigma = -0.25 and 0.25; ``solve_resolvent_a/b`` and ``cayley_a/b``
+at every kappa in ``KAPPAS``; and the multipliers e of both axes' factors
+at those kappas, in [line][position] order whatever the layout the
+backend stores them in, so that the fallback lines can equal the
+kernel's.  It also covers the experiments' building blocks
+(``experiment_results``): ``interpolate`` of ETA0 and a sine mode,
+``prepare_initial_data``, ``prolong_to`` onto a finer, a nested coarser
+and a non-nested grid, and the errors of a small ``run_convergence``
+table whose last row is finer than its reference.  Two
 trees of the package compute the same bits when they print the same lines
 on one machine, so a change that claims identical results runs this on
 both and compares.  When this tool itself changes, run the new tool
@@ -52,19 +55,30 @@ KAPPAS = (1e-3, 1.0, 1e3)
 
 
 def results(m: int):
-    """Every result the hash covers at grid m, in a fixed order."""
+    """Every result the hash covers at grid m, as arrays, in a fixed order."""
     op = operators.assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(m))
     n = op.grid.n
     u = Field(op.grid, np.random.default_rng(m).standard_normal((n, n)))
     for k in STEP_SIZES:
         for scheme in SchemeKind:
-            yield evolve(op, scheme, k, STEPS, u)
+            yield evolve(op, scheme, k, STEPS, u).values
     for sigma in SIGMAS:
-        yield op.apply_l(u, sigma)
+        yield op.apply_l(u, sigma).values
     for kappa in KAPPAS:
         for f in (op.solve_resolvent_a, op.solve_resolvent_b,
                   op.cayley_a, op.cayley_b):
-            yield f(kappa, u)
+            yield f(kappa, u).values
+        for axis in ("a", "b"):
+            yield multipliers(op._factors(axis, kappa).e, n)
+
+
+def multipliers(e: np.ndarray, n: int) -> np.ndarray:
+    """A factor's e as [line][position] for the n lines of the grid: both
+    backends store blocks [block][position][line] (the numpy fallback and
+    a strided kernel factor one block of all lines, possibly without the
+    block axis), the kernel's contiguous axis padded to whole tiles."""
+    blocks = e.reshape(-1, n, e.shape[-1])
+    return blocks.transpose(0, 2, 1).reshape(-1, n)[:n]
 
 
 def sine_mode(x, y):
@@ -94,8 +108,8 @@ def experiment_results():
 def fingerprint() -> str:
     digest = hashlib.sha256()
     for m in GRIDS:
-        for field in results(m):
-            digest.update(np.ascontiguousarray(field.values).tobytes())
+        for values in results(m):
+            digest.update(np.ascontiguousarray(values).tobytes())
     for values in experiment_results():
         digest.update(np.ascontiguousarray(values).tobytes())
     return digest.hexdigest()
