@@ -212,13 +212,17 @@ def prepare_initial_data(op: SplitDiffusionOperator) -> Field:
     interpolant of ETA0, normalized by the nodal max (exact L-infinity norm
     for piecewise-bilinear functions).
 
-    Raises ValueError where ETA0's interpolant is negligible (see
-    ``initial_interpolant``).
+    A Kronecker factorization the solves make is dropped before the
+    normalization; one the operator caches is used and kept.  Raises
+    ValueError where ETA0's interpolant is negligible.
     """
+    kept = op._kron_factorization
     u = initial_interpolant(op.grid)
     for _ in range(4):
         u = linsolve.solve_lh(op, u)
-    return Field(op.grid, u.values / max_norm(u))
+    op._kron_factorization = kept
+    np.divide(u.values, max_norm(u), out=u.values)
+    return u
 
 
 def measure_error(u_coarse: Field, u_ref: Field) -> float:

@@ -104,17 +104,19 @@ def conjugate_gradient(
     the preconditioner may overwrite ``A p``: CG is done with ``A p``
     before it preconditions, and with ``z`` (copied into or added to
     ``p``) before its next matvec.  ``matvec`` must not keep the vector
-    it is given.  Dot products use numpy's fixed pairwise reduction, so a
-    given system solves to bitwise-identical iterates on repeated runs.
+    it is given.  Dot products are numpy's ``@``, BLAS ddot: their bits
+    depend on the BLAS and its thread count, and repeated solves of a
+    system in one process give bitwise-identical iterates.
     Each solve's iteration count and final relative residual are logged
     at DEBUG.  Where the compiled kernel (``_kernel.load()``, called per
     solve, so even a dense system loads or builds it) is available,
     x += alpha p with r -= alpha A p, and p = p beta + z, each run as one
-    compiled pass; otherwise numpy runs them.  Both give the same bits, and the dot products are numpy's
-    either way.  A non-finite b raises NonFiniteError before any
-    iteration and leaves r as it was.  A finite b whose norm leaves
-    SAFE_NORM_RANGE is solved scaled by a power of two in r, which scales
-    every iterate exactly, and the solution is scaled back.
+    compiled pass; otherwise numpy runs them.  Both give the same bits,
+    and the dot products are numpy's either way.  A non-finite b raises
+    NonFiniteError before any iteration and leaves r as it was.  A finite
+    b whose norm leaves SAFE_NORM_RANGE is solved scaled by a power of two
+    in r, which scales every iterate exactly, and the solution is scaled
+    back.
     """
     for name, v in (("r", r), ("x", x), ("p", p)):
         if not _vector(name, v, np.shape(r)).flags.writeable:
@@ -217,12 +219,14 @@ class KroneckerFactorization:
         self.denom = self.theta_mu[:, None] + self.theta_lam[None, :]
 
     def solve_stiffness(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (K_A + K_B) x = rhs for a (n, n) array with rows indexed by j."""
-        w = rhs * np.outer(self.dm_isqrt, self.dl_isqrt)
-        c = self.v_mu.T @ w @ self.v_lam
-        c /= self.denom
-        w = self.v_mu @ c @ self.v_lam.T
-        return w * np.outer(self.dm_isqrt, self.dl_isqrt)
+        """Solve (K_A + K_B) x = rhs for a (n, n) array with rows indexed by
+        j, in two field-sized arrays that take each product (matmul's
+        ``out``) and each scaling in place, with the expression's bits."""
+        w = np.outer(self.dm_isqrt, self.dl_isqrt)
+        c = np.matmul(self.v_mu.T, np.multiply(rhs, w, out=w))
+        np.divide(np.matmul(c, self.v_lam, out=w), self.denom, out=w)
+        np.matmul(np.matmul(self.v_mu, w, out=c), self.v_lam.T, out=w)
+        return np.multiply(w, np.outer(self.dm_isqrt, self.dl_isqrt, out=c), out=w)
 
 
 def _eigh_tridiagonal(diag: np.ndarray, off: np.ndarray):

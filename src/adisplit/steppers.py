@@ -200,8 +200,9 @@ def evolve(
     R_A (I + k^2 A B) R_B = (I + C_A C_B) / 2.  A run applies B once and A
     never, and equals the composed one-step maps up to roundoff.  The
     recurrence is one ``op.cayley_loop`` call on t's array, with a second
-    buffer as its scratch and the final solve's output; ``u0`` is never
-    written.  Crank-Nicolson borrows its fields from ``op`` and binds its
+    buffer as its scratch and the final solve's output; the start is
+    formed in B u0's array, and ``u0`` is never written and not kept.
+    Crank-Nicolson borrows its fields from ``op`` and binds its
     preconditioner to them once per run; the field of the last iterate,
     which it returns, does not go back.  A step size that is not positive
     and finite and an n_steps that is not a non-negative integer raise
@@ -226,8 +227,11 @@ def evolve(
     else:
         pr = scheme is SchemeKind.PEACEMAN_RACHFORD
         kappa = 0.5 * k if pr else k
-        start = u0 + kappa * op.apply_b(u0) if pr else u0 - k * op.apply_b(u0)
-        t = Field(u0.grid, np.ascontiguousarray(start.values, dtype=np.float64))
+        # u0 + kappa B u0 (PR) or u0 - k B u0 (DR), in B u0's new array
+        t = op.apply_b(u0)
+        np.multiply(t.values, kappa, out=t.values)
+        (np.add if pr else np.subtract)(u0.values, t.values, out=t.values)
+        del u0, u  # a caller's temporary input is freed before the factors
         w = np.empty_like(t.values)
         if pr:
             t, w = op.cayley_a(kappa, t, out=w), t.values

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from adisplit import experiments, steppers
+from adisplit import experiments, linsolve, steppers
 from adisplit.cli import main
 from adisplit.experiments import (
     DR_ROWS,
@@ -117,6 +117,24 @@ class TestInitialData:
         want = v.values / np.max(np.abs(v.values))
         got = prepare_initial_data(op)
         assert np.allclose(got.values, want, atol=1e-9)
+
+    def test_leaves_the_kronecker_cache_as_it_found_it(self, monkeypatch):
+        # a factorization the four solves make goes with the call instead
+        # of holding three fields for the operator's life; one the operator
+        # already caches is kept and used, not rebuilt
+        op = paper_operator(16)
+        got = prepare_initial_data(op)
+        assert op._kron_factorization is None
+        v = experiments.initial_interpolant(op.grid)
+        for _ in range(4):
+            v = linsolve.solve_lh(op, v)
+        assert got.values.tobytes() == (v.values / max_norm(v)).tobytes()
+        fac = op._kron_factorization
+        assert fac is not None
+        monkeypatch.setattr(linsolve, "KroneckerFactorization", None)
+        again = prepare_initial_data(op)
+        assert op._kron_factorization is fac
+        assert again.values.tobytes() == got.values.tobytes()
 
     def test_negligible_interpolant_rejected(self):
         # at m = 3 every interior node lies where ETA0 vanishes; the

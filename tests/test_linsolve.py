@@ -1,6 +1,7 @@
 import collections
 import logging
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -460,6 +461,27 @@ class TestKroneckerDirect:
                 assert theta.tobytes() == want_theta.tobytes()
                 assert v.tobytes() == want_v.tobytes()
                 assert v.strides == want_v.strides
+
+    def test_solve_stiffness_keeps_the_bits_in_two_fields(self):
+        # numpy reports its allocations to tracemalloc; besides the two
+        # arrays the products go into, np.outer's broadcast takes up to
+        # 128 KB of iterator buffers, whatever the grid
+        for m in (8, 91, 256):
+            fac = kronecker_direct_prepare(paper_operator(m))
+            rhs = random_field(Grid(m), m).values
+            s = np.outer(fac.dm_isqrt, fac.dl_isqrt)
+            c = fac.v_mu.T @ (rhs * s) @ fac.v_lam
+            c /= fac.denom
+            want = (fac.v_mu @ c @ fac.v_lam.T) * s
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                got = fac.solve_stiffness(rhs)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            assert got.tobytes() == want.tobytes(), m
+            assert peak <= 2 * rhs.nbytes + 2 ** 17 + 16384, m
 
     def test_prepare_is_cached(self):
         op = paper_operator(8)

@@ -327,6 +327,27 @@ class TestStepContracts:
         assert np.array_equal(u0.values, before)
         assert not np.may_share_memory(got.values, u0.values)
 
+    @needs_cc
+    @pytest.mark.parametrize(
+        "scheme", [SchemeKind.PEACEMAN_RACHFORD, SchemeKind.DOUGLAS_RACHFORD])
+    def test_a_run_holds_four_fields(self, scheme):
+        # numpy reports its allocations to tracemalloc.  The start is formed
+        # in B u0's array, and an input only the call holds is freed before
+        # the factors are made, so the peak above the call's start is the
+        # loop's two buffers and the two resolvent factors, each one field
+        # of multipliers and O(n) line coefficients
+        op = assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(256))
+        _kernel.load()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            got = evolve(op, scheme, 2.0 ** -6, 3, random_field(op.grid, 14))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        nbytes = got.values.nbytes
+        assert 3 * nbytes < peak <= 4 * nbytes + 2 ** 16
+
     def test_evolve_keeps_the_resolvent_recurrences(self, op16):
         # PR's Cayley loop does the operations of the resolvent recurrence
         # below in the same order; DR's Lions-Mercier loop regroups the
@@ -640,7 +661,21 @@ class TestCrankNicolsonSolve:
             assert len(results) == 3
             for result in results:
                 assert result.tobytes() == values.tobytes()
-        assert len(op._pool) == operators.FIELD_POOL_CAPACITY
+        # a run borrows six fields and gives back five, so how many the
+        # pool holds after the join depends on how the last runs overlapped;
+        # a serial run then leaves exactly five
+        results = want + [r for rs in got for r in rs]
+
+        def pooled():
+            """The pool's size, once checked: distinct fields, no result."""
+            pool = list(op._pool)
+            assert len({a.ctypes.data for a in pool}) == len(pool)
+            assert not any(np.shares_memory(a, r) for a in pool for r in results)
+            return len(pool)
+
+        assert pooled() <= operators.FIELD_POOL_CAPACITY
+        results.append(evolve(op, SchemeKind.CRANK_NICOLSON, k, 3, inputs[0]).values)
+        assert pooled() == operators.FIELD_POOL_CAPACITY - 1
 
     def test_few_operator_applications_on_smooth_data(self):
         # the paper's initial data at m=128, k=2^-10: the unpreconditioned

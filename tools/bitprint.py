@@ -12,7 +12,8 @@ with sigma = -0.25 and 0.25; ``solve_resolvent_a/b`` and ``cayley_a/b``
 at every kappa in ``KAPPAS``; and the multipliers e of both axes' factors
 at those kappas, in [line][position] order whatever the layout the
 backend stores them in, so that the fallback lines can equal the
-kernel's.  It also covers the experiments' building blocks
+kernel's; and ``solve_lh`` with the eigenvalues theta of its Kronecker
+factorization.  It also covers the experiments' building blocks
 (``experiment_results``): ``interpolate`` of ETA0 and a sine mode,
 ``prepare_initial_data``, ``prolong_to`` onto a finer, a nested coarser
 and a non-nested grid, and the errors of a small ``run_convergence``
@@ -42,7 +43,7 @@ sys.path.insert(0, sys.argv[1] if len(sys.argv) > 1
 
 import numpy as np  # noqa: E402
 
-from adisplit import _kernel, experiments, operators  # noqa: E402
+from adisplit import _kernel, experiments, linsolve, operators  # noqa: E402
 from adisplit.experiments import ETA0, PAPER_LAMBDA, PAPER_MU  # noqa: E402
 from adisplit.grid import Field, Grid, interpolate, prolong_to  # noqa: E402
 from adisplit.steppers import SchemeKind, evolve  # noqa: E402
@@ -70,6 +71,9 @@ def results(m: int):
             yield f(kappa, u).values
         for axis in ("a", "b"):
             yield multipliers(op._factors(axis, kappa).e, n)
+    yield linsolve.solve_lh(op, u).values
+    fac = linsolve.kronecker_direct_prepare(op)
+    yield from (fac.theta_lam, fac.theta_mu)
 
 
 def multipliers(e: np.ndarray, n: int) -> np.ndarray:
