@@ -1,6 +1,7 @@
 """Douglas-Rachford / Peaceman-Rachford splitting for 2D diffusion with
 quadrature (mass-lumped) bilinear finite elements."""
 
+from ._kernel import KernelUnavailableError
 from .grid import (
     Field,
     Grid,
@@ -25,6 +26,7 @@ from .steppers import SchemeKind, cn_step, dr_step, evolve, pr_step
 __all__ = [
     "Field",
     "Grid",
+    "KernelUnavailableError",
     "LinearSolverHandle",
     "NonConvergenceError",
     "SchemeKind",

@@ -1,12 +1,12 @@
 """The compiled line kernel (``_tridiag.c``): build, cache and load.
 
-``load()`` gives the library with every entry's ctypes signature set, or
-None where it cannot be built or loaded.  It is built with ``cc`` for the
-host CPU on first use in a process (never on import) into a per-user
-cache.  :mod:`adisplit.operators` runs its factors, solves, stencils and
-Cayley loops on it, and :mod:`adisplit.linsolve` CG's vector updates; both
-call ``load()`` when they run, so replacing it with ``lambda: None``
-switches both to their numpy fallbacks.
+``load()`` gives the library with every entry's ctypes signature set.  It
+is built with ``cc`` for the host CPU on first use in a process (never on
+import) into a per-user cache.  :mod:`adisplit.operators` runs its
+factors, solves, stencils and Cayley loops on it, and
+:mod:`adisplit.linsolve` CG's vector updates.  Where it cannot be built or
+loaded, ``load()`` raises KernelUnavailableError with the reason; the
+attempt is made once per process, and later calls raise the same reason.
 """
 
 from __future__ import annotations
@@ -57,23 +57,35 @@ SIGNATURES = {
 }
 
 
-@functools.cache
-def load():
-    """The compiled line kernel, built on first use, or None.
+class KernelUnavailableError(RuntimeError):
+    """The compiled kernel could not be built or loaded: no ``cc``, a
+    failed compile, or a library the process cannot load."""
 
-    None means it could not be built or loaded; the reason is logged once
-    and the callers then run their numpy fallbacks, with the same results.
+
+def load():
+    """The compiled line kernel, built on first use.
+
+    Raises KernelUnavailableError, with the compiler's stderr or the
+    OSError, where it cannot be built or loaded.
     """
+    lib = _build_and_load()
+    if isinstance(lib, str):
+        raise KernelUnavailableError(
+            f"the compiled tridiagonal kernel is unavailable: {lib}")
+    return lib
+
+
+@functools.cache
+def _build_and_load():
+    """``load``'s one attempt per process: the library, or why it could
+    not be built or loaded, so a missing compiler is probed once."""
     import subprocess
 
     try:
         host = target()
         lib = ctypes.CDLL(str(build(host)))
     except (OSError, subprocess.CalledProcessError) as exc:
-        detail = getattr(exc, "stderr", None) or exc
-        logger.warning("compiled tridiagonal kernel unavailable, using the "
-                       "numpy fallback: %s", detail)
-        return None
+        return str(getattr(exc, "stderr", None) or exc).strip()
     if logger.isEnabledFor(logging.DEBUG):
         defined = set(re.findall(r"^#define (\w+) ", host, re.MULTILINE))
         units = [name.strip("_").lower() for name in VECTOR_MACROS

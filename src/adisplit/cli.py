@@ -6,6 +6,7 @@ import argparse
 import sys
 
 from . import experiments, steppers
+from ._kernel import KernelUnavailableError
 from .grid import Grid, discrete_norm, read_field, write_field
 from .operators import assemble_split_operator
 
@@ -74,10 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error(message: str) -> int:
-    """Report bad input on one stderr line; exit status 2."""
+def _error(message: str, status: int = 2) -> int:
+    """Report an error on one stderr line; exit status 2 for bad input."""
     print(f"error: {message}", file=sys.stderr)
-    return 2
+    return status
 
 
 def _cmd_run(args) -> int:
@@ -171,12 +172,18 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Exit status 0 on success, 1 when a ``verify`` check fails, 2 on bad
+    input and 3 when the compiled kernel cannot be built or loaded."""
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "convergence":
-        return _cmd_convergence(args)
-    return _cmd_verify(args)
+    try:
+        if args.command == "run":
+            return _cmd_run(args)
+        if args.command == "convergence":
+            return _cmd_convergence(args)
+        return _cmd_verify(args)
+    except KernelUnavailableError as exc:
+        # a compiler's stderr may span lines; the report keeps to one
+        return _error(" ".join(str(exc).split()), status=3)
 
 
 if __name__ == "__main__":

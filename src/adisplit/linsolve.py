@@ -108,11 +108,10 @@ def conjugate_gradient(
     depend on the BLAS and its thread count, and repeated solves of a
     system in one process give bitwise-identical iterates.
     Each solve's iteration count and final relative residual are logged
-    at DEBUG.  Where the compiled kernel (``_kernel.load()``, called per
-    solve, so even a dense system loads or builds it) is available,
-    x += alpha p with r -= alpha A p, and p = p beta + z, each run as one
-    compiled pass; otherwise numpy runs them.  Both give the same bits,
-    and the dot products are numpy's either way.  A non-finite b raises
+    at DEBUG.  x += alpha p with r -= alpha A p, and p = p beta + z, each
+    run as one pass of the compiled kernel (``_kernel.load()``, called per
+    solve, so even a dense system loads or builds it), with the bits of
+    those numpy expressions.  A non-finite b raises
     NonFiniteError before any iteration and leaves r as it was.  A finite
     b whose norm leaves SAFE_NORM_RANGE is solved scaled by a power of two
     in r, which scales every iterate exactly, and the solution is scaled
@@ -161,11 +160,7 @@ def conjugate_gradient(
         Ap = matvec(p)
         at_ap = address("A p", Ap)
         alpha = rz / float(p @ Ap)
-        if kernel is None:
-            x += alpha * p
-            r -= alpha * Ap
-        else:
-            kernel.adisplit_cg_step(r.size, alpha, at[2], at_ap, *at[:2])
+        kernel.adisplit_cg_step(r.size, alpha, at[2], at_ap, *at[:2])
         rr = float(r @ r)
         history.append(np.sqrt(rr) / bnorm)
         if history[-1] <= tol or not np.isfinite(rr):
@@ -175,11 +170,7 @@ def conjugate_gradient(
         rz_new = float(r @ z)
         # z + beta p: IEEE addition commutes, so updating p in place keeps
         # the bits
-        if kernel is None:
-            p *= rz_new / rz
-            p += z
-        else:
-            kernel.adisplit_cg_direction(r.size, rz_new / rz, at_z, at[2])
+        kernel.adisplit_cg_direction(r.size, rz_new / rz, at_z, at[2])
         rz = rz_new
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug("CG: %d iterations, relative residual %.3e",

@@ -16,11 +16,9 @@ from m = 512 where two CPUs are available.  The loop knows no scheme:
 ``steppers.evolve`` builds the DR and PR runs from it, and this module
 never imports the steppers.  It is built with ``cc`` for the host CPU on
 the first resolvent solve or application in a process (never on import)
-into a per-user cache, by :mod:`adisplit._kernel`.  Where it cannot be
-built the factors and solves fall back to the same recurrences in numpy,
-the applications to numpy and the recurrence to one Cayley call per
-transform, with the same results.  Each operator fixes its path, kernel or
-fallback, at its own first use and keeps it.  The package needs numpy only.
+into a per-user cache, by :mod:`adisplit._kernel`, which raises
+KernelUnavailableError where it cannot be built.  The package needs numpy
+and ``cc`` only.
 ``apply_l``, the resolvents and the Cayley transforms return a new field,
 or, given ``out=``, write into that C-contiguous float64 (n, n) array,
 which must not overlap the input, and return it wrapped as a field.  An
@@ -79,13 +77,6 @@ class TridiagonalMatrix:
     diag: np.ndarray
     off: np.ndarray  # sub- and super-diagonal, length n-1
 
-    def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Apply along the last axis of ``x``, into ``out`` if given."""
-        y = np.multiply(self.diag, x, out=out)
-        y[..., 1:] += self.off * x[..., :-1]
-        y[..., :-1] += self.off * x[..., 1:]
-        return y
-
 
 def _sample(c, x: np.ndarray) -> np.ndarray:
     """Values of coefficient c at x; a scalar result is broadcast to x's shape."""
@@ -133,10 +124,8 @@ class SplitDiffusionOperator:
 
     @functools.cached_property
     def _lib(self):
-        """The compiled kernel this operator runs on, or None for the
-        numpy fallbacks.  Fixed at the operator's first application or
-        solve, so every factor and stencil array it caches belongs to the
-        path that uses it."""
+        """The compiled kernel, loaded at the operator's first application
+        or solve."""
         return _kernel.load()
 
     # -- forward applications -------------------------------------------------
@@ -158,29 +147,14 @@ class SplitDiffusionOperator:
     def _stencil(self, parts: int, u: Field, sigma: float = 0.0,
                  out: np.ndarray | None = None) -> Field:
         """A u, B u or A u + B u as ``parts`` selects, with _PART_SHIFT
-        u + sigma times that, into ``out`` or a new array: one compiled
-        pass, or numpy in the same operation order, with the same bits."""
+        u + sigma times that, into ``out`` or a new array, in one compiled
+        pass."""
         self._check(u, out)
         x = np.ascontiguousarray(u.values, dtype=np.float64)
         y = np.empty_like(x) if out is None else out
-        if self._lib is not None:
-            self._lib.adisplit_stencil(self.grid.n, parts, sigma,
-                                       *self._stencil_args[1], x.ctypes.data,
-                                       y.ctypes.data)
-            return Field(self.grid, y)
-        h2 = self.grid.h ** 2
-        if parts & _PART_A:
-            self.k_lambda.matvec(x, out=y)
-            y *= -self.d_mu[:, None] / h2
-        if parts & _PART_B:
-            # matvec on the transposed views works along axis 0 without a copy
-            b = self.k_mu.matvec(x.T, out=None if parts & _PART_A else y.T).T
-            b *= -self.d_lambda / h2
-            if parts & _PART_A:
-                y += b
-        if parts & _PART_SHIFT:
-            y *= sigma
-            y += x
+        self._lib.adisplit_stencil(self.grid.n, parts, sigma,
+                                   *self._stencil_args[1], x.ctypes.data,
+                                   y.ctypes.data)
         return Field(self.grid, y)
 
     @functools.cached_property
@@ -254,17 +228,14 @@ class SplitDiffusionOperator:
         is returned as u; ``out`` is scratch.  The compiled kernel runs the
         loop in calls of about ``_LOOP_WORK`` unknowns x steps, none for
         n_steps = 0, on two threads from m = ``_LOOP_THREADS_FROM_M``
-        where the process may use two CPUs; the fallback makes one Cayley
-        call per transform.  Logs one DEBUG line.
+        where the process may use two CPUs.  Logs one DEBUG line.
         """
         if n_steps < 0:
             raise ValueError(f"n_steps must be non-negative, got {n_steps}")
         self._check(u, out)
         self._check_buffer("u", u.values)
         calls, threads = 0, 1
-        if self._lib is None:
-            self._cayley_calls(kappa, n_steps, u, out, average)
-        elif n_steps:
+        if n_steps:
             n = self.grid.n
             fac_a, fac_b = self._factors("a", kappa), self._factors("b", kappa)
             want = 2 if self.grid.m >= _LOOP_THREADS_FROM_M and _cpus() >= 2 else 1
@@ -283,20 +254,6 @@ class SplitDiffusionOperator:
                          threads)
         return u
 
-    def _cayley_calls(self, kappa: float, n_steps: int, u: Field,
-                      out: np.ndarray, average: bool) -> None:
-        """``cayley_loop`` as one ``cayley_b``/``cayley_a`` call per
-        transform: the fallback, and the reference the compiled loop
-        matches bit for bit.  The averaged step t + C_A C_B t needs one
-        more field, made here."""
-        t = u.values
-        s = np.empty_like(t) if average else t
-        for _ in range(n_steps):
-            self.cayley_a(kappa, self.cayley_b(kappa, u, out=out), out=s)
-            if average:
-                t += s
-                t *= 0.5
-
     def bind_adi_product(self, kappa_a: float, kappa_b: float, *,
                          r: np.ndarray, weight: np.ndarray, out: np.ndarray,
                          scratch: np.ndarray):
@@ -309,7 +266,7 @@ class SplitDiffusionOperator:
         an input.  The factors and addresses are taken here too, so a call
         is three line solves and the sum, each with the bits of
         ``solve_resolvent_a``/``_b`` and of numpy's out + weight * r
-        (``adisplit_add_weighted`` on the kernel)."""
+        (``adisplit_add_weighted``)."""
         arrays = dict(r=r, weight=weight, out=out, scratch=scratch)
         for name, a in arrays.items():
             self._check_buffer(name, a)
@@ -319,13 +276,6 @@ class SplitDiffusionOperator:
         if np.may_share_memory(out, scratch):
             raise ValueError("out and scratch must not overlap")
         fac_a, fac_b = self._factors("a", kappa_a), self._factors("b", kappa_b)
-        if self._lib is None:
-            def product():
-                fac_b.solve(r, False, out)
-                fac_a.solve(out, False, scratch)
-                fac_b.solve(scratch, False, out)
-                np.add(out, np.multiply(weight, r, out=scratch), out=out)
-            return product
         add, size = self._lib.adisplit_add_weighted, r.size
         at_r, at_w, at_o, at_s = (a.ctypes.data for a in arrays.values())
 
@@ -346,9 +296,8 @@ class SplitDiffusionOperator:
         """L D L^T factor of I - kappa*A (axis "a") or I - kappa*B (axis "b").
 
         One SPD tridiagonal system I + gamma_r K per grid line, factored
-        with dpttrf's arithmetic and kept in the order the solver sweeps
-        it: the compiled kernel's when it loads, the numpy sweeps'
-        otherwise.
+        with dpttrf's arithmetic and kept in the order the compiled
+        kernel sweeps it.
         """
         if not 0.0 < kappa < np.inf:
             raise ValueError(
@@ -362,10 +311,7 @@ class SplitDiffusionOperator:
                 (self.k_lambda, self.d_mu) if axis == "a" else (self.k_mu, self.d_lambda)
             )
             gamma = kappa * coef / self.grid.h ** 2
-            if self._lib is None:
-                fac = _NumpyFactor(axis, gamma, k1d)
-            else:
-                fac = _KernelFactor(self._lib, axis, gamma, k1d)
+            fac = _KernelFactor(self._lib, axis, gamma, k1d)
             self._factor_cache[key] = fac
             if len(self._factor_cache) > FACTOR_CACHE_CAPACITY:
                 self._factor_cache.popitem(last=False)
@@ -398,13 +344,6 @@ class SplitDiffusionOperator:
             )
 
 
-def _check_pivots(bad) -> None:
-    if bad:
-        raise np.linalg.LinAlgError(
-            "resolvent factor has a non-positive pivot: the line system is "
-            "not positive definite")
-
-
 class _KernelFactor:
     """A line factor in the compiled kernel's sweep order, formed by the
     kernel (``adisplit_factor``): dpttrf's multipliers ``e`` and the line
@@ -433,8 +372,11 @@ class _KernelFactor:
         self.n = n
         self.c_ptr, self.e_ptr = self.c.ctypes.data, self.e.ctypes.data
         pivots = np.empty(width)  # one position's, scratch of the factor
-        _check_pivots(kernel.adisplit_factor(
-            n, width, self.c_ptr, pivots.ctypes.data, self.e_ptr))
+        if kernel.adisplit_factor(n, width, self.c_ptr, pivots.ctypes.data,
+                                  self.e_ptr):
+            raise np.linalg.LinAlgError(
+                "resolvent factor has a non-positive pivot: the line system "
+                "is not positive definite")
 
     def solve(self, rhs: np.ndarray, reflect: bool,
               out: np.ndarray | None = None) -> np.ndarray:
@@ -450,52 +392,6 @@ class _KernelFactor:
         and x."""
         if self._solve(self.n, self.c_ptr, self.e_ptr, r, x, reflect) != 0:
             raise MemoryError("tridiagonal kernel could not allocate its scratch")
-
-
-class _NumpyFactor:
-    """A line factor stored [position][line], formed and solved by numpy
-    one position at a time, with all lines side by side.
-
-    The fallback where the compiled kernel is unavailable: the recurrences
-    are dpttrf's and dpttrs's (dptts2's) per line, as in the kernel, so the
-    results are the same.  Axis "b" lines are the columns of the field;
-    axis "a" right-hand sides are transposed in and the solution back out.
-    """
-
-    def __init__(self, axis: str, gamma: np.ndarray, k1d: TridiagonalMatrix):
-        self.axis = axis
-        d = 1.0 + np.outer(k1d.diag, gamma)
-        ei = np.outer(k1d.off, gamma)
-        e = np.zeros_like(d)
-        with np.errstate(all="ignore"):  # a bad pivot raises below
-            for p in range(len(ei)):
-                np.divide(ei[p], d[p], out=e[p])
-                d[p + 1] -= e[p] * ei[p]
-        _check_pivots((d <= 0.0).any())
-        self.d, self.e = d, e
-
-    def solve(self, rhs: np.ndarray, reflect: bool,
-              out: np.ndarray | None = None) -> np.ndarray:
-        """R rhs, or 2 R rhs - rhs with ``reflect``, copied into ``out`` or
-        in a new C-ordered array."""
-        d, e = self.d, self.e
-        r = rhs.T if self.axis == "a" else rhs
-        x = np.array(r, dtype=np.float64, order="C")
-        t = np.empty(x.shape[1:])
-        for p in range(1, len(x)):
-            x[p] -= np.multiply(x[p - 1], e[p - 1], out=t)
-        x[-1] /= d[-1]
-        for p in range(len(x) - 2, -1, -1):
-            x[p] /= d[p]
-            x[p] -= np.multiply(x[p + 1], e[p], out=t)
-        if self.axis == "a":
-            x = np.ascontiguousarray(x.T)
-        if reflect:
-            x = 2.0 * x - rhs
-        if out is None:
-            return x
-        np.copyto(out, x)
-        return out
 
 
 def _cpus() -> int:

@@ -5,8 +5,18 @@ expansion of the stiffness matrices, dense linear algebra, plain CG on L as
 a second route besides the package's direct solver, the closed form of the
 DR and PR runs for constant coefficients in the sine basis, pointwise
 evaluation of a field as the reference for grid transfer, and a Gauss
-quadrature cross-check of the exact L2 norm in :mod:`adisplit.grid`.  The
-package itself never imports this module.
+quadrature cross-check of the exact L2 norm in :mod:`adisplit.grid`.
+
+The numpy references of the compiled kernel run the kernel's arithmetic in
+numpy expressions, so the tests require the kernel's results to equal them
+bit for bit: the A, B and L stencil (``apply``), dpttrf's line factors and
+dpttrs's solves one position of all lines at a time (``LineFactor``, itself
+checked against SciPy's LAPACK through ``lapack_factor``), the Cayley
+recurrence as one ``cayley_b``/``cayley_a`` call per transform
+(``cayley_calls``), CN's preconditioner product (``adi_product``), textbook
+CG with numpy's vector updates (``reference_cg``) and a CN step built from
+them (``crank_nicolson_step``).  The package itself never imports this
+module.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from adisplit.grid import (
     padded_values,
 )
 from adisplit.linsolve import conjugate_gradient
-from adisplit.steppers import SchemeKind
+from adisplit.steppers import CN_JACOBI_WEIGHT, SchemeKind
 
 DENSE_BUDGET = 4096  # max (m-1)^2 entries per dense operator
 EXPM_DIM_BUDGET = 128
@@ -146,3 +156,152 @@ def dense_operator_norm(matrix: np.ndarray) -> float:
 def gauss_l2_norm(u: Field) -> float:
     """L2 norm by per-element Gauss quadrature; cross-check for the exact form."""
     return l2_distance_to_function(u, lambda x, y: 0.0 * x)
+
+
+def tridiagonal_matvec(t, x: np.ndarray) -> np.ndarray:
+    """A symmetric ``TridiagonalMatrix`` applied along the last axis of x."""
+    y = np.multiply(t.diag, x)
+    y[..., 1:] += t.off * x[..., :-1]
+    y[..., :-1] += t.off * x[..., 1:]
+    return y
+
+
+def apply(op, which: str, u: Field, sigma: float | None = None) -> Field:
+    """A u (``which`` "a"), B u ("b") or L u ("l"), with ``sigma``
+    u + sigma L u, by numpy in the compiled stencil's operation order."""
+    x = np.ascontiguousarray(u.values, dtype=np.float64)
+    h2 = op.grid.h ** 2
+    y = None
+    if which in "al":
+        y = tridiagonal_matvec(op.k_lambda, x)
+        y *= -op.d_mu[:, None] / h2
+    if which in "bl":
+        b = tridiagonal_matvec(op.k_mu, x.T).T
+        b *= -op.d_lambda / h2
+        y = b if y is None else y + b
+    if sigma is not None:
+        y = y * sigma + x
+    return Field(op.grid, np.ascontiguousarray(y))
+
+
+def line_system(op, axis: str, kappa: float):
+    """The 1D stiffness matrix and the gamma of each line of the system
+    I - kappa*A (axis "a") or I - kappa*B (axis "b"): I + gamma K per line."""
+    k1d, coef = (op.k_lambda, op.d_mu) if axis == "a" else (op.k_mu, op.d_lambda)
+    return k1d, kappa * coef / op.grid.h ** 2
+
+
+class LineFactor:
+    """dpttrf's L D L^T factor of every line of I - kappa*X, pivots ``d``
+    and multipliers ``e`` stored [position][line], formed and solved by
+    numpy one position of all lines at a time with dpttrf's and dpttrs's
+    (dptts2's) recurrences.  Axis "b" lines are the columns of the field;
+    axis "a" right-hand sides are transposed in and the solution back out."""
+
+    def __init__(self, op, axis: str, kappa: float):
+        k1d, gamma = line_system(op, axis, kappa)
+        self.axis = axis
+        d = 1.0 + np.outer(k1d.diag, gamma)
+        ei = np.outer(k1d.off, gamma)
+        e = np.zeros_like(d)
+        for p in range(len(ei)):
+            np.divide(ei[p], d[p], out=e[p])
+            d[p + 1] -= e[p] * ei[p]
+        self.d, self.e = d, e
+
+    def solve(self, rhs: np.ndarray, reflect: bool = False) -> np.ndarray:
+        """R rhs, or 2 R rhs - rhs with ``reflect``, in a new C-ordered array."""
+        d, e = self.d, self.e
+        x = np.array(rhs.T if self.axis == "a" else rhs, dtype=np.float64,
+                     order="C")
+        for p in range(1, len(x)):
+            x[p] -= x[p - 1] * e[p - 1]
+        x[-1] /= d[-1]
+        for p in range(len(x) - 2, -1, -1):
+            x[p] /= d[p]
+            x[p] -= x[p + 1] * e[p]
+        if self.axis == "a":
+            x = np.ascontiguousarray(x.T)
+        return 2.0 * x - rhs if reflect else x
+
+
+def lapack_factor(op, axis: str, kappa: float):
+    """The factor of I - kappa*X by SciPy's LAPACK dpttrf over all lines
+    concatenated, as (d, e) arrays [line][position]; e[line, n-1] is 0."""
+    k1d, gamma = line_system(op, axis, kappa)
+    n = op.grid.n
+    d = (1.0 + np.outer(gamma, k1d.diag)).ravel()
+    e = np.outer(gamma, np.append(k1d.off, 0.0)).ravel()[:-1]
+    if d.size > 1:  # the wrapper rejects an empty off-diagonal
+        d, e, info = scipy.linalg.lapack.dpttrf(d, e)
+        assert info == 0
+    return d.reshape(n, n), np.append(e, 0.0).reshape(n, n)
+
+
+def cayley_calls(op, kappa: float, n_steps: int, u: Field, average: bool) -> Field:
+    """``op.cayley_loop``'s result as one ``op.cayley_b``/``op.cayley_a``
+    call per transform: n_steps steps of t <- C_A C_B t, or with
+    ``average`` of t <- (t + C_A C_B t) / 2, from u, which is not written."""
+    t = u
+    for _ in range(n_steps):
+        s = op.cayley_a(kappa, op.cayley_b(kappa, t))
+        t = Field(u.grid, (t.values + s.values) * 0.5) if average else s
+    return t
+
+
+def adi_product(op, kappa_a: float, kappa_b: float, r: np.ndarray,
+                weight: np.ndarray) -> np.ndarray:
+    """R_B(kappa_b) R_A(kappa_a) R_B(kappa_b) r + weight * r by
+    ``LineFactor`` solves and numpy: what ``op.bind_adi_product``'s
+    callable writes."""
+    fac_b = LineFactor(op, "b", kappa_b)
+    w = fac_b.solve(LineFactor(op, "a", kappa_a).solve(fac_b.solve(r)))
+    return w + weight * r
+
+
+def reference_cg(matvec, b, tol, precondition=None, max_iter=None):
+    """Textbook CG, preconditioned with ``precondition`` if given, with
+    conjugate_gradient's arithmetic order and stopping rule and numpy's
+    vector updates; returns the solution and the relative residual
+    history, after at most ``max_iter`` iterations."""
+    bnorm = float(np.linalg.norm(b))
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = r if precondition is None else precondition(r)
+    p = z.copy()
+    rz = float(r @ z)
+    history = [np.sqrt(float(r @ r)) / bnorm]
+    while history[-1] > tol and len(history) <= (max_iter or np.inf):
+        Ap = matvec(p)
+        alpha = rz / float(p @ Ap)
+        x = x + alpha * p
+        r = r - alpha * Ap
+        rr = float(r @ r)
+        history.append(np.sqrt(rr) / bnorm)
+        if history[-1] <= tol or not np.isfinite(rr):
+            break
+        z = r if precondition is None else precondition(r)
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return x, history
+
+
+def crank_nicolson_step(op, k: float, u: Field) -> Field:
+    """``steppers.cn_step`` from the references above: ``reference_cg``
+    on (I - k/2 L) w = (I + k/2 L) u with ``apply``, preconditioned by
+    ``adi_product`` with kappa_a = k/2, kappa_b = k/4 and the Jacobi
+    weights CN_JACOBI_WEIGHT / (1 - k/2 diag L), to relative residual
+    1e-12."""
+    grid, half = op.grid, 0.5 * k
+    jacobi = CN_JACOBI_WEIGHT / (1.0 - half * op.diagonal_l().values)
+
+    def matvec(p):
+        return apply(op, "l", Field(grid, p.reshape(grid.n, grid.n)), -half).values.ravel()
+
+    def precondition(r):
+        return adi_product(op, half, 0.25 * k, r.reshape(grid.n, grid.n), jacobi).ravel()
+
+    x, _ = reference_cg(matvec, apply(op, "l", u, half).values.ravel(), 1e-12,
+                        precondition)
+    return Field(grid, x.reshape(grid.n, grid.n))

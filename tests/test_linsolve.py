@@ -1,6 +1,5 @@
 import collections
 import logging
-import shutil
 import tracemalloc
 
 import numpy as np
@@ -22,31 +21,13 @@ from adisplit.linsolve import (
 from adisplit.operators import assemble_split_operator
 
 import oracle
-from oracle import random_field, zero_field
+from oracle import random_field, reference_cg, zero_field
 
 ONE = lambda x: np.ones_like(np.asarray(x, dtype=float))
 
 
 def paper_operator(m):
     return assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(m))
-
-
-def reference_cg(matvec, b, tol):
-    """Textbook unpreconditioned CG with the same arithmetic order."""
-    bnorm = float(np.linalg.norm(b))
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    while np.sqrt(rs) / bnorm > tol:
-        Ap = matvec(p)
-        alpha = rs / float(p @ Ap)
-        x = x + alpha * p
-        r = r - alpha * Ap
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x
 
 
 def ill_conditioned_system(n=60, seed=2):
@@ -99,7 +80,7 @@ class TestConjugateGradient:
 
     def test_no_preconditioner_is_plain_cg_bit_for_bit(self):
         mat, b = ill_conditioned_system()
-        want = reference_cg(lambda v: mat @ v, b, 1e-12)
+        want, _ = reference_cg(lambda v: mat @ v, b, 1e-12)
         got = cg(lambda v: mat @ v, b, tol=1e-12, precondition=None)
         assert np.array_equal(got, want)
 
@@ -268,10 +249,9 @@ def count_kernel_updates(monkeypatch):
     return calls
 
 
-def traced_cg(matvec, precondition, b, **kwargs):
-    """conjugate_gradient's solution (None if it raised), its residual
-    history (None if it converged), and copies of every p given to
-    ``matvec`` and every r given to ``precondition``."""
+def traced(solve, matvec, precondition):
+    """solve(matvec, precondition)'s result, and copies of every p given
+    to ``matvec`` and every r given to ``precondition``."""
     ps, rs = [], []
 
     def traced_matvec(v):
@@ -282,28 +262,11 @@ def traced_cg(matvec, precondition, b, **kwargs):
         rs.append(r.copy())
         return precondition(r)
 
-    try:
-        x = cg(traced_matvec, b, precondition=traced_precondition,
-                               **kwargs)
-        return x, None, ps, rs
-    except NonConvergenceError as err:
-        return None, err.residuals, ps, rs
+    return solve(traced_matvec, traced_precondition), ps, rs
 
 
-def assert_same_run(got, want):
-    (x, history, ps, rs), (x0, history0, ps0, rs0) = got, want
-    assert (x is None) == (x0 is None)
-    if x is not None:
-        assert x.tobytes() == x0.tobytes()
-    assert history == history0
-    assert len(ps) == len(ps0) > 1 and len(rs) == len(rs0)
-    for a, b in zip(ps + rs, ps0 + rs0):
-        assert a.tobytes() == b.tobytes()
-
-
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 class TestCompiledUpdates:
-    """CG's compiled vector updates against its numpy lines."""
+    """CG's compiled vector updates against the oracle's textbook CG."""
 
     @pytest.fixture
     def system(self):
@@ -315,22 +278,35 @@ class TestCompiledUpdates:
     def test_same_iterates_history_and_count(self, monkeypatch, system, stop):
         matvec, precondition, b = system
         calls = count_kernel_updates(monkeypatch)
-        got = traced_cg(matvec, precondition, b, **stop)
-        iterations = len(got[2])
-        assert calls["adisplit_cg_step"] == iterations
-        assert calls["adisplit_cg_direction"] == len(got[3]) - 1
-        calls.clear()
-        monkeypatch.setattr(_kernel, "load", lambda: None)
-        want = traced_cg(matvec, precondition, b, **stop)
-        assert calls == {}
-        assert_same_run(got, want)
 
-    @pytest.mark.parametrize("path", ["kernel", "numpy"])
+        def solve(matvec, precondition):
+            # x and the residual history, or None where CG converged
+            r, x = b.copy(), np.empty_like(b)
+            try:
+                conjugate_gradient(matvec, r, x, np.empty_like(b),
+                                   precondition=precondition, **stop)
+            except NonConvergenceError as err:
+                return x, err.residuals
+            return x, None
+
+        (x, history), ps, rs = traced(solve, matvec, precondition)
+        assert calls["adisplit_cg_step"] == len(ps)
+        assert calls["adisplit_cg_direction"] == len(rs) - 1
+        (x0, history0), ps0, rs0 = traced(
+            lambda m, p: reference_cg(m, b, stop["tol"], p, stop.get("max_iter")),
+            matvec, precondition)
+        assert x.tobytes() == x0.tobytes()
+        assert history == (None if history0[-1] <= stop["tol"] else history0)
+        assert len(ps) == len(ps0) == len(history0) - 1 > 1
+        assert len(rs) == len(rs0)
+        for a, a0 in zip(ps + rs, ps0 + rs0):
+            assert a.tobytes() == a0.tobytes()
+
     @pytest.mark.parametrize("which", ["matvec", "precondition"])
     @pytest.mark.parametrize("call", [0, 1])
     @pytest.mark.parametrize("bad", ["strided", "float32", "short", "list"])
     def test_results_the_updates_cannot_take_are_rejected(
-            self, monkeypatch, system, path, which, call, bad):
+            self, monkeypatch, system, which, call, bad):
         # a result is checked whenever it is another array than the last
         # one, before any update uses it
         matvec, precondition, b = system
@@ -353,14 +329,11 @@ class TestCompiledUpdates:
         else:
             precondition = unusable(precondition)
         updates = count_kernel_updates(monkeypatch)
-        if path == "numpy":
-            monkeypatch.setattr(_kernel, "load", lambda: None)
         name = "A p" if which == "matvec" else "z"
         with pytest.raises(ValueError, match=f"CG's {name} must be"):
             cg(matvec, b, tol=1e-12, precondition=precondition)
-        kernel = path == "kernel"
-        assert updates["adisplit_cg_step"] == call * kernel
-        assert updates["adisplit_cg_direction"] == call * kernel * (which == "matvec")
+        assert updates["adisplit_cg_step"] == call
+        assert updates["adisplit_cg_direction"] == call * (which == "matvec")
 
     def test_crank_nicolson_runs_the_compiled_updates(self, monkeypatch):
         op = paper_operator(17)

@@ -2,7 +2,6 @@ import logging
 import os
 import platform
 import select
-import shutil
 import signal
 import stat
 import subprocess
@@ -13,11 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
 
-from adisplit import _kernel, experiments, operators, steppers
+from adisplit import KernelUnavailableError, _kernel, experiments, operators, steppers
 from adisplit.experiments import PAPER_LAMBDA, PAPER_MU, coefficient_pair
 from adisplit.grid import Field, Grid, discrete_inner_product, discrete_norm
+from adisplit.linsolve import conjugate_gradient
 from adisplit.operators import (
     FACTOR_CACHE_CAPACITY,
     TridiagonalMatrix,
@@ -35,32 +34,6 @@ ONE = lambda x: np.ones_like(np.asarray(x, dtype=float))
 
 def paper_operator(m):
     return assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(m))
-
-
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-
-
-@pytest.fixture(params=["kernel", "numpy"])
-def line_path(request, monkeypatch):
-    """Run the test with the compiled kernel, or with its numpy fallbacks
-    for the factors, the resolvents and A, B and L."""
-    if request.param == "numpy":
-        monkeypatch.setattr(_kernel, "load", lambda: None)
-    elif shutil.which("cc") is None:
-        pytest.skip("no C compiler")
-    else:
-        assert _kernel.load() is not None
-    return request.param
-
-
-def on_both_paths(monkeypatch, compute):
-    """compute() with the compiled kernel and with the numpy fallback."""
-    assert _kernel.load() is not None
-    kernel = compute()
-    with monkeypatch.context() as mp:
-        mp.setattr(_kernel, "load", lambda: None)
-        fallback = compute()
-    return kernel, fallback
 
 
 class TestStiffnessAssembly:
@@ -177,37 +150,27 @@ class TestApplications:
                 assert discrete_inner_product(op.apply_b(u), u) <= 1e-12 * n2
 
 
-@pytest.mark.usefixtures("line_path")
-class TestApplicationsOnEachPath(TestApplications):
-    """The checks of TestApplications on the compiled stencil and on the
-    numpy fallback; the base class runs them on the default path."""
-
-
 def signed_zeros(grid, seed):
     rng = np.random.default_rng(seed)
     return Field(grid, np.where(rng.random((grid.n, grid.n)) < 0.5, -0.0, 0.0))
 
 
-@needs_cc
 class TestApplyPaths:
-    """The compiled stencil against the numpy bodies of apply_a/b/l."""
+    """The compiled stencil against the oracle's numpy stencil."""
 
     @pytest.mark.parametrize("m", [2, 3, 17, 64, 91])
-    def test_applications_agree_bit_for_bit(self, monkeypatch, m):
-        g = Grid(m)
+    def test_applications_agree_bit_for_bit(self, m):
+        op = paper_operator(m)
         # random signs of zero show a missing edge neighbour added as +0.0
-        fields = (random_field(g, m), signed_zeros(g, m))
-
-        def compute():
-            op = paper_operator(m)
-            return [f(u).values for u in fields
-                    for f in (op.apply_a, op.apply_b, op.apply_l,
-                              lambda u: op.apply_l(u, 0.25),
-                              lambda u: op.apply_l(u, -0.25))]
-
-        for got, want in zip(*on_both_paths(monkeypatch, compute)):
-            assert got.flags.c_contiguous
-            assert got.tobytes() == want.tobytes()
+        for u in (random_field(op.grid, m), signed_zeros(op.grid, m)):
+            for got, want in (
+                    (op.apply_a(u), oracle.apply(op, "a", u)),
+                    (op.apply_b(u), oracle.apply(op, "b", u)),
+                    (op.apply_l(u), oracle.apply(op, "l", u)),
+                    (op.apply_l(u, 0.25), oracle.apply(op, "l", u, 0.25)),
+                    (op.apply_l(u, -0.25), oracle.apply(op, "l", u, -0.25))):
+                assert got.values.flags.c_contiguous
+                assert got.values.tobytes() == want.values.tobytes()
 
     def test_shifted_l_is_identity_plus_scaled_l(self):
         op = paper_operator(33)
@@ -216,7 +179,7 @@ class TestApplyPaths:
         assert np.array_equal(op.apply_l(u, 0.5).values, u.values + 0.5 * lu)
         assert np.array_equal(op.apply_l(u, -0.5).values, u.values - 0.5 * lu)
 
-    def test_noncontiguous_and_integer_fields(self, line_path):
+    def test_noncontiguous_and_integer_fields(self):
         op = paper_operator(20)
         ints = np.arange(19 * 19).reshape(19, 19) % 7 - 3
         floats = Field(op.grid, ints.astype(float))
@@ -227,17 +190,18 @@ class TestApplyPaths:
                 got = f(field).values
                 assert got.tobytes() == f(floats).values.tobytes()
 
-    def test_cn_step_and_cg_solve_agree(self, monkeypatch):
-        u = random_field(Grid(33), 5)
+    def test_cn_step_and_cg_solve_agree(self):
+        op = paper_operator(33)
+        u = random_field(op.grid, 5)
         k = 2.0 ** -6
-
-        def compute():
-            op = paper_operator(33)
-            return [steppers.cn_step(op, k, u).values,
-                    oracle.cg_solve_l(op, u, 1e-12).values]
-
-        for got, want in zip(*on_both_paths(monkeypatch, compute)):
-            assert np.array_equal(got, want)
+        got = steppers.cn_step(op, k, u).values
+        assert np.array_equal(got, oracle.crank_nicolson_step(op, k, u).values)
+        # cg_solve_l's CG on the oracle's stencil and vector updates
+        h2 = op.grid.h ** 2
+        want, _ = oracle.reference_cg(
+            lambda v: -h2 * oracle.apply(op, "l", Field(op.grid, v.reshape(32, 32))).values.ravel(),
+            (-h2 * u.values).ravel(), 1e-12)
+        assert np.array_equal(oracle.cg_solve_l(op, u, 1e-12).values.ravel(), want)
 
 
 class TestResolvents:
@@ -247,7 +211,7 @@ class TestResolvents:
         w = op.solve_resolvent_a(0.1, u)
         assert w.values[0, 0] == pytest.approx(1.0 / 1.8, rel=1e-15)
 
-    def test_lines_do_not_couple(self, line_path):
+    def test_lines_do_not_couple(self):
         # the factor concatenates all lines into one tridiagonal matrix; its
         # zero off-diagonal entries at line ends must keep the lines apart
         op = paper_operator(8)
@@ -263,7 +227,7 @@ class TestResolvents:
             assert np.all(np.delete(w, j, axis=1) == 0.0)
             assert np.all(w[:, j] != 0.0)
 
-    def test_indefinite_system_raises(self, line_path):
+    def test_indefinite_system_raises(self):
         # a negated stiffness makes I - kappa*A indefinite for large kappa;
         # the factorization must report it instead of returning garbage
         op = paper_operator(8)
@@ -271,7 +235,7 @@ class TestResolvents:
         with pytest.raises(np.linalg.LinAlgError):
             op.solve_resolvent_a(10.0, random_field(op.grid))
 
-    def test_zero_rhs(self, line_path):
+    def test_zero_rhs(self):
         op = paper_operator(8)
         z = Field(op.grid, np.zeros((7, 7)))
         assert np.all(op.solve_resolvent_a(1.0, z).values == 0.0)
@@ -320,7 +284,7 @@ class TestResolvents:
         with pytest.raises(ValueError):
             op.solve_resolvent_a(kappa, random_field(op.grid))
 
-    def test_nonfinite_kappa_rejected_before_the_cache(self, line_path):
+    def test_nonfinite_kappa_rejected_before_the_cache(self):
         # a NaN key never equals itself, so each such call would add a
         # factor and evict a live one
         op = paper_operator(4)
@@ -333,25 +297,23 @@ class TestResolvents:
         assert list(op._factor_cache) == [("a", 0.1)]
 
 
-@needs_cc
 class TestLinePaths:
-    """The compiled kernel against the numpy fallback."""
+    """The compiled kernel's line solves against the oracle's numpy ones."""
 
     # n = m - 1 lines per direction: 16 and 32 fill whole 16-line tiles,
     # 1, 2, 17, 63 and 90 leave a partial one
     @pytest.mark.parametrize("m", [2, 3, 17, 18, 33, 64, 91])
-    def test_solves_agree_bit_for_bit(self, monkeypatch, m):
-        u = random_field(Grid(m), m)
-        names = ("solve_resolvent_a", "solve_resolvent_b", "cayley_a", "cayley_b")
-
-        def compute():
-            op = paper_operator(m)
-            return [getattr(op, name)(kappa, u).values
-                    for kappa in (1e-3, 1.0, 1e3) for name in names]
-
-        for got, want in zip(*on_both_paths(monkeypatch, compute)):
-            assert got.flags.c_contiguous
-            assert np.array_equal(got, want)
+    def test_solves_agree_bit_for_bit(self, m):
+        op = paper_operator(m)
+        u = random_field(op.grid, m)
+        for kappa in (1e-3, 1.0, 1e3):
+            for name in ("solve_resolvent_a", "solve_resolvent_b", "cayley_a",
+                         "cayley_b"):
+                got = getattr(op, name)(kappa, u).values
+                want = oracle.LineFactor(op, name[-1], kappa).solve(
+                    u.values, reflect=name.startswith("cayley"))
+                assert got.flags.c_contiguous
+                assert np.array_equal(got, want)
 
     def test_cayley_is_the_reflected_resolvent(self):
         op = paper_operator(40)
@@ -362,29 +324,26 @@ class TestLinePaths:
                 want = 2.0 * solve(kappa, u).values - u.values
                 assert np.array_equal(cayley(kappa, u).values, want)
 
-    def test_evolve_agrees(self, monkeypatch):
-        u = random_field(Grid(33), 3)
-        for scheme in (PR, DR):
-            got, want = on_both_paths(
-                monkeypatch,
-                lambda: steppers.evolve(paper_operator(33), scheme, 1.0 / 64, 20, u))
-            assert np.array_equal(got.values, want.values)
+    def test_evolve_agrees(self):
+        # evolve's start, Cayley recurrence and final solve from the
+        # oracle's stencil and line factors
+        op = paper_operator(33)
+        u = random_field(op.grid, 3)
+        for scheme, kappa in ((PR, 1.0 / 128), (DR, 1.0 / 64)):
+            got = steppers.evolve(op, scheme, 1.0 / 64, 20, u)
+            b_u = oracle.apply(op, "b", u).values * kappa
+            fac_a = oracle.LineFactor(op, "a", kappa)
+            fac_b = oracle.LineFactor(op, "b", kappa)
+            if scheme is PR:
+                t = fac_a.solve(u.values + b_u, reflect=True)
+            else:
+                t = u.values - b_u
+            for _ in range(20 - (scheme is PR)):
+                s = fac_a.solve(fac_b.solve(t, reflect=True), reflect=True)
+                t = s if scheme is PR else (t + s) * 0.5
+            assert np.array_equal(got.values, fac_b.solve(t))
 
-    def test_operator_keeps_the_path_of_its_first_use(self, monkeypatch):
-        # an operator first used without the kernel caches numpy factors;
-        # once the kernel loads again it must still solve with them
-        u = random_field(Grid(33), 8)
-        for scheme in (PR, DR):
-            op = paper_operator(33)
-            with monkeypatch.context() as mp:
-                mp.setattr(_kernel, "load", lambda: None)
-                steppers.evolve(op, scheme, 1.0 / 64, 5, u)
-            assert _kernel.load() is not None
-            got = steppers.evolve(op, scheme, 1.0 / 64, 5, u)
-            want = steppers.evolve(paper_operator(33), scheme, 1.0 / 64, 5, u)
-            assert np.array_equal(got.values, want.values)
-
-    def test_noncontiguous_and_integer_fields(self, line_path):
+    def test_noncontiguous_and_integer_fields(self):
         # the kernel gets C-ordered float64 copies of other layouts and types
         op = paper_operator(20)
         ints = np.arange(19 * 19).reshape(19, 19) % 7 - 3
@@ -397,29 +356,13 @@ class TestLinePaths:
                 assert np.array_equal(got, getattr(op, name)(0.5, floats).values)
 
 
-def lapack_factor(op, axis, kappa):
-    """The factor of I - kappa*X by SciPy's LAPACK dpttrf over all lines
-    concatenated, as (d, e) arrays [line][position]; e[line, n-1] is 0."""
-    k1d, coef = (op.k_lambda, op.d_mu) if axis == "a" else (op.k_mu, op.d_lambda)
-    gamma = kappa * coef / op.grid.h ** 2
-    n = op.grid.n
-    d = (1.0 + np.outer(gamma, k1d.diag)).ravel()
-    e = np.outer(gamma, np.append(k1d.off, 0.0)).ravel()[:-1]
-    if d.size > 1:  # the wrapper rejects an empty off-diagonal
-        d, e, info = lapack.dpttrf(d, e)
-        assert info == 0
-    return d.reshape(n, n), np.append(e, 0.0).reshape(n, n)
-
-
 FACTOR_GRIDS = [2, 3, 17, 18, 33, 64, 91, 256, 513]
 FACTOR_KAPPAS = [1e-3, 1.0, 1e3]
 
 
 class TestFactorBits:
-    """Both paths' factors and the numpy solve against SciPy's LAPACK
-    dpttrf and dpttrs, bit for bit."""
+    """The kernel's factors against SciPy's LAPACK dpttrf, bit for bit."""
 
-    @needs_cc
     @pytest.mark.parametrize("m", FACTOR_GRIDS)
     def test_kernel_factor_is_dpttrf_in_the_sweep_layout(self, m):
         # the kernel stores dpttrf's e, and the pivots its sweeps recompute
@@ -428,12 +371,11 @@ class TestFactorBits:
         # identity lines (gamma 0, so pivot 1, and e = 0)
         op = paper_operator(m)
         n = op.grid.n
-        assert op._lib is not None
         tile = operators.ctypes.c_long.in_dll(op._lib, "adisplit_tile").value
         for kappa in FACTOR_KAPPAS:
             for axis, k1d, coef in (("a", op.k_lambda, op.d_mu),
                                     ("b", op.k_mu, op.d_lambda)):
-                d, e = lapack_factor(op, axis, kappa)  # [line][position]
+                d, e = oracle.lapack_factor(op, axis, kappa)  # [line][position]
                 fac = op._factors(axis, kappa)
                 # [block][position][line], blocks of whole tiles on axis "a"
                 width = tile if axis == "a" else n
@@ -455,7 +397,6 @@ class TestFactorBits:
                 pivots[:, 1:] = (1.0 + g * diag[1:]) - lines[:, :-1] * (g * off)
                 assert pivots.tobytes() == d.tobytes()
 
-    @needs_cc
     @pytest.mark.parametrize("m", [2, 17, 18, 91, 256])
     def test_kernel_factor_holds_multipliers_and_line_data(self, m):
         # n^2 multipliers, rounded up to whole tiles on axis "a", and O(n)
@@ -469,7 +410,6 @@ class TestFactorBits:
                        if isinstance(a, np.ndarray))
             assert lines * n * 8 <= held <= (lines * n + 3 * n + tile) * 8
 
-    @needs_cc
     def test_strided_solve_reports_a_failed_allocation(self):
         # calloc of 2^61 doubles overflows size_t and fails before the
         # sweep touches an array; the factor turns -1 into MemoryError
@@ -480,28 +420,6 @@ class TestFactorBits:
         fac._solve = lambda *args: -1
         with pytest.raises(MemoryError, match="could not allocate"):
             op.solve_resolvent_b(0.5, random_field(op.grid))
-
-    @pytest.mark.parametrize("m", FACTOR_GRIDS)
-    def test_numpy_factor_and_solve_are_dpttrf_and_dpttrs(self, monkeypatch, m):
-        monkeypatch.setattr(_kernel, "load", lambda: None)
-        op = paper_operator(m)
-        rhs = random_field(op.grid, m).values
-        for kappa in FACTOR_KAPPAS:
-            for axis in ("a", "b"):
-                d, e = lapack_factor(op, axis, kappa)
-                fac = op._factors(axis, kappa)
-                assert fac.d.tobytes() == d.T.tobytes()  # [position][line]
-                assert fac.e.tobytes() == e.T.tobytes()
-                lines = rhs if axis == "a" else rhs.T
-                if d.size == 1:
-                    want = lines / d
-                else:
-                    want, info = lapack.dpttrs(d.ravel(), e.ravel()[:-1],
-                                               lines.ravel())
-                    assert info == 0
-                    want = want.reshape(lines.shape)
-                want = want if axis == "a" else want.T
-                assert np.array_equal(fac.solve(rhs, False), want)
 
 
 PR = steppers.SchemeKind.PEACEMAN_RACHFORD
@@ -536,7 +454,6 @@ def count_kernel_loops(monkeypatch):
     return calls
 
 
-@needs_cc
 class TestCayleyLoop:
     """The compiled Cayley loop against one Cayley call per transform."""
 
@@ -552,9 +469,7 @@ class TestCayleyLoop:
         u = random_field(op.grid, m)
         force_threads(monkeypatch, threads)
         for kappa, n_steps in ((1.0 / 64, 5), (10.0, 2), (1e-3, 1)):
-            want = Field(op.grid, u.values.copy())
-            op._cayley_calls(kappa, n_steps, want, np.empty_like(want.values),
-                             average)
+            want = oracle.cayley_calls(op, kappa, n_steps, u, average)
             with caplog.at_level(logging.DEBUG, logger="adisplit.operators"):
                 got = run_loop(op, kappa, n_steps, u, average)
             assert np.array_equal(got.values, want.values)
@@ -588,13 +503,10 @@ class TestCayleyLoop:
             assert not thread.is_alive()
         assert all(np.array_equal(g, want) for g in got)
 
-    @pytest.mark.parametrize("path", ["kernel", "numpy"])
-    def test_result_buffer(self, monkeypatch, path):
+    def test_result_buffer(self, monkeypatch):
         # the result overwrites u's array, which is returned; out is
         # scratch; zero steps leave u as it is and call no kernel
-        if path == "numpy":
-            monkeypatch.setattr(_kernel, "load", lambda: None)
-        calls = [] if path == "numpy" else count_kernel_loops(monkeypatch)
+        calls = count_kernel_loops(monkeypatch)
         op = paper_operator(9)
         u = random_field(op.grid, 1)
         for average in (False, True):
@@ -607,7 +519,7 @@ class TestCayleyLoop:
             got = op.cayley_loop(0.1, 0, start, out=np.empty((8, 8)),
                                  average=average)
             assert got is start and np.array_equal(start.values, u.values)
-        assert calls == ([] if path == "numpy" else [(3, False), (3, True)])
+        assert calls == [(3, False), (3, True)]
 
     def test_threads_follow_the_grid_and_the_cpus(self, monkeypatch, caplog):
         for m, cpus, threads in ((511, 2, 1), (512, 2, 2), (512, 1, 1)):
@@ -711,10 +623,10 @@ def out_calls(op):
 
 
 class TestOut:
-    """``out=`` on the kernel and on the fallback paths."""
+    """``out=`` of every method that takes it."""
 
     @pytest.mark.parametrize("m", [2, 17, 20])
-    def test_out_equals_a_fresh_result(self, line_path, m):
+    def test_out_equals_a_fresh_result(self, m):
         op = paper_operator(m)
         u = random_field(op.grid, m)
         before = u.values.copy()
@@ -726,7 +638,7 @@ class TestOut:
             assert out.tobytes() == want.tobytes(), name
         assert np.array_equal(u.values, before)
 
-    def test_out_from_other_layouts_and_types(self, line_path):
+    def test_out_from_other_layouts_and_types(self):
         # the input is converted, the output is written in place
         op = paper_operator(20)
         ints = np.arange(19 * 19).reshape(19, 19) % 7 - 3
@@ -742,7 +654,7 @@ class TestOut:
         "input itself", "overlapping view", "shape", "float32 dtype",
         "Fortran order", "strided", "read-only", "list",
     ])
-    def test_unusable_out_rejected(self, line_path, bad):
+    def test_unusable_out_rejected(self, bad):
         op = paper_operator(9)
         n = op.grid.n
         base = random_field(op.grid, 1).values
@@ -778,10 +690,8 @@ def separate_adi_product(op, kappa_a, kappa_b, r, weight):
 
 
 class TestBoundAdiProduct:
-    """``bind_adi_product`` on the kernel and on the fallback paths."""
-
     @pytest.mark.parametrize("m", [2, 3, 17, 18, 64, 257])
-    def test_equals_the_separate_solves(self, line_path, m):
+    def test_equals_the_separate_solves(self, m):
         op = paper_operator(m)
         r, weight = (random_field(op.grid, m + i).values for i in range(2))
         out, scratch = (np.full_like(r, np.nan) for _ in range(2))
@@ -797,20 +707,16 @@ class TestBoundAdiProduct:
                 assert out.tobytes() == want.tobytes()
                 assert np.array_equal(r, before)
 
-    @needs_cc
     @pytest.mark.parametrize("m", [2, 3, 17, 18, 64, 257])
-    def test_paths_agree_bit_for_bit(self, monkeypatch, m):
-        r, weight = random_field(Grid(m), m).values, random_field(Grid(m), m + 1).values
-
-        def compute():
-            op = paper_operator(m)
-            out, scratch = np.empty_like(r), np.empty_like(r)
-            op.bind_adi_product(0.5, 0.25, r=r, weight=weight, out=out,
-                                scratch=scratch)()
-            return out
-
-        got, want = on_both_paths(monkeypatch, compute)
-        assert got.tobytes() == want.tobytes()
+    def test_paths_agree_bit_for_bit(self, m):
+        # against the oracle's line factors and numpy's sum
+        op = paper_operator(m)
+        r, weight = random_field(op.grid, m).values, random_field(op.grid, m + 1).values
+        out, scratch = np.empty_like(r), np.empty_like(r)
+        op.bind_adi_product(0.5, 0.25, r=r, weight=weight, out=out,
+                            scratch=scratch)()
+        want = oracle.adi_product(op, 0.5, 0.25, r, weight)
+        assert out.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bad,message", [
         ("out shape", "out must be"), ("scratch shape", "scratch must be"),
@@ -824,7 +730,7 @@ class TestBoundAdiProduct:
         ("out is scratch", "out and scratch must not overlap"),
         ("out overlaps scratch", "out and scratch must not overlap"),
     ])
-    def test_unusable_arrays_rejected_when_bound(self, line_path, bad, message):
+    def test_unusable_arrays_rejected_when_bound(self, bad, message):
         op = paper_operator(9)
         n = op.grid.n
         nn = n * n
@@ -913,44 +819,56 @@ class TestFieldPool:
 
 @pytest.fixture
 def fresh_loader():
-    """Forget the loaded kernel before and after the test."""
-    _kernel.load.cache_clear()
+    """Forget the loaded kernel, or the failure to load it, before and
+    after the test."""
+    _kernel._build_and_load.cache_clear()
     yield
-    _kernel.load.cache_clear()
+    _kernel._build_and_load.cache_clear()
 
 
-@needs_cc
+def counting_subprocess_run(monkeypatch):
+    """The compiles ("compile") and target probes ("probe") that _kernel
+    starts with subprocess.run, in order, even those that fail to start."""
+    started = []
+    run = subprocess.run
+
+    def counting_run(args, **kwargs):
+        started.append("compile" if "-o" in args else "probe")
+        return run(args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counting_run)
+    return started
+
+
+def hide_the_compiler(monkeypatch, tmp_path):
+    """No ``cc`` on PATH and an empty kernel cache."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setenv("PATH", str(tmp_path))
+
+
 class TestKernelBuild:
     def test_builds_once_into_the_user_cache(self, monkeypatch, tmp_path, fresh_loader):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        builds = []
-        run = subprocess.run
-
-        def counting_run(args, **kwargs):
-            if "-o" in args:
-                builds.append(args[0])
-            return run(args, **kwargs)
-
-        monkeypatch.setattr(subprocess, "run", counting_run)
+        started = counting_subprocess_run(monkeypatch)
         u = random_field(Grid(20))
         first = paper_operator(20).cayley_a(0.5, u).values
         cache = tmp_path / "adisplit"
         built = list(cache.iterdir())
-        assert builds == ["cc"]
+        assert started.count("compile") == 1
         assert [p.name[:9] for p in built] == ["_tridiag-"]  # no temporary left
         assert stat.S_IMODE(cache.stat().st_mode) & 0o077 == 0
-        _kernel.load.cache_clear()  # as in a new process
+        _kernel._build_and_load.cache_clear()  # as in a new process
         second = paper_operator(20).cayley_a(0.5, u).values
-        assert builds == ["cc"]
+        assert started.count("compile") == 1
         assert _kernel.load()._name == str(built[0])
         assert np.array_equal(first, second)
         # another CPU sharing the cache gets a library of its own
         target = _kernel.target()
         monkeypatch.setattr(_kernel, "target",
                             lambda: target + "#define __AVX10_2__ 1\n")
-        _kernel.load.cache_clear()
+        _kernel._build_and_load.cache_clear()
         assert _kernel.load()._name not in map(str, built)
-        assert builds == ["cc", "cc"] and len(list(cache.iterdir())) == 2
+        assert started.count("compile") == 2 and len(list(cache.iterdir())) == 2
 
     def test_library_name_hashes_the_target(self):
         target = _kernel.target()
@@ -999,7 +917,7 @@ class TestKernelBuild:
         monkeypatch.setattr(_kernel, "FLAGS", tuple(
             flag for flag in _kernel.FLAGS if flag != "-march=native"))
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        _kernel.load.cache_clear()
+        _kernel._build_and_load.cache_clear()
         portable_name, portable = compute()
         assert Path(portable_name).parent == tmp_path / "adisplit"
         assert native_name != portable_name
@@ -1007,20 +925,35 @@ class TestKernelBuild:
         for got, want in zip(portable, native):
             assert np.array_equal(got, want)
 
-    def test_missing_compiler_falls_back(self, monkeypatch, tmp_path, caplog,
-                                         fresh_loader):
-        u = random_field(Grid(20))
-        want = paper_operator(20).cayley_b(0.5, u).values
-        _kernel.load.cache_clear()
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        monkeypatch.setenv("PATH", str(tmp_path))  # no cc on it
-        with caplog.at_level(logging.WARNING, logger="adisplit.operators"):
-            got = paper_operator(20).cayley_b(0.5, u).values
-            paper_operator(20).solve_resolvent_a(0.5, u)
-        assert _kernel.load() is None
-        assert len(caplog.records) == 1
-        assert "numpy fallback" in caplog.records[0].getMessage()
-        assert np.array_equal(got, want)
+    def test_missing_compiler_raises(self, monkeypatch, tmp_path, fresh_loader):
+        hide_the_compiler(monkeypatch, tmp_path)
+        cause = "No such file or directory: 'cc'"
+        with pytest.raises(KernelUnavailableError, match=cause):
+            paper_operator(20).cayley_b(0.5, random_field(Grid(20)))
+        # the command line reports it on one line, with exit status 3
+        src = str(Path(operators.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "adisplit.cli", "run", "--scheme", "pr",
+             "--m", "8", "--k", "1/8"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stderr == ("error: the compiled tridiagonal kernel is "
+                               f"unavailable: [Errno 2] {cause}\n")
+
+    def test_a_failed_build_is_attempted_once(self, monkeypatch, tmp_path,
+                                             fresh_loader):
+        # every operator and every CG solve asks for the kernel; the first
+        # failure is remembered, so no cc is looked for again
+        hide_the_compiler(monkeypatch, tmp_path)
+        started = counting_subprocess_run(monkeypatch)
+        u = random_field(Grid(9))
+        for _ in range(2):
+            with pytest.raises(KernelUnavailableError):
+                paper_operator(9).apply_l(u)
+        r = np.ones(4)
+        with pytest.raises(KernelUnavailableError):
+            conjugate_gradient(lambda v: v, r, np.empty(4), np.empty(4))
+        assert started == ["probe"]
 
     def test_source_compiles_without_warnings(self, tmp_path):
         subprocess.run(
@@ -1065,15 +998,13 @@ def test_kernel_runs_leave_openssl_unloaded():
         "u = interpolate(ETA0, op.grid)\n"
         "for scheme in steppers.SchemeKind:\n"
         "    steppers.evolve(op, scheme, 1.0 / 64, 3, u)\n"
-        "print(op._lib is not None, sorted(name for name in sys.modules\n"
-        "                                  if 'hashlib' in name))\n"
+        "print(sorted(name for name in sys.modules if 'hashlib' in name))\n"
     )
     src = str(Path(operators.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    kernel = str(shutil.which("cc") is not None)
-    assert out == f"{kernel} []\n"
+    assert out == "[]\n"
 
 
 def test_import_starts_no_process():
@@ -1085,7 +1016,7 @@ def test_import_starts_no_process():
         "'os.fork', 'os.exec', 'os.spawn')\n"
         "sys.addaudithook(lambda event, args: event in spawn and seen.append(event))\n"
         "import adisplit\n"
-        "print(seen, adisplit._kernel.load.cache_info().currsize)\n"
+        "print(seen, adisplit._kernel._build_and_load.cache_info().currsize)\n"
     )
     src = str(Path(operators.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
@@ -1095,33 +1026,27 @@ def test_import_starts_no_process():
 
 
 def test_package_runs_without_scipy():
-    # every path of the package needs numpy only: SciPy is a test dependency
+    # the package needs numpy only: SciPy is a test dependency
     code = (
         "import sys\n"
         "import numpy as np\n"
-        "import adisplit\n"
-        "from adisplit import _kernel, operators, steppers\n"
+        "from adisplit import operators, steppers\n"
         "from adisplit.experiments import PAPER_LAMBDA, PAPER_MU\n"
         "from adisplit.grid import Field, Grid\n"
         "from adisplit.linsolve import solve_lh\n"
-        "load = _kernel.load\n"
-        "for path in ('kernel', 'numpy'):\n"
-        "    _kernel.load = load if path == 'kernel' else lambda: None\n"
-        "    op = operators.assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(17))\n"
-        "    u = Field(op.grid, np.random.default_rng(1).standard_normal((16, 16)))\n"
-        "    for scheme in steppers.SchemeKind:\n"
-        "        steppers.evolve(op, scheme, 1.0 / 64, 3, u)\n"
-        "    solve_lh(op, u)\n"
-        "    operators.stability_certificate(op)\n"
-        "    print(path, op._lib is not None)\n"
+        "op = operators.assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(17))\n"
+        "u = Field(op.grid, np.random.default_rng(1).standard_normal((16, 16)))\n"
+        "for scheme in steppers.SchemeKind:\n"
+        "    steppers.evolve(op, scheme, 1.0 / 64, 3, u)\n"
+        "solve_lh(op, u)\n"
+        "operators.stability_certificate(op)\n"
         "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(operators.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    kernel = str(shutil.which("cc") is not None)
-    assert out.split("\n") == [f"kernel {kernel}", "numpy False", "[]", ""]
+    assert out == "[]\n"
 
 
 class TestDiagonal:
@@ -1157,7 +1082,6 @@ class TestFactorCache:
             assert len(op._factor_cache) <= FACTOR_CACHE_CAPACITY
         assert len(op._factor_cache) == FACTOR_CACHE_CAPACITY
 
-    @needs_cc
     def test_evicts_least_recently_used(self, monkeypatch):
         op = paper_operator(8)
         u = random_field(op.grid)
@@ -1172,7 +1096,6 @@ class TestFactorCache:
         op.solve_resolvent_b(0.01, u)
         assert len(calls) == 1
 
-    @needs_cc
     def test_scheme_loop_factors_once(self, monkeypatch):
         # CN needs R_A(k/2) and R_B(k/4), PR R_A(k/2) and R_B(k/2), DR
         # R_A(k) and R_B(k): five factors, all kept across passes

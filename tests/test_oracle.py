@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from adisplit.experiments import PAPER_LAMBDA, PAPER_MU
 from adisplit.grid import (
@@ -121,6 +122,30 @@ class TestL2Distance:
             u = interpolate(g, Grid(m))
             errs.append(l2_distance_to_function(u, g))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
+
+
+@pytest.mark.parametrize("m", [2, 3, 17, 18, 33, 64, 91, 256, 513])
+def test_numpy_factor_and_solve_are_dpttrf_and_dpttrs(m):
+    # the line factors and solves the kernel's are checked against, bit
+    # for bit, against SciPy's LAPACK
+    op = assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(m))
+    rhs = random_field(op.grid, m).values
+    for kappa in (1e-3, 1.0, 1e3):
+        for axis in ("a", "b"):
+            d, e = oracle.lapack_factor(op, axis, kappa)
+            fac = oracle.LineFactor(op, axis, kappa)
+            assert fac.d.tobytes() == d.T.tobytes()  # [position][line]
+            assert fac.e.tobytes() == e.T.tobytes()
+            lines = rhs if axis == "a" else rhs.T
+            if d.size == 1:
+                want = lines / d
+            else:
+                want, info = scipy.linalg.lapack.dpttrs(
+                    d.ravel(), e.ravel()[:-1], lines.ravel())
+                assert info == 0
+                want = want.reshape(lines.shape)
+            want = want if axis == "a" else want.T
+            assert np.array_equal(fac.solve(rhs), want)
 
 
 def test_dense_matches_matrix_free_master_check():

@@ -1,5 +1,4 @@
 import collections
-import shutil
 import sys
 import threading
 import tracemalloc
@@ -25,7 +24,6 @@ import oracle
 from oracle import random_field, zero_field
 
 ONE = lambda x: np.ones_like(np.asarray(x, dtype=float))
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 
 
 def scalar_op():
@@ -92,22 +90,18 @@ LOOP_METHODS = ("cayley_a", "cayley_b", "solve_resolvent_a", "solve_resolvent_b"
 class MethodRecorder:
     """Counts every call of the operator class's methods, the operator's
     calls of its own methods included, and records each call's (input
-    address, ``out=`` address or None); on the kernel path also each call
-    of the compiled Cayley loop as (steps, average)."""
+    address, ``out=`` address or None), and each call of the compiled
+    Cayley loop as (steps, average)."""
 
     NAMES = ("apply_a", "apply_b", "cayley_loop") + LOOP_METHODS
 
-    def __init__(self, monkeypatch, path):
-        self.path = path
+    def __init__(self, monkeypatch):
         self.calls = collections.Counter()
         self.arrays = collections.defaultdict(list)
         self.kernel_calls = []
         for name in self.NAMES:
             monkeypatch.setattr(SplitDiffusionOperator, name,
                                 self._recording(name, getattr(SplitDiffusionOperator, name)))
-        if path == "numpy":
-            monkeypatch.setattr(_kernel, "load", lambda: None)
-            return
         kernel = _kernel.load()
         loop = kernel.adisplit_cayley_loop
 
@@ -129,17 +123,12 @@ class MethodRecorder:
         return recorded
 
 
-def recorded_evolves(monkeypatch, scheme):
-    """A MethodRecorder of one 7-step evolve at m=8 on the numpy fallback
-    and, where a C compiler exists, one on the compiled kernel; each path
-    gets its own operator, since the factors it caches are the path's."""
-    paths = ["numpy"] + (["kernel"] if shutil.which("cc") else [])
-    for path in paths:
-        op = assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(8))
-        with monkeypatch.context() as mp:
-            rec = MethodRecorder(mp, path)
-            evolve(op, scheme, 0.05, 7, random_field(op.grid, 4))
-        yield rec
+def recorded_evolve(monkeypatch, scheme):
+    """A MethodRecorder of one 7-step evolve at m=8."""
+    op = assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(8))
+    rec = MethodRecorder(monkeypatch)
+    evolve(op, scheme, 0.05, 7, random_field(op.grid, 4))
+    return rec
 
 
 class TestScalarSurrogate:
@@ -261,21 +250,15 @@ class TestStepContracts:
     def test_evolve_applies_one_operator_per_run(self, monkeypatch, scheme):
         # one B before the loop and one R_B after it; PR's leading C_A is
         # one Cayley call from evolve.  The kernel runs the remaining steps
-        # in one call and makes no other Cayley call from Python, the
-        # fallback one call per transform
+        # in one call and makes no other Cayley call from Python
         dr = scheme is SchemeKind.DOUGLAS_RACHFORD
-        for rec in recorded_evolves(monkeypatch, scheme):
-            want = {"apply_b": 1, "cayley_loop": 1, "solve_resolvent_b": 1}
-            if not dr:
-                want["cayley_a"] = 1
-            if rec.path == "kernel":
-                assert rec.kernel_calls == [(7, True) if dr else (6, False)]
-            else:
-                want.update(cayley_a=7, cayley_b=7 if dr else 6)
-                assert rec.kernel_calls == []
-            assert rec.calls == want
+        rec = recorded_evolve(monkeypatch, scheme)
+        want = {"apply_b": 1, "cayley_loop": 1, "solve_resolvent_b": 1}
+        if not dr:
+            want["cayley_a"] = 1
+        assert rec.kernel_calls == [(7, True) if dr else (6, False)]
+        assert rec.calls == want
 
-    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
     @pytest.mark.parametrize("scheme,calls", [
         (SchemeKind.DOUGLAS_RACHFORD, [(3, True), (3, True), (1, True)]),
         (SchemeKind.PEACEMAN_RACHFORD, [(3, False), (3, False)])])
@@ -283,7 +266,7 @@ class TestStepContracts:
         # three steps of work per compiled call: DR's 7 steps take three
         # calls, PR's 6 steps after its leading C_A two
         want = evolve(op, scheme, 0.05, 7, random_field(op.grid, 4))
-        rec = MethodRecorder(monkeypatch, "kernel")
+        rec = MethodRecorder(monkeypatch)
         monkeypatch.setattr(operators, "_LOOP_WORK", 3 * op.grid.interior_count)
         got = evolve(op, scheme, 0.05, 7, random_field(op.grid, 4))
         assert rec.kernel_calls == calls
@@ -291,32 +274,23 @@ class TestStepContracts:
         assert "cayley_b" not in rec.calls
         assert np.array_equal(got.values, want.values)
 
-    @pytest.mark.parametrize("scheme,buffers", [
-        (SchemeKind.DOUGLAS_RACHFORD, 3), (SchemeKind.PEACEMAN_RACHFORD, 2)])
-    def test_evolve_steps_allocate_no_field(self, monkeypatch, scheme, buffers):
+    @pytest.mark.parametrize(
+        "scheme", [SchemeKind.DOUGLAS_RACHFORD, SchemeKind.PEACEMAN_RACHFORD])
+    def test_evolve_steps_allocate_no_field(self, monkeypatch, scheme):
         # the loop runs on the run's two buffers, and the final R_B reads
         # the loop's result and writes into its scratch buffer.  PR's
         # leading C_A writes into that buffer too, which then swaps roles
-        # with the start.  On the fallback every Cayley call writes into
-        # one of the arrays the run owns: PR alternates its two; DR
-        # averages into its start buffer, so its C_A writes into a third,
-        # made once
-        for rec in recorded_evolves(monkeypatch, scheme):
-            [(start, out)] = rec.arrays["cayley_loop"]
-            assert start != out
-            assert rec.arrays["solve_resolvent_b"] == [(start, out)]
-            outs = [dest for name in ("cayley_a", "cayley_b")
-                    for _, dest in rec.arrays[name]]
-            pr = scheme is SchemeKind.PEACEMAN_RACHFORD
-            if pr:
-                assert rec.arrays["cayley_a"][0] == (out, start)
-            assert None not in outs
-            if rec.path == "kernel":
-                assert len(outs) == pr
-                assert set(outs) <= {start, out}
-            else:
-                assert len(outs) == 14 - pr
-                assert len(set(outs) | {start, out}) == buffers
+        # with the start
+        rec = recorded_evolve(monkeypatch, scheme)
+        [(start, out)] = rec.arrays["cayley_loop"]
+        assert start != out
+        assert rec.arrays["solve_resolvent_b"] == [(start, out)]
+        outs = [dest for name in ("cayley_a", "cayley_b")
+                for _, dest in rec.arrays[name]]
+        pr = scheme is SchemeKind.PEACEMAN_RACHFORD
+        if pr:
+            assert rec.arrays["cayley_a"][0] == (out, start)
+        assert outs == [start] * pr
 
     @pytest.mark.parametrize("scheme", list(SchemeKind))
     @pytest.mark.parametrize("n_steps", [1, 5])
@@ -327,7 +301,6 @@ class TestStepContracts:
         assert np.array_equal(u0.values, before)
         assert not np.may_share_memory(got.values, u0.values)
 
-    @needs_cc
     @pytest.mark.parametrize(
         "scheme", [SchemeKind.PEACEMAN_RACHFORD, SchemeKind.DOUGLAS_RACHFORD])
     def test_a_run_holds_four_fields(self, scheme):
@@ -601,7 +574,6 @@ class TestCrankNicolsonSolve:
             want = cn_step(op16, 0.05, want)
         assert np.array_equal(got.values, want.values)
 
-    @needs_cc
     def test_a_second_run_allocates_only_its_result(self):
         # numpy reports its allocations to tracemalloc; the second run
         # borrows the first run's fields, so its peak above the start is
@@ -739,12 +711,7 @@ class TestBorrowedFields:
                 assert field.values.tobytes() == values.tobytes()
                 assert not any(np.shares_memory(field.values, a) for a in op._pool)
 
-    @pytest.mark.parametrize("path", ["kernel", "numpy"])
-    def test_u0_stays_unwritten_and_out_of_the_pool(self, monkeypatch, path):
-        if path == "numpy":
-            monkeypatch.setattr(_kernel, "load", lambda: None)
-        elif not shutil.which("cc"):
-            pytest.skip("no C compiler")
+    def test_u0_stays_unwritten_and_out_of_the_pool(self):
         op = assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(20))
         ints = np.arange(19 * 19).reshape(19, 19) % 7 - 3
         want = evolve(op, SchemeKind.CRANK_NICOLSON, 0.05, 3,

@@ -1,19 +1,17 @@
 """Bit fingerprint of the package's numerical results, one sha256 per
-backend and loop thread count.
+loop thread count.
 
     OPENBLAS_NUM_THREADS=1 python3 tools/bitprint.py [SRC]
 
-For each backend (the compiled kernel, then the numpy fallback) and each
-loop thread count (1, then 2) it prints one line ``<backend> threads=<t>
-<sha256>``.  The hash covers, at m in ``GRIDS`` on the paper's
-coefficients and a seeded random field, the DR, PR and CN ``evolve`` runs
-of ``STEPS`` steps at every k in ``STEP_SIZES``; ``apply_l`` plain and
-with sigma = -0.25 and 0.25; ``solve_resolvent_a/b`` and ``cayley_a/b``
-at every kappa in ``KAPPAS``; and the multipliers e of both axes' factors
-at those kappas, in [line][position] order whatever the layout the
-backend stores them in, so that the fallback lines can equal the
-kernel's; and ``solve_lh`` with the eigenvalues theta of its Kronecker
-factorization.  It also covers the experiments' building blocks
+For each loop thread count (1, then 2) it prints one line
+``kernel threads=<t> <sha256>``.  The hash covers, at m in ``GRIDS`` on
+the paper's coefficients and a seeded random field, the DR, PR and CN
+``evolve`` runs of ``STEPS`` steps at every k in ``STEP_SIZES``;
+``apply_l`` plain and with sigma = -0.25 and 0.25; ``solve_resolvent_a/b``
+and ``cayley_a/b`` at every kappa in ``KAPPAS``; and the multipliers e of
+both axes' factors at those kappas, in [line][position] order whatever
+the layout the kernel stores them in; and ``solve_lh`` with the
+eigenvalues theta of its Kronecker factorization.  It also covers the experiments' building blocks
 (``experiment_results``): ``interpolate`` of ETA0 and a sine mode,
 ``prepare_initial_data``, ``prolong_to`` onto a finer, a nested coarser
 and a non-nested grid, and the errors of a small ``run_convergence``
@@ -27,11 +25,11 @@ package from.
 No hash is stored with the package: CN's CG takes numpy's dot products,
 whose rounding depends on the BLAS numpy uses and on its thread count, so
 the CN part of each hash is particular to the machine's numpy build.
-Compare two trees on one machine with the same BLAS settings.  The
-fallback lines do not depend on the loop thread count; they are printed
-for both so that the four lines line up with the kernel's.  Without
+Compare two trees on one machine with the same BLAS settings.  Without
 ``SRC`` it imports the package from the ``src`` directory next to
-``tools``.
+``tools``.  A tree whose kernel cannot be built raises
+KernelUnavailableError; an older tree whose ``_kernel.load()`` returns
+None there, and would run a numpy fallback instead, makes the tool exit.
 """
 
 import hashlib
@@ -77,10 +75,9 @@ def results(m: int):
 
 
 def multipliers(e: np.ndarray, n: int) -> np.ndarray:
-    """A factor's e as [line][position] for the n lines of the grid: both
-    backends store blocks [block][position][line] (the numpy fallback and
-    a strided kernel factor one block of all lines, possibly without the
-    block axis), the kernel's contiguous axis padded to whole tiles."""
+    """A factor's e as [line][position] for the n lines of the grid: the
+    kernel stores blocks [block][position][line], one block of all lines
+    on the strided axis, the contiguous axis padded to whole tiles."""
     blocks = e.reshape(-1, n, e.shape[-1])
     return blocks.transpose(0, 2, 1).reshape(-1, n)[:n]
 
@@ -120,18 +117,15 @@ def fingerprint() -> str:
 
 
 def main() -> None:
-    load = _kernel.load
-    if load() is None:
+    if _kernel.load() is None:
         sys.exit("the compiled kernel could not be built: see the warning above")
     cpus = operators._cpus
     try:
-        for backend, loader in (("kernel", load), ("fallback", lambda: None)):
-            _kernel.load = loader
-            for threads in (1, 2):
-                operators._cpus = lambda threads=threads: threads
-                print(f"{backend} threads={threads} {fingerprint()}", flush=True)
+        for threads in (1, 2):
+            operators._cpus = lambda threads=threads: threads
+            print(f"kernel threads={threads} {fingerprint()}", flush=True)
     finally:
-        _kernel.load, operators._cpus = load, cpus
+        operators._cpus = cpus
 
 
 if __name__ == "__main__":
