@@ -13,6 +13,7 @@ from adisplit.grid import (
     padded_values,
     prolong_to,
     read_field,
+    scale_exponent,
     write_field,
 )
 
@@ -333,3 +334,19 @@ class TestFieldIO:
 def test_max_norm_is_nodal_max():
     u = Field(Grid(4), np.array([[1.0, -3.5, 2.0]] * 3))
     assert max_norm(u) == 3.5
+
+
+@pytest.mark.parametrize("values, e", [
+    ([0.0, -0.0], 0),
+    ([0.75, -0.5], 0),
+    ([1.0, 0.25], 1),
+    ([-3.0, 2.0], 2),
+    ([np.finfo(float).max], 1024),
+    ([5e-324, 0.0], -1073),
+])
+def test_scale_exponent_brings_the_largest_magnitude_into_one_half_to_one(
+        values, e):
+    v = np.array(values)
+    assert scale_exponent(v) == e
+    if np.any(v):
+        assert 0.5 <= np.max(np.abs(np.ldexp(v, -e))) < 1.0

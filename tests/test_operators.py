@@ -940,6 +940,24 @@ class TestKernelBuild:
         assert proc.stderr == ("error: the compiled tridiagonal kernel is "
                                f"unavailable: [Errno 2] {cause}\n")
 
+    @pytest.mark.parametrize("command", [
+        ["convergence", "--scheme", "pr", "--row", "1/8,8", "--row", "1/16,8",
+         "--ref-m", "16", "--ref-k", "1/16"],
+        ["verify", "--m", "8"],
+    ], ids=["convergence", "verify"])
+    def test_each_command_exits_3_without_the_kernel(self, monkeypatch,
+                                                      tmp_path, command):
+        hide_the_compiler(monkeypatch, tmp_path)
+        src = str(Path(operators.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "adisplit.cli", *command],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: the compiled tridiagonal kernel is "
+                               "unavailable: [Errno 2] No such file or "
+                               "directory: 'cc'\n")
+
     def test_a_failed_build_is_attempted_once(self, monkeypatch, tmp_path,
                                              fresh_loader):
         # every operator and every CG solve asks for the kernel; the first

@@ -10,17 +10,23 @@ from adisplit.experiments import PAPER_LAMBDA, PAPER_MU
 from adisplit.grid import (
     Field,
     Grid,
+    discrete_inner_product,
+    discrete_norm,
     exact_l2_norm,
     exact_l2_norm_squared,
     interpolate,
     l2_distance_to_function,
 )
-from adisplit.operators import assemble_split_operator
+from adisplit.operators import TridiagonalMatrix, assemble_split_operator
 
 import oracle
 from oracle import random_field, zero_field
 
 ONE = lambda x: np.ones_like(np.asarray(x, dtype=float))
+
+
+def paper_operator(m):
+    return assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(m))
 
 
 class TestDenseAssemble:
@@ -146,6 +152,277 @@ def test_numpy_factor_and_solve_are_dpttrf_and_dpttrs(m):
                 want = want.reshape(lines.shape)
             want = want if axis == "a" else want.T
             assert np.array_equal(fac.solve(rhs), want)
+
+
+# The numpy references below are what the compiled kernel must equal bit
+# for bit, so each is held here to the dense matrices on its own.  Grids:
+# one node, two nodes, an odd count, one whole 16-line tile, two tiles.
+REFERENCE_GRIDS = [2, 3, 8, 17, 33]
+REFERENCE_KAPPAS = [1e-3, 1.0, 1e3]
+
+
+def dense_line_system(op, axis, kappa):
+    """I - kappa*A (axis "a") or I - kappa*B (axis "b"), dense."""
+    a, b, _ = oracle.dense_assemble(op)
+    return np.eye(op.grid.interior_count) - kappa * (a if axis == "a" else b)
+
+
+def relative_error(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+class TestStencilReference:
+    """``oracle.apply``, the compiled stencil's reference."""
+
+    @pytest.mark.parametrize("m", REFERENCE_GRIDS)
+    def test_matches_dense_kronecker(self, m):
+        op = paper_operator(m)
+        a, b, l = oracle.dense_assemble(op)
+        eye = np.eye(op.grid.interior_count)
+        u = random_field(op.grid, m)
+        for which, sigma, mat in (("a", None, a), ("b", None, b),
+                                  ("l", None, l), ("l", 0.25, eye + 0.25 * l),
+                                  ("l", -0.25, eye - 0.25 * l)):
+            got = oracle.apply(op, which, u, sigma).values.ravel()
+            assert relative_error(got, mat @ u.values.ravel()) <= 1e-13
+
+    def test_zero(self):
+        op = paper_operator(8)
+        z = zero_field(op.grid)
+        for which, sigma in (("a", None), ("b", None), ("l", None),
+                             ("l", 0.5), ("l", -0.5)):
+            assert np.all(oracle.apply(op, which, z, sigma).values == 0.0)
+
+    def test_discrete_laplacian_eigenpair(self):
+        g = Grid(16)
+        op = assemble_split_operator(ONE, ONE, g)
+        xi = g.interior_nodes()
+        u = Field(g, np.outer(np.sin(np.pi * xi), np.sin(np.pi * xi)))
+        sigma = (2.0 - 2.0 * np.cos(np.pi * g.h)) / g.h ** 2
+        for which, factor in (("a", -sigma), ("b", -sigma), ("l", -2 * sigma)):
+            got = oracle.apply(op, which, u).values
+            assert np.allclose(got, factor * u.values, atol=1e-11)
+
+    def test_coefficient_swap_transposes(self):
+        op = paper_operator(8)
+        swapped = assemble_split_operator(PAPER_MU, PAPER_LAMBDA, Grid(8))
+        u = random_field(op.grid, 3)
+        ut = Field(op.grid, np.ascontiguousarray(u.values.T))
+        got = oracle.apply(swapped, "a", ut).values.T
+        want = oracle.apply(op, "b", u).values
+        assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
+
+    def test_dissipativity(self):
+        for m in (4, 8, 16, 32):
+            op = paper_operator(m)
+            for seed in range(25):
+                u = random_field(op.grid, seed)
+                n2 = discrete_norm(u) ** 2
+                for which in "ab":
+                    au = oracle.apply(op, which, u)
+                    assert discrete_inner_product(au, u) <= 1e-12 * n2
+
+    def test_noncontiguous_and_integer_fields(self):
+        op = paper_operator(20)
+        ints = np.arange(19 * 19).reshape(19, 19) % 7 - 3
+        floats = Field(op.grid, ints.astype(float))
+        for field in (Field(op.grid, np.asfortranarray(ints.astype(float))),
+                      Field(op.grid, ints)):
+            for which, sigma in (("a", None), ("b", None), ("l", None),
+                                 ("l", 0.5)):
+                got = oracle.apply(op, which, field, sigma).values
+                want = oracle.apply(op, which, floats, sigma).values
+                assert got.tobytes() == want.tobytes()
+
+
+class TestLineFactorReference:
+    """``oracle.LineFactor`` and ``oracle.lapack_factor``, the references
+    of the kernel's line factors and solves, against the dense systems
+    I - kappa*A and I - kappa*B assembled by Kronecker products."""
+
+    @pytest.mark.parametrize("axis", ["a", "b"])
+    @pytest.mark.parametrize("m", REFERENCE_GRIDS)
+    def test_resolvent_solves_the_dense_system(self, m, axis):
+        op = paper_operator(m)
+        rhs = random_field(op.grid, m).values
+        for kappa in REFERENCE_KAPPAS:
+            want = np.linalg.solve(dense_line_system(op, axis, kappa),
+                                   rhs.ravel())
+            got = oracle.LineFactor(op, axis, kappa).solve(rhs)
+            assert got.flags.c_contiguous
+            assert relative_error(got.ravel(), want) <= 1e-12
+
+    @pytest.mark.parametrize("axis", ["a", "b"])
+    @pytest.mark.parametrize("m", REFERENCE_GRIDS)
+    def test_reflection_is_the_dense_cayley_transform(self, m, axis):
+        # (I + kappa X)(I - kappa X)^-1 = 2 (I - kappa X)^-1 - I
+        op = paper_operator(m)
+        rhs = random_field(op.grid, m).values
+        for kappa in REFERENCE_KAPPAS:
+            system = dense_line_system(op, axis, kappa)
+            plus = 2.0 * np.eye(len(system)) - system
+            want = plus @ np.linalg.solve(system, rhs.ravel())
+            got = oracle.LineFactor(op, axis, kappa).solve(rhs, reflect=True)
+            assert relative_error(got.ravel(), want) <= 1e-11
+
+    @pytest.mark.parametrize("axis", ["a", "b"])
+    @pytest.mark.parametrize("m", REFERENCE_GRIDS)
+    def test_lapack_factor_is_the_ldlt_of_each_dense_line(self, m, axis):
+        # line j of axis "a" is row j of the field, of axis "b" column j
+        op = paper_operator(m)
+        n = op.grid.n
+        index = np.arange(n * n).reshape(n, n)
+        for kappa in REFERENCE_KAPPAS:
+            system = dense_line_system(op, axis, kappa)
+            d, e = oracle.lapack_factor(op, axis, kappa)
+            for j in range(n):
+                line = index[j] if axis == "a" else index[:, j]
+                lower = np.eye(n) + np.diag(e[j, :-1], -1)
+                want = system[np.ix_(line, line)]
+                got = lower @ np.diag(d[j]) @ lower.T
+                assert relative_error(got, want) <= 1e-14
+
+    def test_lines_do_not_couple(self):
+        op = paper_operator(8)
+        n = op.grid.n
+        for j in (0, 3, n - 1):
+            x_line = np.zeros((n, n))
+            x_line[j, :] = np.arange(1.0, n + 1)
+            w = oracle.LineFactor(op, "a", 10.0).solve(x_line)
+            assert np.all(np.delete(w, j, axis=0) == 0.0)
+            assert np.all(w[j] != 0.0)
+            w = oracle.LineFactor(op, "b", 10.0).solve(x_line.T.copy())
+            assert np.all(np.delete(w, j, axis=1) == 0.0)
+            assert np.all(w[:, j] != 0.0)
+
+    def test_zero_rhs(self):
+        op = paper_operator(8)
+        z = np.zeros((7, 7))
+        for axis in "ab":
+            fac = oracle.LineFactor(op, axis, 1.0)
+            assert np.all(fac.solve(z) == 0.0)
+            assert np.all(fac.solve(z, reflect=True) == 0.0)
+
+    def test_rhs_stays_unwritten(self):
+        op = paper_operator(17)
+        rhs = random_field(op.grid, 4).values
+        before = rhs.copy()
+        for axis in "ab":
+            for reflect in (False, True):
+                oracle.LineFactor(op, axis, 1.0).solve(rhs, reflect=reflect)
+                assert rhs.tobytes() == before.tobytes()
+
+    def test_noncontiguous_and_integer_fields(self):
+        op = paper_operator(20)
+        ints = np.arange(19 * 19).reshape(19, 19) % 7 - 3
+        floats = ints.astype(float)
+        for axis in "ab":
+            fac = oracle.LineFactor(op, axis, 0.5)
+            for rhs in (np.asfortranarray(floats), ints):
+                for reflect in (False, True):
+                    got = fac.solve(rhs, reflect=reflect)
+                    want = fac.solve(floats, reflect=reflect)
+                    assert got.tobytes() == want.tobytes()
+
+    def test_indefinite_system_has_a_non_positive_pivot(self):
+        # the pivot the kernel's factor reports when it raises
+        op = paper_operator(8)
+        op.k_lambda = TridiagonalMatrix(-op.k_lambda.diag, -op.k_lambda.off)
+        assert np.min(oracle.LineFactor(op, "a", 10.0).d) <= 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            op.solve_resolvent_a(10.0, random_field(op.grid))
+
+
+class TestAdiProductReference:
+    @pytest.mark.parametrize("m", REFERENCE_GRIDS)
+    def test_matches_the_dense_product(self, m):
+        # R_B(kappa_b) R_A(kappa_a) R_B(kappa_b) r + weight * r
+        op = paper_operator(m)
+        r = random_field(op.grid, m).values
+        weight = np.random.default_rng(m).random(r.shape)
+        for kappa_a, kappa_b in ((1e-3, 5e-4), (1.0, 0.25), (1e3, 1e3)):
+            rb = np.linalg.inv(dense_line_system(op, "b", kappa_b))
+            ra = np.linalg.inv(dense_line_system(op, "a", kappa_a))
+            want = rb @ ra @ rb @ r.ravel() + weight.ravel() * r.ravel()
+            got = oracle.adi_product(op, kappa_a, kappa_b, r, weight)
+            assert relative_error(got.ravel(), want) <= 1e-12
+
+
+class TestCayleyCallsReference:
+    @pytest.mark.parametrize("average", [False, True])
+    @pytest.mark.parametrize("m", [2, 8, 17])
+    def test_matches_the_dense_recurrence(self, m, average):
+        op = paper_operator(m)
+        u = random_field(op.grid, m)
+        kappa, n_steps = 1.0 / 64, 3
+        eye = np.eye(op.grid.interior_count)
+        cay_a, cay_b = (2.0 * np.linalg.inv(dense_line_system(op, axis, kappa))
+                        - eye for axis in "ab")
+        step = cay_a @ cay_b
+        if average:
+            step = 0.5 * (eye + step)
+        want = np.linalg.matrix_power(step, n_steps) @ u.values.ravel()
+        got = oracle.cayley_calls(op, kappa, n_steps, u, average)
+        assert relative_error(got.values.ravel(), want) <= 1e-12
+
+    def test_u_stays_unwritten_and_zero_steps_return_it(self):
+        op = paper_operator(9)
+        u = random_field(op.grid, 1)
+        before = u.values.copy()
+        for average in (False, True):
+            assert oracle.cayley_calls(op, 0.1, 0, u, average) is u
+            oracle.cayley_calls(op, 0.1, 4, u, average)
+            assert u.values.tobytes() == before.tobytes()
+
+
+def spd_system(n=24, seed=5):
+    """An SPD matrix with eigenvalues spread over [1, 1e3], and a rhs."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (q * np.logspace(0, 3, n)) @ q.T, rng.standard_normal(n)
+
+
+class TestReferenceCg:
+    @pytest.mark.parametrize("jacobi", [False, True])
+    def test_solves_a_dense_spd_system(self, jacobi):
+        mat, b = spd_system()
+        diag = np.diag(mat)
+        precondition = (lambda r: r / diag) if jacobi else None
+        x, history = oracle.reference_cg(lambda v: mat @ v, b, 1e-12,
+                                         precondition)
+        assert history[0] == 1.0
+        assert history[-1] <= 1e-12 < min(history[:-1])
+        assert np.linalg.norm(b - mat @ x) <= 1e-12 * np.linalg.norm(b)
+        assert relative_error(x, np.linalg.solve(mat, b)) <= 1e-9
+
+    def test_the_exact_inverse_as_preconditioner_takes_one_iteration(self):
+        mat, b = spd_system()
+        inverse = np.linalg.inv(mat)
+        x, history = oracle.reference_cg(lambda v: mat @ v, b, 1e-10,
+                                         lambda r: inverse @ r)
+        assert len(history) == 2
+        assert relative_error(x, np.linalg.solve(mat, b)) <= 1e-10
+
+    def test_max_iter_caps_the_iterations(self):
+        mat, b = spd_system()
+        _, history = oracle.reference_cg(lambda v: mat @ v, b, 1e-300,
+                                         max_iter=3)
+        assert len(history) == 4
+
+
+class TestCrankNicolsonReference:
+    @pytest.mark.parametrize("m", REFERENCE_GRIDS)
+    def test_matches_the_dense_map(self, m):
+        # (I - k/2 L)^-1 (I + k/2 L) u, to CG's relative residual 1e-12
+        op = paper_operator(m)
+        _, _, l = oracle.dense_assemble(op)
+        eye = np.eye(op.grid.interior_count)
+        u = random_field(op.grid, m)
+        for k in (2.0 ** -10, 2.0 ** -4):
+            want = np.linalg.solve(eye - 0.5 * k * l,
+                                   (eye + 0.5 * k * l) @ u.values.ravel())
+            got = oracle.crank_nicolson_step(op, k, u).values.ravel()
+            assert relative_error(got, want) <= 1e-10
 
 
 def test_dense_matches_matrix_free_master_check():
