@@ -5,8 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import experiments, steppers
-from ._kernel import KernelUnavailableError
+from . import _kernel, experiments, steppers
 from .grid import Grid, discrete_norm, read_field, write_field
 from .operators import assemble_split_operator
 
@@ -173,15 +172,17 @@ def _cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     """Exit status 0 on success, 1 when a ``verify`` check fails, 2 on bad
-    input and 3 when the compiled kernel cannot be built or loaded."""
+    input and 3 when the compiled kernel cannot be built or loaded, which
+    is found before any work."""
     args = build_parser().parse_args(argv)
     try:
+        _kernel.load()
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "convergence":
             return _cmd_convergence(args)
         return _cmd_verify(args)
-    except KernelUnavailableError as exc:
+    except _kernel.KernelUnavailableError as exc:
         # a compiler's stderr may span lines; the report keeps to one
         return _error(" ".join(str(exc).split()), status=3)
 

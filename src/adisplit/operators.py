@@ -21,11 +21,9 @@ KernelUnavailableError where it cannot be built.  The package needs numpy
 and ``cc`` only.
 ``apply_l``, the resolvents and the Cayley transforms return a new field,
 or, given ``out=``, write into that C-contiguous float64 (n, n) array,
-which must not overlap the input, and return it wrapped as a field.  An
-operator lends scratch fields for the length of a run and keeps up to
-FIELD_POOL_CAPACITY of them between runs (``lend_fields``); a
-Crank-Nicolson run takes its fields there and binds its preconditioner,
-an ADI product, to them once (``bind_adi_product``).
+which must not overlap the input, and return it wrapped as a field.  A
+Crank-Nicolson run binds its preconditioner, an ADI product, to its own
+fields once (``bind_adi_product``).
 
 The stability assumption ||A L^{-1}||_h <= sqrt(|lambda|_inf |mu|_inf /
 (lambda_0 mu_0)) is checked by a closed-form certificate computed from the
@@ -38,7 +36,7 @@ import ctypes
 import functools
 import logging
 import os
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -50,13 +48,11 @@ logger = logging.getLogger(__name__)
 
 COEFF_SAMPLE_POINTS = 10_001
 # Resolvent factors kept per operator, least recently used evicted first.
-# One step size needs two (DR), two (PR) or three (CN, whose preconditioner
-# adds R_B(k/4)) keys, five with all three schemes; at m=1024 a factor
-# holds about 8 MB.
+# One step size needs two keys for each scheme: R_A(k) and R_B(k) (DR),
+# R_A(k/2) and R_B(k/2) (PR), R_A(k/2) and R_B(k/4) (CN's
+# preconditioner), five with all three schemes; at m=1024 a factor holds
+# about 8 MB.
 FACTOR_CACHE_CAPACITY = 6
-# Scratch fields kept per operator between the runs it lends them to: the
-# six of one Crank-Nicolson run.
-FIELD_POOL_CAPACITY = 6
 # parts argument of the compiled stencil
 _PART_A, _PART_B, _PART_SHIFT = 1, 2, 4
 # Interior unknowns x steps per call of the compiled Cayley loop: a few
@@ -119,8 +115,6 @@ class SplitDiffusionOperator:
     mu_0: float
     _factor_cache: OrderedDict = dc_field(default_factory=OrderedDict, repr=False)
     _kron_factorization: object = dc_field(default=None, repr=False)
-    _pool: deque = dc_field(
-        default_factory=lambda: deque(maxlen=FIELD_POOL_CAPACITY), repr=False)
 
     @functools.cached_property
     def _lib(self):
@@ -176,24 +170,6 @@ class SplitDiffusionOperator:
         diag += np.outer(self.k_mu.diag, self.d_lambda)
         diag /= -h2
         return Field(self.grid, diag)
-
-    def lend_fields(self, count: int) -> list:
-        """``count`` C-contiguous float64 (n, n) fields of unspecified
-        values, the pool's first, for the caller alone until it passes
-        them to ``take_back``.  Deque pops and appends are atomic, so
-        threads that share the operator never share a field."""
-        fields = []
-        for _ in range(count):
-            try:
-                fields.append(self._pool.pop())
-            except IndexError:
-                fields.append(np.empty((self.grid.n, self.grid.n)))
-        return fields
-
-    def take_back(self, fields) -> None:
-        """Return lent fields; the pool keeps the FIELD_POOL_CAPACITY
-        returned last."""
-        self._pool.extend(fields)
 
     # -- resolvents -----------------------------------------------------------
 

@@ -2,21 +2,19 @@
 
 The step maps only require the capability set apply_a / apply_b / apply_l /
 solve_resolvent_a / solve_resolvent_b, with cayley_a and cayley_loop for
-``evolve``, and diagonal_l, lend_fields / take_back and bind_adi_product
-for Crank-Nicolson, so any pair of dissipative operators with computable
-resolvents plugs in; cayley_loop(kappa, n, u, out=, average=) runs n
-steps of the Cayley recurrence t <- C_A C_B t, averaged with t for DR, on
-u's array with ``out`` as scratch (see ``evolve``); lend_fields(count)
-lends C-contiguous float64 (n, n) fields until take_back(fields), from a
-bounded pool the operator keeps between runs;
+``evolve``, and diagonal_l and bind_adi_product for Crank-Nicolson, so
+any pair of dissipative operators with computable resolvents plugs in;
+cayley_loop(kappa, n, u, out=, average=) runs n steps of the Cayley
+recurrence t <- C_A C_B t, averaged with t for DR, on u's array with
+``out`` as scratch (see ``evolve``);
 bind_adi_product(kappa_a, kappa_b, r=, weight=, out=, scratch=) checks
 four fields once and returns a callable that writes
 R_B(kappa_b) R_A(kappa_a) R_B(kappa_b) r + weight * r into ``out``; and
 Crank-Nicolson calls apply_l(u, sigma) for u + sigma L u.  Each result is
 a new field unless the call passes ``out=``, a C-contiguous float64 array
 that does not overlap the input; ``evolve`` does so inside its loops, so
-a DR or PR run allocates no field per step, and a CN run works in the
-fields it borrows, so it allocates none but its result.  The diffusion
+a DR or PR run allocates no field per step, and a CN run allocates its
+six fields once and none per step.  The diffusion
 instance lives in :mod:`adisplit.operators`, whose compiled kernel runs
 the DR and PR loops in a few calls, and each CG iteration of CN in a few
 passes besides the dot products.
@@ -110,7 +108,7 @@ def cn_preconditioner(op, k: float, r, z, middle, jacobi):
 
 
 class _CnRun:
-    """The fields a CN run borrows from its operator: the iterate x, CG's
+    """The six fields of one CN run, allocated once: the iterate x, CG's
     residual r (first the right-hand side), direction p and A p, and the
     preconditioner's z and Jacobi weights, with CG's operator and
     preconditioner bound to them.  CG is done with A p before it
@@ -118,14 +116,12 @@ class _CnRun:
     too."""
 
     def __init__(self, op, k: float):
-        self.op = op
-        self.r, p, ap, z, jacobi = op.lend_fields(5)
+        n = op.grid.n
+        self.r, p, ap, z, jacobi = (np.empty((n, n)) for _ in range(5))
         self.precondition = cn_preconditioner(op, k, self.r, z, ap, jacobi)
-        # x, which the run returns and which is the one field a run of
-        # pooled fields allocates, is lent after the weights: it takes the
-        # memory of diagonal_l's temporary instead of adding to it
-        (self.x,) = op.lend_fields(1)
-        self.fields = [self.x, self.r, p, ap, z, jacobi]
+        # x, which the run returns, is made after the weights: it takes
+        # the memory of diagonal_l's temporary instead of adding to it
+        self.x = np.empty((n, n))
         self.vectors = self.r.reshape(-1), self.x.reshape(-1), p.reshape(-1)
         grid, minus_half, ap_flat = op.grid, -0.5 * k, ap.reshape(-1)
 
@@ -135,11 +131,6 @@ class _CnRun:
             return ap_flat
 
         self.matvec = matvec
-
-    def close(self, result: Field) -> None:
-        """Give the fields back but the one ``result`` holds, which leaves
-        the pool for good, so no later run writes it."""
-        self.op.take_back([a for a in self.fields if a is not result.values])
 
 
 def cn_step(
@@ -157,26 +148,19 @@ def cn_step(
     so u may be its x, into which CG solves.  The step returns that x,
     which the run's next step overwrites (``evolve`` makes one run, for
     the same ``op`` and ``k``, for all its steps); with ``run`` None the
-    step borrows a run's fields from ``op`` and keeps only x, which it
-    returns.  This is the reference integrator; it involves a full 2D
-    solve and is not a splitting.
+    step makes a run of its own.  This is the reference integrator; it
+    involves a full 2D solve and is not a splitting.
     """
     _check_step(k)
     if handle is None:
         handle = linsolve.LinearSolverHandle()
-    own = run is None
-    if own:
+    if run is None:
         run = _CnRun(op, k)
-    x = Field(op.grid, run.x)
-    try:
-        op.apply_l(u, 0.5 * k, out=run.r)
-        linsolve.conjugate_gradient(
-            run.matvec, *run.vectors, tol=handle.tol, max_iter=handle.max_iter,
-            precondition=run.precondition)
-        return x
-    finally:
-        if own:
-            run.close(x)
+    op.apply_l(u, 0.5 * k, out=run.r)
+    linsolve.conjugate_gradient(
+        run.matvec, *run.vectors, tol=handle.tol, max_iter=handle.max_iter,
+        precondition=run.precondition)
+    return Field(op.grid, run.x)
 
 
 def evolve(
@@ -202,9 +186,9 @@ def evolve(
     recurrence is one ``op.cayley_loop`` call on t's array, with a second
     buffer as its scratch and the final solve's output; the start is
     formed in B u0's array, and ``u0`` is never written and not kept.
-    Crank-Nicolson borrows its fields from ``op`` and binds its
-    preconditioner to them once per run; the field of the last iterate,
-    which it returns, does not go back.  A step size that is not positive
+    Crank-Nicolson allocates its six fields and binds its preconditioner
+    to them once per run, and returns the field of the last iterate, which
+    no later run writes.  A step size that is not positive
     and finite and an n_steps that is not a non-negative integer raise
     before any work; a non-finite final field raises FloatingPointError,
     and so does CN's CG on a non-finite right-hand side
@@ -219,11 +203,8 @@ def evolve(
         pass
     elif scheme is SchemeKind.CRANK_NICOLSON:
         run = _CnRun(op, k)
-        try:
-            for _ in range(n_steps):
-                u = cn_step(op, k, u, handle, run)
-        finally:
-            run.close(u)
+        for _ in range(n_steps):
+            u = cn_step(op, k, u, handle, run)
     else:
         pr = scheme is SchemeKind.PEACEMAN_RACHFORD
         kappa = 0.5 * k if pr else k

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adisplit import KernelUnavailableError, _kernel, experiments, operators, steppers
+from adisplit import (KernelUnavailableError, _kernel, cli, experiments,
+                      operators, steppers)
 from adisplit.experiments import PAPER_LAMBDA, PAPER_MU, coefficient_pair
 from adisplit.grid import Field, Grid, discrete_inner_product, discrete_norm
 from adisplit.linsolve import conjugate_gradient
@@ -770,53 +771,6 @@ class TestBoundAdiProduct:
         assert not op._factor_cache
 
 
-class TestFieldPool:
-    def test_lends_each_field_once_and_keeps_at_most_the_cap(self):
-        op = paper_operator(9)
-        cap = operators.FIELD_POOL_CAPACITY
-        lent = op.lend_fields(2 * cap)
-        assert len({a.ctypes.data for a in lent}) == 2 * cap
-        for a in lent:
-            assert a.shape == (8, 8) and a.dtype == np.float64
-            assert a.flags.c_contiguous and a.flags.writeable
-        op.take_back(lent[:cap])
-        op.take_back(lent[cap:])
-        assert len(op._pool) == cap
-        again = op.lend_fields(cap + 1)
-        # the fields returned last, then a new one
-        assert {a.ctypes.data for a in again[:cap]} == {a.ctypes.data for a in lent[cap:]}
-        assert all(again[cap] is not a for a in lent)
-        assert not op._pool
-
-    def test_threads_sharing_the_operator_never_share_a_field(self):
-        op = paper_operator(9)
-        rounds, errors = 300, []
-
-        def work(tag):
-            for _ in range(rounds):
-                fields = op.lend_fields(3)
-                for a in fields:
-                    a.fill(tag)
-                time.sleep(0)
-                if any((a != tag).any() for a in fields):
-                    errors.append(tag)
-                op.take_back(fields)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(tag,)) for tag in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert errors == []
-        assert len(op._pool) == operators.FIELD_POOL_CAPACITY
-
-
 @pytest.fixture
 def fresh_loader():
     """Forget the loaded kernel, or the failure to load it, before and
@@ -957,6 +911,25 @@ class TestKernelBuild:
         assert proc.stderr == ("error: the compiled tridiagonal kernel is "
                                "unavailable: [Errno 2] No such file or "
                                "directory: 'cc'\n")
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--scheme", "pr", "--m", "1024", "--k", "1/8"],
+        ["convergence", "--scheme", "pr", "--paper-rows", "--ref-m", "1024",
+         "--ref-k", "1/8192"],
+    ], ids=["run", "convergence"])
+    def test_the_command_line_fails_before_any_work(self, monkeypatch, tmp_path,
+                                                     fresh_loader, capsys,
+                                                     command):
+        # the kernel is loaded before the initial data are prepared
+        hide_the_compiler(monkeypatch, tmp_path)
+
+        def prepare_initial_data(op):
+            raise AssertionError("initial data prepared before the kernel loaded")
+
+        monkeypatch.setattr(experiments, "prepare_initial_data", prepare_initial_data)
+        assert cli.main(command) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: the compiled tridiagonal kernel is unavailable: ")
 
     def test_a_failed_build_is_attempted_once(self, monkeypatch, tmp_path,
                                              fresh_loader):

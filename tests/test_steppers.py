@@ -479,6 +479,11 @@ class TestZeroADegeneration:
         assert got.values[0, 0] == pytest.approx(0.95 / 1.05, rel=1e-14)
 
 
+def fields(op, count):
+    """``count`` new C-contiguous float64 fields of op's grid."""
+    return [np.empty((op.grid.n, op.grid.n)) for _ in range(count)]
+
+
 def dense_cn(op, k):
     _, _, l = oracle.dense_assemble(op)
     eye = np.eye(op.grid.interior_count)
@@ -491,7 +496,7 @@ class TestCrankNicolsonSolve:
         k = 100.0
         a, b, l = oracle.dense_assemble(op)
         eye = np.eye(op.grid.interior_count)
-        r, z, middle, jacobi = op.lend_fields(4)
+        r, z, middle, jacobi = fields(op, 4)
         precondition = cn_preconditioner(op, k, r, z, middle, jacobi)
         columns = []
         for col in eye:
@@ -522,7 +527,7 @@ class TestCrankNicolsonSolve:
             assert rel <= 1e-9
 
     def test_preconditioner_reads_r_and_overwrites_z(self, op16):
-        r, z, middle, jacobi = op16.lend_fields(4)
+        r, z, middle, jacobi = fields(op16, 4)
         precondition = cn_preconditioner(op16, 0.05, r, z, middle, jacobi)
         rng = np.random.default_rng(3)
         r1, r2 = rng.standard_normal((2,) + r.shape)
@@ -537,36 +542,29 @@ class TestCrankNicolsonSolve:
         assert precondition(None).tobytes() == kept.tobytes()
 
     def test_cg_iterations_allocate_no_field(self):
-        # the right-hand side goes into one borrowed field and every
+        # the right-hand side goes into one field of the run and every
         # apply_l inside CG into another, which is also the preconditioner's
-        # middle field; the preconditioner is bound once, and the step
-        # gives its fields back but the one it returns
+        # middle field; the preconditioner is bound once
         op = assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(16))
         rec = CallCounter(op)
         got = cn_step(rec, 0.05, random_field(op.grid, 9))
         rhs, *matvecs = rec.outs["apply_l"]
         assert len(matvecs) > 1 and len(set(matvecs)) == 1
-        # x is lent on its own, after the Jacobi weights
-        assert rec.calls["lend_fields"] == 2 and rec.calls["take_back"] == 1
         assert rec.calls["bind_adi_product"] == rec.calls["diagonal_l"] == 1
         bound = rec.outs["bind_adi_product"] + rec.scratches["bind_adi_product"]
-        pool = {a.ctypes.data for a in op._pool}
-        assert len(pool) == operators.FIELD_POOL_CAPACITY - 1
-        assert got.values.ctypes.data not in pool
-        assert {rhs, matvecs[0], *bound} <= pool
         assert len({rhs, matvecs[0], *bound}) == 3 and bound[1] == matvecs[0]
+        assert got.values.ctypes.data not in {rhs, matvecs[0], *bound}
         assert "solve_resolvent_a" not in rec.calls
         assert "solve_resolvent_b" not in rec.calls
 
     def test_evolve_builds_the_preconditioner_once(self, op16):
-        # one set of borrowed fields, one Jacobi diagonal and one bound
+        # one set of fields, one Jacobi diagonal and one bound
         # preconditioner for every step of the run
         rec = CallCounter(op16)
         u = random_field(op16.grid, 10)
         got = evolve(rec, SchemeKind.CRANK_NICOLSON, 0.05, 4, u)
-        for name in ("take_back", "diagonal_l", "bind_adi_product"):
+        for name in ("diagonal_l", "bind_adi_product"):
             assert rec.calls[name] == 1, name
-        assert rec.calls["lend_fields"] == 2
         outs = rec.outs["apply_l"]
         assert None not in outs and len(set(outs)) == 2 and len(outs) > 4 * 2
         want = u
@@ -574,12 +572,13 @@ class TestCrankNicolsonSolve:
             want = cn_step(op16, 0.05, want)
         assert np.array_equal(got.values, want.values)
 
-    def test_a_second_run_allocates_only_its_result(self):
-        # numpy reports its allocations to tracemalloc; the second run
-        # borrows the first run's fields, so its peak above the start is
-        # the result it returns, a few Python objects and, while
+    def test_a_run_allocates_its_six_fields_once(self):
+        # numpy reports its allocations to tracemalloc; a run's peak above
+        # the start is its six fields, a few Python objects and, while
         # diagonal_l forms its broadcast products, numpy's 128 KB of
-        # iterator buffers, whatever the grid
+        # iterator buffers: x takes the memory of diagonal_l's temporary,
+        # and the steps allocate no field (m=256 measured 6 fields +
+        # 132 944..133 000 bytes)
         op = assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(256))
         u0 = random_field(op.grid, 13)
         k = 2.0 ** -10
@@ -594,10 +593,9 @@ class TestCrankNicolsonSolve:
             start = tracemalloc.get_traced_memory()[0]
             step = cn_step(op, k, u0, None, run)
             step_peak = tracemalloc.get_traced_memory()[1] - start
-            run.close(step)
         finally:
             tracemalloc.stop()
-        nbytes = got.values.nbytes
+        nbytes = 6 * got.values.nbytes
         assert nbytes <= peak <= nbytes + 2 ** 17 + 16384
         # a step on a run's fields allocates no field at all
         assert step.values is run.x and step_peak <= 16384
@@ -633,21 +631,6 @@ class TestCrankNicolsonSolve:
             assert len(results) == 3
             for result in results:
                 assert result.tobytes() == values.tobytes()
-        # a run borrows six fields and gives back five, so how many the
-        # pool holds after the join depends on how the last runs overlapped;
-        # a serial run then leaves exactly five
-        results = want + [r for rs in got for r in rs]
-
-        def pooled():
-            """The pool's size, once checked: distinct fields, no result."""
-            pool = list(op._pool)
-            assert len({a.ctypes.data for a in pool}) == len(pool)
-            assert not any(np.shares_memory(a, r) for a in pool for r in results)
-            return len(pool)
-
-        assert pooled() <= operators.FIELD_POOL_CAPACITY
-        results.append(evolve(op, SchemeKind.CRANK_NICOLSON, k, 3, inputs[0]).values)
-        assert pooled() == operators.FIELD_POOL_CAPACITY - 1
 
     def test_few_operator_applications_on_smooth_data(self):
         # the paper's initial data at m=128, k=2^-10: the unpreconditioned
@@ -695,9 +678,9 @@ class TestCrankNicolsonSolve:
         assert counts[0] < counts[1]
 
 
-class TestBorrowedFields:
-    """A CN run works in fields its operator lends: what it returns and
-    what it reads must stay apart from them."""
+class TestRunFields:
+    """A CN run works in fields of its own: a later run writes neither
+    what an earlier one returned nor what it reads."""
 
     def test_a_later_run_leaves_a_returned_field_alone(self):
         op = assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(20))
@@ -709,9 +692,8 @@ class TestBorrowedFields:
             evolve(op, scheme, k, 3, random_field(op.grid, 3))
             for field, values in zip((first, single), kept):
                 assert field.values.tobytes() == values.tobytes()
-                assert not any(np.shares_memory(field.values, a) for a in op._pool)
 
-    def test_u0_stays_unwritten_and_out_of_the_pool(self):
+    def test_u0_stays_unwritten(self):
         op = assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(20))
         ints = np.arange(19 * 19).reshape(19, 19) % 7 - 3
         want = evolve(op, SchemeKind.CRANK_NICOLSON, 0.05, 3,
@@ -721,7 +703,6 @@ class TestBorrowedFields:
             got = evolve(op, SchemeKind.CRANK_NICOLSON, 0.05, 3, Field(op.grid, values))
             assert got.values.tobytes() == want.tobytes()
             assert np.array_equal(values, before) and values.dtype == before.dtype
-            assert not any(np.shares_memory(values, a) for a in op._pool)
 
 
 class TestNonFinite:

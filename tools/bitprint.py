@@ -6,7 +6,9 @@ loop thread count.
 For each loop thread count (1, then 2) it prints one line
 ``kernel threads=<t> <sha256>``.  The hash covers, at m in ``GRIDS`` on
 the paper's coefficients and a seeded random field, the DR, PR and CN
-``evolve`` runs of ``STEPS`` steps at every k in ``STEP_SIZES``;
+``evolve`` runs of ``STEPS`` steps at every k in ``STEP_SIZES``, and
+after them a second CN run on the same operator at the same k from
+another seeded field, as the ``cn_m256`` workload runs CN;
 ``apply_l`` plain and with sigma = -0.25 and 0.25; ``solve_resolvent_a/b``
 and ``cayley_a/b`` at every kappa in ``KAPPAS``; and the multipliers e of
 both axes' factors at those kappas, in [line][position] order whatever
@@ -57,10 +59,12 @@ def results(m: int):
     """Every result the hash covers at grid m, as arrays, in a fixed order."""
     op = operators.assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(m))
     n = op.grid.n
-    u = Field(op.grid, np.random.default_rng(m).standard_normal((n, n)))
+    u, v = (Field(op.grid, np.random.default_rng(seed).standard_normal((n, n)))
+            for seed in (m, (m, 1)))
     for k in STEP_SIZES:
         for scheme in SchemeKind:
             yield evolve(op, scheme, k, STEPS, u).values
+        yield evolve(op, SchemeKind.CRANK_NICOLSON, k, STEPS, v).values
     for sigma in SIGMAS:
         yield op.apply_l(u, sigma).values
     for kappa in KAPPAS:
