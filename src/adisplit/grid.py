@@ -13,6 +13,7 @@ function is integrated element by element.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -97,6 +98,23 @@ class Field:
 def _check_same_grid(u: Field, v: Field) -> None:
     if u.grid != v.grid:
         raise ValueError(f"grid mismatch: m={u.grid.m} vs m={v.grid.m}")
+
+
+def check_buffers(shape: tuple, **arrays) -> None:
+    """Reject any of ``arrays`` that the compiled kernels cannot write: not
+    a writeable C-contiguous float64 ndarray of ``shape``, or sharing
+    memory with another of them."""
+    for name, a in arrays.items():
+        if not (isinstance(a, np.ndarray) and a.shape == shape
+                and a.dtype == np.float64 and a.flags.c_contiguous
+                and a.flags.writeable):
+            raise ValueError(
+                f"{name} must be a writeable C-contiguous float64 array of shape "
+                f"{shape}, got {getattr(a, 'dtype', type(a).__name__)} "
+                f"{getattr(a, 'shape', '')}")
+    for (a, x), (b, y) in itertools.combinations(arrays.items(), 2):
+        if np.may_share_memory(x, y):
+            raise ValueError(f"{a} and {b} must not overlap")
 
 
 # A 2-norm in this range comes from a sum of squares that neither overflows

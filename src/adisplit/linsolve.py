@@ -6,7 +6,9 @@ eigendecompositions, taken by numpy's dense ``eigh``.  The same eigenvalues
 give the closed-form stability certificate
 (``operators.stability_certificate``).  ``conjugate_gradient``
 serves Crank-Nicolson's system I - k/2 L, with the tolerance and iteration
-cap of a ``LinearSolverHandle``, on vectors the caller owns.
+cap of a ``LinearSolverHandle``, on five arrays the caller owns and two
+callables that write the operator's and the preconditioner's results
+into two of them.
 ``power_iteration``, a 2-norm estimate the package does not call, stays
 while the benchmark's span recorder traces it.
 """
@@ -21,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import _kernel
-from .grid import SAFE_NORM_RANGE, Field, scale_exponent
+from .grid import SAFE_NORM_RANGE, Field, check_buffers, scale_exponent
 
 logger = logging.getLogger(__name__)
 
@@ -44,10 +46,10 @@ class NonFiniteError(ValueError, FloatingPointError):
 class LinearSolverHandle:
     """Stopping rule of Crank-Nicolson's CG solve of I - k/2 L.
 
-    ``cn_step`` is the only reader: CG, preconditioned with the ADI
-    resolvents, stops at relative residual ``tol`` and raises
-    NonConvergenceError after ``max_iter`` iterations (None: 10 per
-    unknown; otherwise a positive integer, bool excluded).
+    ``cn_step`` is the only reader: CG, on the run's five fields and
+    preconditioned with the ADI resolvents, stops at relative residual
+    ``tol`` and raises NonConvergenceError after ``max_iter`` iterations
+    (None: 10 per unknown; otherwise a positive integer, bool excluded).
     """
 
     tol: float = 1e-12
@@ -64,49 +66,31 @@ class LinearSolverHandle:
                 f"max_iter must be None or a positive integer, got {self.max_iter!r}")
 
 
-def _identity(r: np.ndarray) -> np.ndarray:
-    return r
-
-
-def _vector(name: str, v, shape) -> np.ndarray:
-    """v, if the compiled updates can take it: a C-contiguous float64
-    array of ``shape``."""
-    if not (isinstance(v, np.ndarray) and v.shape == shape
-            and v.dtype == np.float64 and v.flags.c_contiguous):
-        raise ValueError(
-            f"CG's {name} must be a C-contiguous float64 array of shape {shape}, "
-            f"got {getattr(v, 'dtype', type(v).__name__)} {getattr(v, 'shape', '')}")
-    return v
-
-
 def conjugate_gradient(
-    matvec: Callable[[np.ndarray], np.ndarray],
+    matvec: Callable[[], None],
+    precondition: Callable[[], None],
     r: np.ndarray,
     x: np.ndarray,
     p: np.ndarray,
+    ap: np.ndarray,
+    z: np.ndarray,
     tol: float = 1e-12,
     max_iter: int | None = None,
-    precondition: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
-    """CG for an SPD operator, relative-residual stopping rule; returns x.
+    """Preconditioned CG for an SPD operator, relative-residual stopping
+    rule; returns x.
 
-    The solve runs on three vectors the caller owns, distinct writeable
-    C-contiguous float64 arrays of one shape, checked once per solve:
-    ``r`` holds the right-hand side b on entry and the residual
-    afterwards, ``x`` receives the solution and ``p`` the search
-    directions.  ``precondition`` applies an SPD approximation of the
-    inverse to a residual, which makes this preconditioned CG; the
-    stopping rule still measures the plain residual ||b - A x|| / ||b||.
-    With ``None`` it is plain CG.  ``matvec(p)`` and ``precondition(r)``
-    return C-contiguous float64 vectors of r's shape, each checked unless
-    it is the array that function returned last time.
-    Either may return a buffer that it overwrites on its next call, and
-    the preconditioner may overwrite ``A p``: CG is done with ``A p``
-    before it preconditions, and with ``z`` (copied into or added to
-    ``p``) before its next matvec.  ``matvec`` must not keep the vector
-    it is given.  Dot products are numpy's ``@``, BLAS ddot: their bits
-    depend on the BLAS and its thread count, and repeated solves of a
-    system in one process give bitwise-identical iterates.
+    It runs on five arrays the caller owns, checked once per solve by
+    ``grid.check_buffers``: ``r`` holds the right-hand side b on entry and
+    the residual afterwards, ``x`` receives the solution, ``p`` the search
+    directions, ``ap`` A p and ``z`` M^{-1} r.  ``matvec()`` writes A p
+    into ap, and ``precondition()`` M^{-1} r into z, for an SPD
+    approximation M^{-1} of the inverse (plain CG: ``np.copyto(z, r)``);
+    it may overwrite ap, which CG is done with by then.  The stopping rule
+    measures the plain residual ||b - A x|| / ||b||.  Dot products are
+    numpy's ``@`` on the flattened arrays, BLAS ddot: their bits depend
+    on the BLAS and its thread count, and repeated solves of a system in
+    one process give bitwise-identical iterates.
     Each solve's iteration count and final relative residual are logged
     at DEBUG.  x += alpha p with r -= alpha A p, and p = p beta + z, each
     run as one pass of the compiled kernel (``_kernel.load()``, called per
@@ -117,11 +101,9 @@ def conjugate_gradient(
     in r, which scales every iterate exactly, and the solution is scaled
     back.
     """
-    for name, v in (("r", r), ("x", x), ("p", p)):
-        if not _vector(name, v, np.shape(r)).flags.writeable:
-            raise ValueError(f"CG's {name} must be writeable")
-    if any(np.may_share_memory(a, b) for a, b in ((r, x), (r, p), (x, p))):
-        raise ValueError("CG's r, x and p must not overlap")
+    check_buffers(np.shape(r), r=r, x=x, p=p, ap=ap, z=z)
+    solution = x
+    r, x, p, ap, z = (v.reshape(-1) for v in (r, x, p, ap, z))
     with np.errstate(over="ignore"):
         bnorm = float(np.linalg.norm(r))
     scale = 0
@@ -130,53 +112,39 @@ def conjugate_gradient(
         if not np.isfinite(r).all():
             raise NonFiniteError(f"CG right-hand side is not finite (norm {bnorm})")
         if not r.any():
-            return x
+            return solution
         scale = scale_exponent(r)
         np.ldexp(r, -scale, out=r)
         bnorm = float(np.linalg.norm(r))
     if max_iter is None:
         max_iter = 10 * r.size
-    if precondition is None:
-        precondition = _identity
     kernel = _kernel.load()
-    at = x.ctypes.data, r.ctypes.data, p.ctypes.data
-    seen = {}
-
-    def address(name, v):
-        """v's address, checked unless v is what ``name`` was last time."""
-        known = seen.get(name)
-        if known is None or known[0] is not v:
-            known = seen[name] = _vector(name, v, r.shape), v.ctypes.data
-        return known[1]
-
-    z = precondition(r)
-    address("z", z)
+    at_x, at_r, at_p, at_ap, at_z = (v.ctypes.data for v in (x, r, p, ap, z))
+    precondition()
     np.copyto(p, z)
     rz = float(r @ z)
     history = [np.sqrt(float(r @ r)) / bnorm]
     iterations = 0
     while history[-1] > tol and iterations < max_iter:
         iterations += 1
-        Ap = matvec(p)
-        at_ap = address("A p", Ap)
-        alpha = rz / float(p @ Ap)
-        kernel.adisplit_cg_step(r.size, alpha, at[2], at_ap, *at[:2])
+        matvec()
+        alpha = rz / float(p @ ap)
+        kernel.adisplit_cg_step(r.size, alpha, at_p, at_ap, at_x, at_r)
         rr = float(r @ r)
         history.append(np.sqrt(rr) / bnorm)
         if history[-1] <= tol or not np.isfinite(rr):
             break
-        z = precondition(r)
-        at_z = address("z", z)
+        precondition()
         rz_new = float(r @ z)
         # z + beta p: IEEE addition commutes, so updating p in place keeps
         # the bits
-        kernel.adisplit_cg_direction(r.size, rz_new / rz, at_z, at[2])
+        kernel.adisplit_cg_direction(r.size, rz_new / rz, at_z, at_p)
         rz = rz_new
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug("CG: %d iterations, relative residual %.3e",
                      iterations, history[-1])
     if history[-1] <= tol:
-        return np.ldexp(x, scale, out=x) if scale else x
+        return np.ldexp(solution, scale, out=solution) if scale else solution
     raise NonConvergenceError(
         f"CG did not reach relative residual {tol} in {iterations} iterations "
         f"(last residual {history[-1]:.3e})",

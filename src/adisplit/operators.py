@@ -20,10 +20,10 @@ into a per-user cache, by :mod:`adisplit._kernel`, which raises
 KernelUnavailableError where it cannot be built.  The package needs numpy
 and ``cc`` only.
 ``apply_l``, the resolvents and the Cayley transforms return a new field,
-or, given ``out=``, write into that C-contiguous float64 (n, n) array,
+or, given ``out=``, write into that (n, n) array (``grid.check_buffers``),
 which must not overlap the input, and return it wrapped as a field.  A
 Crank-Nicolson run binds its preconditioner, an ADI product, to its own
-fields once (``bind_adi_product``).
+fields once (``bind_adi_product``), and CG calls it as it is.
 
 The stability assumption ||A L^{-1}||_h <= sqrt(|lambda|_inf |mu|_inf /
 (lambda_0 mu_0)) is checked by a closed-form certificate computed from the
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import _kernel, linsolve
-from .grid import Field, Grid
+from .grid import Field, Grid, check_buffers
 
 logger = logging.getLogger(__name__)
 
@@ -208,11 +208,11 @@ class SplitDiffusionOperator:
         """
         if n_steps < 0:
             raise ValueError(f"n_steps must be non-negative, got {n_steps}")
-        self._check(u, out)
-        self._check_buffer("u", u.values)
+        n = self.grid.n
+        self._check(u)
+        check_buffers((n, n), u=u.values, out=out)
         calls, threads = 0, 1
         if n_steps:
-            n = self.grid.n
             fac_a, fac_b = self._factors("a", kappa), self._factors("b", kappa)
             want = 2 if self.grid.m >= _LOOP_THREADS_FROM_M and _cpus() >= 2 else 1
             per_call = max(1, _LOOP_WORK // (n * n))
@@ -237,20 +237,17 @@ class SplitDiffusionOperator:
         + weight * r into ``out``, for what ``r`` holds at each call, with
         ``scratch`` as the middle field.
 
-        Checked here, once: each array is a writeable C-contiguous float64
-        (n, n) array, and out and scratch overlap neither each other nor
-        an input.  The factors and addresses are taken here too, so a call
-        is three line solves and the sum, each with the bits of
+        Checked here, once (``grid.check_buffers``): each array is a
+        writeable C-contiguous float64 (n, n) array, and out and scratch
+        overlap neither each other nor an input; the inputs r and weight
+        may overlap.  The factors and addresses are taken here too, so a
+        call is three line solves and the sum, each with the bits of
         ``solve_resolvent_a``/``_b`` and of numpy's out + weight * r
         (``adisplit_add_weighted``)."""
+        shape = (self.grid.n, self.grid.n)
+        check_buffers(shape, r=r, out=out, scratch=scratch)
+        check_buffers(shape, weight=weight, out=out, scratch=scratch)
         arrays = dict(r=r, weight=weight, out=out, scratch=scratch)
-        for name, a in arrays.items():
-            self._check_buffer(name, a)
-        for name in ("out", "scratch"):
-            if any(np.may_share_memory(arrays[name], x) for x in (r, weight)):
-                raise ValueError(f"{name} must not overlap the input field")
-        if np.may_share_memory(out, scratch):
-            raise ValueError("out and scratch must not overlap")
         fac_a, fac_b = self._factors("a", kappa_a), self._factors("b", kappa_b)
         add, size = self._lib.adisplit_add_weighted, r.size
         at_r, at_w, at_o, at_s = (a.ctypes.data for a in arrays.values())
@@ -293,31 +290,19 @@ class SplitDiffusionOperator:
                 self._factor_cache.popitem(last=False)
         return fac
 
-    def _check(self, u: Field, out: np.ndarray | None = None,
-               name: str = "out") -> None:
-        """Reject a field of another grid and an ``out`` (or buffer
-        ``name``) the kernels cannot write: of the wrong shape or dtype,
-        not C-contiguous, read-only, or sharing memory with the input."""
+    def _check(self, u: Field, out: np.ndarray | None = None) -> None:
+        """Reject a field of another grid and an ``out`` the kernels cannot
+        write (``grid.check_buffers``) or that shares memory with the
+        input, whose values may have any layout."""
         if u.grid != self.grid:
             raise ValueError(
                 f"field grid m={u.grid.m} does not match operator grid m={self.grid.m}"
             )
         if out is None:
             return
-        self._check_buffer(name, out)
+        check_buffers((self.grid.n, self.grid.n), out=out)
         if np.may_share_memory(out, u.values):
-            raise ValueError(f"{name} must not overlap the input field")
-
-    def _check_buffer(self, name: str, a) -> None:
-        n = self.grid.n
-        if not (isinstance(a, np.ndarray) and a.shape == (n, n)
-                and a.dtype == np.float64 and a.flags.c_contiguous
-                and a.flags.writeable):
-            raise ValueError(
-                f"{name} must be a writeable C-contiguous float64 array of shape "
-                f"{(n, n)}, got {getattr(a, 'dtype', type(a).__name__)} "
-                f"{getattr(a, 'shape', '')}"
-            )
+            raise ValueError("out must not overlap the input field")
 
 
 class _KernelFactor:

@@ -8,8 +8,9 @@ cayley_loop(kappa, n, u, out=, average=) runs n steps of the Cayley
 recurrence t <- C_A C_B t, averaged with t for DR, on u's array with
 ``out`` as scratch (see ``evolve``);
 bind_adi_product(kappa_a, kappa_b, r=, weight=, out=, scratch=) checks
-four fields once and returns a callable that writes
-R_B(kappa_b) R_A(kappa_a) R_B(kappa_b) r + weight * r into ``out``; and
+four fields once and returns a zero-argument callable that writes
+R_B(kappa_b) R_A(kappa_a) R_B(kappa_b) r + weight * r into ``out``, which
+Crank-Nicolson's CG takes as its preconditioner as it is; and
 Crank-Nicolson calls apply_l(u, sigma) for u + sigma L u.  Each result is
 a new field unless the call passes ``out=``, a C-contiguous float64 array
 that does not overlap the input; ``evolve`` does so inside its loops, so
@@ -87,48 +88,38 @@ def cn_preconditioner(op, k: float, r, z, middle, jacobi):
     symmetric (the mass matrix is h^2 I), so the product R_B^T R_A R_B is SPD
     by congruence and adding the positive diagonal w J keeps it SPD, as
     preconditioned CG requires.  It writes w J into the caller's (n, n)
-    field ``jacobi`` and binds ``op.bind_adi_product`` to r, jacobi, z
-    and middle.  The callable ``precondition(_)`` it returns writes
-    M^{-1} r into z, for what r holds then, with the bits of the three
-    resolvent calls and numpy's sum of the Jacobi term, and returns z's
-    flat view; it ignores its argument, so CG must run on r's field.
+    field ``jacobi`` and returns the callable that ``op.bind_adi_product``
+    binds to r, jacobi, z and middle: each call writes M^{-1} r into z,
+    for what r holds then, with the bits of the three resolvent calls and
+    numpy's sum of the Jacobi term.
     """
     half = 0.5 * k
     np.multiply(half, op.diagonal_l(out=jacobi).values, out=jacobi)
     np.divide(CN_JACOBI_WEIGHT, np.subtract(1.0, jacobi, out=jacobi), out=jacobi)
-    product = op.bind_adi_product(half, 0.25 * k, r=r, weight=jacobi, out=z,
-                                  scratch=middle)
-    z_flat = z.reshape(-1)
-
-    def precondition(_):
-        product()
-        return z_flat
-
-    return precondition
+    return op.bind_adi_product(half, 0.25 * k, r=r, weight=jacobi, out=z,
+                               scratch=middle)
 
 
 class _CnRun:
     """The six fields of one CN run, allocated once: the iterate x, CG's
     residual r (first the right-hand side), direction p and A p, and the
-    preconditioner's z and Jacobi weights, with CG's operator and
-    preconditioner bound to them.  CG is done with A p before it
-    preconditions, so A p's field is the preconditioner's middle field
-    too."""
+    preconditioner's z and Jacobi weights, with CG's ``matvec()`` and
+    ``precondition()`` bound to them but not to the run, which is freed
+    without the cycle collector.  CG is done with A p before it
+    preconditions, so ap is the preconditioner's middle field too."""
 
     def __init__(self, op, k: float):
         n = op.grid.n
-        self.r, p, ap, z, jacobi = (np.empty((n, n)) for _ in range(5))
-        self.precondition = cn_preconditioner(op, k, self.r, z, ap, jacobi)
+        self.r, self.p, self.ap, self.z, jacobi = (np.empty((n, n)) for _ in range(5))
+        self.precondition = cn_preconditioner(op, k, self.r, self.z, self.ap, jacobi)
         # x, which the run returns, is made after the weights: it takes
         # the memory of diagonal_l's temporary instead of adding to it
         self.x = np.empty((n, n))
-        self.vectors = self.r.reshape(-1), self.x.reshape(-1), p.reshape(-1)
-        grid, minus_half, ap_flat = op.grid, -0.5 * k, ap.reshape(-1)
+        p, ap, minus_half = Field(op.grid, self.p), self.ap, -0.5 * k
 
-        def matvec(v):
+        def matvec():
             # u + (-half) L u equals u - half L u bit for bit
-            op.apply_l(Field(grid, v.reshape(grid.n, grid.n)), minus_half, out=ap)
-            return ap_flat
+            op.apply_l(p, minus_half, out=ap)
 
         self.matvec = matvec
 
@@ -144,8 +135,9 @@ def cn_step(
 
     The system is SPD, solved by CG preconditioned with
     :func:`cn_preconditioner` to the handle's relative residual (default
-    1e-12), on the fields of ``run``: the right-hand side goes into its r,
-    so u may be its x, into which CG solves.  The step returns that x,
+    1e-12), on the five fields r, x, p, ap and z of ``run`` with the
+    run's ``matvec`` and ``precondition``: the right-hand side goes into
+    its r, so u may be its x, into which CG solves.  The step returns that x,
     which the run's next step overwrites (``evolve`` makes one run, for
     the same ``op`` and ``k``, for all its steps); with ``run`` None the
     step makes a run of its own.  This is the reference integrator; it
@@ -158,8 +150,8 @@ def cn_step(
         run = _CnRun(op, k)
     op.apply_l(u, 0.5 * k, out=run.r)
     linsolve.conjugate_gradient(
-        run.matvec, *run.vectors, tol=handle.tol, max_iter=handle.max_iter,
-        precondition=run.precondition)
+        run.matvec, run.precondition, run.r, run.x, run.p, run.ap, run.z,
+        tol=handle.tol, max_iter=handle.max_iter)
     return Field(op.grid, run.x)
 
 

@@ -99,17 +99,19 @@ def dense_solve(matrix: np.ndarray, rhs: Field) -> Field:
 
 
 def cg_solve_l(op, f: Field, tol: float) -> Field:
-    """Solve L v = f by unpreconditioned matrix-free CG on the SPD system
+    """Solve L v = f by the package's CG, unpreconditioned (the identity
+    copies r into z) and matrix-free, on the SPD system
     (K_A + K_B) v = -h^2 f, whose operator is -h^2 L."""
     grid = op.grid
-    n = grid.n
     h2 = grid.h ** 2
-    r = (-h2 * f.values).ravel()
-    x = conjugate_gradient(
-        lambda v: -h2 * op.apply_l(Field(grid, v.reshape(n, n))).values.ravel(),
-        r, np.empty_like(r), np.empty_like(r), tol=tol,
-    )
-    return Field(grid, x.reshape(n, n))
+    r = -h2 * f.values
+    x, p, ap, z = (np.empty_like(r) for _ in range(4))
+
+    def matvec():
+        np.multiply(-h2, op.apply_l(Field(grid, p)).values, out=ap)
+
+    conjugate_gradient(matvec, lambda: np.copyto(z, r), r, x, p, ap, z, tol=tol)
+    return Field(grid, x)
 
 
 def constant_coefficient_evolve(scheme: SchemeKind, k: float, n_steps: int,

@@ -943,7 +943,8 @@ class TestKernelBuild:
                 paper_operator(9).apply_l(u)
         r = np.ones(4)
         with pytest.raises(KernelUnavailableError):
-            conjugate_gradient(lambda v: v, r, np.empty(4), np.empty(4))
+            conjugate_gradient(lambda: None, lambda: None, r,
+                               *(np.empty(4) for _ in range(4)))
         assert started == ["probe"]
 
     def test_source_compiles_without_warnings(self, tmp_path):

@@ -8,9 +8,11 @@ For each loop thread count (1, then 2) it prints one line
 the paper's coefficients and a seeded random field, the DR, PR and CN
 ``evolve`` runs of ``STEPS`` steps at every k in ``STEP_SIZES``, and
 after them a second CN run on the same operator at the same k from
-another seeded field, as the ``cn_m256`` workload runs CN;
-``apply_l`` plain and with sigma = -0.25 and 0.25; ``solve_resolvent_a/b``
-and ``cayley_a/b`` at every kappa in ``KAPPAS``; and the multipliers e of
+another seeded field, as the ``cn_m256`` workload runs CN, and one
+standalone ``cn_step(op, k, u)`` at the first k, which makes its own run
+instead of ``evolve``'s; ``apply_l`` plain and with sigma = -0.25 and
+0.25; ``solve_resolvent_a/b`` and ``cayley_a/b`` at every kappa in
+``KAPPAS``; and the multipliers e of
 both axes' factors at those kappas, in [line][position] order whatever
 the layout the kernel stores them in; and ``solve_lh`` with the
 eigenvalues theta of its Kronecker factorization.  It also covers the experiments' building blocks
@@ -46,7 +48,7 @@ import numpy as np  # noqa: E402
 from adisplit import _kernel, experiments, linsolve, operators  # noqa: E402
 from adisplit.experiments import ETA0, PAPER_LAMBDA, PAPER_MU  # noqa: E402
 from adisplit.grid import Field, Grid, interpolate, prolong_to  # noqa: E402
-from adisplit.steppers import SchemeKind, evolve  # noqa: E402
+from adisplit.steppers import SchemeKind, cn_step, evolve  # noqa: E402
 
 GRIDS = (2, 3, 17, 18, 64, 91, 257, 513)
 STEP_SIZES = (2.0 ** -6, 2.0 ** -10)
@@ -65,6 +67,7 @@ def results(m: int):
         for scheme in SchemeKind:
             yield evolve(op, scheme, k, STEPS, u).values
         yield evolve(op, SchemeKind.CRANK_NICOLSON, k, STEPS, v).values
+    yield cn_step(op, STEP_SIZES[0], u).values
     for sigma in SIGMAS:
         yield op.apply_l(u, sigma).values
     for kappa in KAPPAS:
