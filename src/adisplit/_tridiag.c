@@ -24,13 +24,18 @@
  * the one before it.  With `reflect` set the back sweep also overwrites
  * x[p+1] with 2 x[p+1] - r[p+1] as soon as x[p] no longer needs it, so
  * the output holds the Cayley transform 2 R r - r.  `r` and `x` must not
- * overlap.
+ * overlap.  Lines along the slow axis sweep in blocks of BLOCK columns,
+ * so a block's rows stay in cache between the forward and the back pass,
+ * and each pass prefetches the rows of its next position.
  *
  * adisplit_cayley_loop runs many time steps of the Cayley recurrence in
- * one call.  It may split every sweep's lines between the calling thread
- * and one worker thread that lives for the call; the two meet at a barrier
- * after each sweep.  Every line keeps the arithmetic of a single-threaded
- * solve, so the split does not change a bit of the result.
+ * one call.  Its B sweep writes R_B u, and the A sweep's gather forms
+ * C_B u = 2 R_B u - u from that and u, with the back pass's operation,
+ * so the B sweep never reads u a second time.  It may split every
+ * sweep's lines between the calling thread and one worker thread that
+ * lives for the call; the two meet at a barrier after each sweep.  Every
+ * line keeps the arithmetic of a single-threaded solve, so the split
+ * does not change a bit of the result.
  *
  * Three element-wise entries at the end of the file serve Crank-Nicolson's
  * preconditioned CG: the Jacobi term of its preconditioner and the two
@@ -43,6 +48,7 @@
 #include <stdlib.h>
 
 #define TILE 16  /* lines per tile of the contiguous sweep */
+#define BLOCK 64 /* lines per block of the strided sweep */
 #define CHUNK 32 /* positions per step of the tile transposes */
 #define SPINS 4096 /* barrier polls before each poll also yields the CPU */
 
@@ -56,11 +62,31 @@ const long adisplit_tile = TILE;
  * sweep layout of its axis. */
 #define GAMMA(c, n) ((c) + 2 * (n) - 1)
 
+/* Prefetch the w doubles from a, one cache line of 64 bytes at a time,
+ * to be read (ahead) or written (ahead_write).  A row the sweep writes,
+ * prefetched to be read, came shared and was claimed again at the
+ * store: on a 2-core Xeon the two-thread loop at m = 256 took 5.4 ns per
+ * unknown-step so, 3.3 with write intent. */
+static void ahead(const double *a, long w)
+{
+    for (long l = 0; l < w; l += 8)
+        __builtin_prefetch(a + l, 0);
+}
+
+static void ahead_write(double *a, long w)
+{
+    for (long l = 0; l < w; l += 8)
+        __builtin_prefetch(a + l, 1);
+}
+
 /* w lines of length n stored position-major with stride ld: element p of
  * line l at p*ld + l, in e as in r and x.  c holds the line coefficients,
  * g the w lines' gamma and t, w doubles of scratch, the carried values
  * from position 1 on; position 0's are r's.  Copying r into t instead
- * made gcc call memcpy, a new PLT entry (see adisplit_factor). */
+ * made gcc call memcpy, a new PLT entry (see adisplit_factor).  Where the
+ * rows lie apart (ld > TILE, the strided sweep; a tile is contiguous),
+ * each pass prefetches the rows of its next position: one row ahead
+ * measured best, two and four slower. */
 static void sweep(long n, long w, long ld, const double *restrict c,
                   const double *restrict g, const double *restrict e,
                   const double *restrict r, double *restrict x,
@@ -74,6 +100,11 @@ static void sweep(long n, long w, long ld, const double *restrict c,
     for (p = 1; p < n; p++) {
         double *xp = x + p * ld, dg = diag[p], of = off[p - 1];
         const double *rp = r + p * ld, *ep = e + (p - 1) * ld;
+        if (ld > TILE && p + 1 < n) {
+            ahead(rp + ld, w);
+            ahead(ep + ld, w);
+            ahead_write(xp + ld, w);
+        }
         for (l = 0; l < w; l++) {
             double tp = rp[l] - tq[l] * ep[l];
             xp[l] = tp / ((1.0 + g[l] * dg) - ep[l] * (g[l] * of));
@@ -84,6 +115,10 @@ static void sweep(long n, long w, long ld, const double *restrict c,
     for (p = n - 2; p >= 0; p--) {
         double *xp = x + p * ld, *xn = xp + ld;
         const double *ep = e + p * ld, *rn = r + (p + 1) * ld;
+        if (ld > TILE && p > 0) {
+            ahead_write(xp - ld, w);
+            ahead(ep - ld, w);
+        }
         for (l = 0; l < w; l++)
             xp[l] = xp[l] - xn[l] * ep[l];
         if (reflect)
@@ -95,29 +130,38 @@ static void sweep(long n, long w, long ld, const double *restrict c,
             x[l] = 2.0 * x[l] - r[l];
 }
 
-/* Lines along the slow axis (field[p][i] is element p of line i): the
- * field is already position-major, so all n lines sweep together.
- * e is stored [p][i].  Returns -1 if the carried values cannot be
- * allocated. */
+/* Lines i0..i1-1 along the slow axis (field[p][i] is element p of line
+ * i): the field is already position-major, so the lines sweep in place,
+ * BLOCK side by side.  e is stored [p][i]. */
+static void columns(long n, long i0, long i1, const double *restrict c,
+                    const double *restrict e, const double *restrict r,
+                    double *restrict x, int reflect)
+{
+    double carry[BLOCK];
+    for (long i = i0; i < i1; i += BLOCK)
+        sweep(n, i1 - i < BLOCK ? i1 - i : BLOCK, n, c, GAMMA(c, n) + i,
+              e + i, r + i, x + i, carry, reflect);
+}
+
+/* All n lines along the slow axis.  Allocates nothing, and returns 0
+ * like adisplit_solve_contiguous, so one caller serves both. */
 int adisplit_solve_strided(long n, const double *c, const double *e,
                            const double *r, double *x, int reflect)
 {
-    double *t = calloc(n, sizeof(double));
-    if (t == NULL)
-        return -1;
-    sweep(n, n, n, c, GAMMA(c, n), e, r, x, t, reflect);
-    free(t);
+    columns(n, 0, n, c, e, r, x, reflect);
     return 0;
 }
 
 /* Contiguous lines (field[l][p] is element p of line l), tiles b0..b1-1:
  * each block of TILE lines is gathered into a position-major tile, swept
  * and scattered back.  e is stored [block][p][l], padded to whole blocks;
- * `tile` holds 2 TILE n doubles.  With `average` the scatter writes
- * (t + x) * 0.5 over x, t being the tile's result. */
+ * `tile` holds 2 TILE n doubles.  With `cayley` the gather forms the
+ * right-hand side 2 r - x, the back pass's reflection of r = R x.  With
+ * `average` the scatter writes (t + x) * 0.5 over x, t being the tile's
+ * result. */
 static void tiles(long n, long b0, long b1, const double *restrict c,
                   const double *restrict e, const double *restrict r,
-                  double *restrict x, int reflect, int average,
+                  double *restrict x, int reflect, int cayley, int average,
                   double *restrict tile)
 {
     double *tr = tile, *tx = tile + TILE * n, carry[TILE];
@@ -130,8 +174,12 @@ static void tiles(long n, long b0, long b1, const double *restrict c,
         for (long q = 0; q < n; q += CHUNK) {
             long qe = q + CHUNK < n ? q + CHUNK : n;
             for (long l = 0; l < lines; l++)
-                for (long p = q; p < qe; p++)
-                    tr[p * TILE + l] = rb[l * n + p];
+                if (cayley)
+                    for (long p = q; p < qe; p++)
+                        tr[p * TILE + l] = 2.0 * rb[l * n + p] - xb[l * n + p];
+                else
+                    for (long p = q; p < qe; p++)
+                        tr[p * TILE + l] = rb[l * n + p];
         }
         sweep(n, TILE, TILE, c, GAMMA(c, n) + b * TILE, e + b * TILE * n, tr,
               tx, carry, reflect);
@@ -159,7 +207,7 @@ int adisplit_solve_contiguous(long n, const double *c, const double *e,
     double *tile = calloc(2 * TILE * (size_t)n, sizeof(double));
     if (tile == NULL)
         return -1;
-    tiles(n, 0, (n + TILE - 1) / TILE, c, e, r, x, reflect, 0, tile);
+    tiles(n, 0, (n + TILE - 1) / TILE, c, e, r, x, reflect, 0, 0, tile);
     free(tile);
     return 0;
 }
@@ -193,29 +241,27 @@ static void meet(struct loop *s)
 }
 
 /* Part `part` of `s->parts`: columns i0..i1-1 of every B sweep and tiles
- * b0..b1-1 of every A sweep.  The part's (2 TILE + 1) n doubles of `tile`
- * are the A sweep's tile and then the B sweep's carried values.  The
- * fields are read into locals once, and each branch passes `average` to
- * `tiles` as a constant: with one call taking it as a variable, gcc -O3
- * inlined `tiles` everywhere, and both this loop at m = 16 and
- * adisplit_solve_contiguous ran 3-9% slower. */
+ * b0..b1-1 of every A sweep, on the part's 2 TILE n doubles of `tile`.
+ * The B sweep writes v = R_B u, and the A gather forms C_B u from v and
+ * u.  The fields are read into locals once, and each branch passes
+ * `cayley` and `average` to `tiles` as constants: with one call taking
+ * `average` as a variable, gcc -O3 inlined `tiles` everywhere, and both
+ * this loop at m = 16 and adisplit_solve_contiguous ran 3-9% slower. */
 static void run_part(struct loop *s, int part)
 {
     long n = s->n, steps = s->steps, nb = (n + TILE - 1) / TILE;
     long i0 = part * n / s->parts, i1 = (part + 1) * n / s->parts;
     long b0 = part * nb / s->parts, b1 = (part + 1) * nb / s->parts;
     int average = s->average;
-    const double *ca = s->ca, *ea = s->ea, *cb = s->cb, *eb = s->eb + i0;
-    const double *gb = GAMMA(cb, n) + i0;
-    double *u = s->u, *v = s->v, *tile = s->tile + part * (2 * TILE + 1) * n;
-    double *carry = tile + 2 * TILE * n;
+    const double *ca = s->ca, *ea = s->ea, *cb = s->cb, *eb = s->eb;
+    double *u = s->u, *v = s->v, *tile = s->tile + part * 2 * TILE * n;
     for (long step = 0; step < steps; step++) {
-        sweep(n, i1 - i0, n, cb, gb, eb, u + i0, v + i0, carry, 1);
+        columns(n, i0, i1, cb, eb, u, v, 0);
         meet(s);
         if (average)
-            tiles(n, b0, b1, ca, ea, v, u, 1, 1, tile);
+            tiles(n, b0, b1, ca, ea, v, u, 1, 1, 1, tile);
         else
-            tiles(n, b0, b1, ca, ea, v, u, 1, 0, tile);
+            tiles(n, b0, b1, ca, ea, v, u, 1, 1, 0, tile);
         meet(s);
     }
 }
@@ -226,14 +272,15 @@ static void *worker(void *arg)
     return NULL;
 }
 
-/* `steps` steps of v = C_B u, u = C_A v on two n x n fields, C_X = 2 R_X - I
+/* `steps` steps of u = C_A C_B u on two n x n fields, C_X = 2 R_X - I
  * with the factors of adisplit_solve_contiguous (A) and
- * adisplit_solve_strided (B); with `average` set the second half is
- * u = (u + C_A v) / 2.  The result is in u.  Peaceman-Rachford's
- * t <- C_A C_B t and Douglas-Rachford's t <- (t + C_A C_B t) / 2 are both
- * this loop.  With `threads` >= 2 a worker thread takes half the lines of
- * every sweep, the same half each time; it blocks all signals, so they
- * reach the caller, and is joined before the call returns.  Returns the
+ * adisplit_solve_strided (B), v holding R_B u between the sweeps; with
+ * `average` set a step is u = (u + C_A C_B u) / 2.  The result is in u.
+ * Peaceman-Rachford's t <- C_A C_B t and Douglas-Rachford's
+ * t <- (t + C_A C_B t) / 2 are both this loop.  With `threads` >= 2 a
+ * worker thread takes half the lines of every sweep, the same half each
+ * time; it blocks all signals, so they reach the caller, and is joined
+ * before the call returns.  Returns the
  * number of threads used (1 where the worker cannot be started), or -1 if
  * the tiles cannot be allocated. */
 int adisplit_cayley_loop(long n, long steps, int average, int threads,
@@ -245,7 +292,7 @@ int adisplit_cayley_loop(long n, long steps, int average, int threads,
                      .ca = ca, .ea = ea, .cb = cb, .eb = eb, .u = u, .v = v};
     atomic_init(&s.arrived, 0);
     atomic_init(&s.phase, 0);
-    s.tile = calloc(s.parts * (2 * TILE + 1) * (size_t)n, sizeof(double));
+    s.tile = calloc(s.parts * 2 * TILE * (size_t)n, sizeof(double));
     if (s.tile == NULL)
         return -1;
     pthread_t other;

@@ -12,7 +12,7 @@ multipliers only, one field's worth: each sweep recomputes the pivots from
 them bit for bit.  The same kernel applies A, B or L as one five-point
 stencil pass, and runs the Cayley recurrence t <- C_A C_B t, or its
 average with t, for many steps per call (``cayley_loop``), on two threads
-from m = 512 where two CPUs are available.  The loop knows no scheme:
+from m = 256 where two CPUs are available.  The loop knows no scheme:
 ``steppers.evolve`` builds the DR and PR runs from it, and this module
 never imports the steppers.  It is built with ``cc`` for the host CPU on
 the first resolvent solve or application in a process (never on import)
@@ -59,11 +59,11 @@ _PART_A, _PART_B, _PART_SHIFT = 1, 2, 4
 # tens of ms, after which Python gets to handle a pending Ctrl-C.
 _LOOP_WORK = 2 ** 23
 # From this m up the loop splits every sweep over two threads, where the
-# process may run on two CPUs.  Below it the field and factors nearly fit
-# one core's cache, and moving half the field between two cores after
-# every sweep costs what the second core saves: at m=256 two threads made
-# paper_tables 5-15% slower than one.
-_LOOP_THREADS_FROM_M = 512
+# process may run on two CPUs.  Each sweep then moves half the field
+# between the cores, which below it costs what the second core saves: a PR
+# step took 3.3 ns per unknown on one thread and on two at m=91, and 3.3
+# against 2.5 at m=256 (tools/kerneltime.py).
+_LOOP_THREADS_FROM_M = 256
 
 
 @dataclass(frozen=True)
@@ -204,7 +204,9 @@ class SplitDiffusionOperator:
         is returned as u; ``out`` is scratch.  The compiled kernel runs the
         loop in calls of about ``_LOOP_WORK`` unknowns x steps, none for
         n_steps = 0, on two threads from m = ``_LOOP_THREADS_FROM_M``
-        where the process may use two CPUs.  Logs one DEBUG line.
+        (256) where the process may use two CPUs: a PR step at m = 256
+        then takes about 0.17 ms, against 0.21 ms on one.  Logs one DEBUG
+        line.
         """
         if n_steps < 0:
             raise ValueError(f"n_steps must be non-negative, got {n_steps}")

@@ -302,8 +302,10 @@ class TestLinePaths:
     """The compiled kernel's line solves against the oracle's numpy ones."""
 
     # n = m - 1 lines per direction: 16 and 32 fill whole 16-line tiles,
-    # 1, 2, 17, 63 and 90 leave a partial one
-    @pytest.mark.parametrize("m", [2, 3, 17, 18, 33, 64, 91])
+    # 1, 2, 17, 63 and 90 leave a partial one; on the strided axis 64 and
+    # 128 fill whole 64-line blocks, 65, 129 and 255 leave a partial one
+    @pytest.mark.parametrize("m", [2, 3, 17, 18, 33, 64, 65, 66, 91, 129,
+                                   130, 256])
     def test_solves_agree_bit_for_bit(self, m):
         op = paper_operator(m)
         u = random_field(op.grid, m)
@@ -411,16 +413,18 @@ class TestFactorBits:
                        if isinstance(a, np.ndarray))
             assert lines * n * 8 <= held <= (lines * n + 3 * n + tile) * 8
 
-    def test_strided_solve_reports_a_failed_allocation(self):
-        # calloc of 2^61 doubles overflows size_t and fails before the
-        # sweep touches an array; the factor turns -1 into MemoryError
+    def test_contiguous_solve_reports_a_failed_allocation(self):
+        # a tile of 2^63 doubles overflows calloc's size and fails before
+        # the sweep touches an array; the factor turns -1 into MemoryError
+        # (the strided solve allocates nothing)
         lib = _kernel.load()
-        assert lib.adisplit_solve_strided(2 ** 61, None, None, None, None, 0) == -1
+        assert lib.adisplit_solve_contiguous(2 ** 58, None, None, None, None,
+                                             0) == -1
         op = paper_operator(8)
-        fac = op._factors("b", 0.5)
+        fac = op._factors("a", 0.5)
         fac._solve = lambda *args: -1
         with pytest.raises(MemoryError, match="could not allocate"):
-            op.solve_resolvent_b(0.5, random_field(op.grid))
+            op.solve_resolvent_a(0.5, random_field(op.grid))
 
 
 PR = steppers.SchemeKind.PEACEMAN_RACHFORD
@@ -459,9 +463,13 @@ class TestCayleyLoop:
     """The compiled Cayley loop against one Cayley call per transform."""
 
     # n = m - 1 lines: 1 and 2 give a thread no B column or no A tile, 16
-    # one whole tile, 17 an odd column split and a partial tile, 256 and
-    # 512 whole tiles on grids near and past _LOOP_THREADS_FROM_M
-    @pytest.mark.parametrize("m", [2, 3, 17, 18, 33, 257, 513])
+    # one whole tile, 17 an odd column split and a partial tile; 64 and
+    # 128 whole 64-column B blocks, 65 and 129 a partial one after them,
+    # 255 split 127 + 128 on two threads, the first half ending in a
+    # partial block; 255, 256 and 512 on grids near and past
+    # _LOOP_THREADS_FROM_M
+    @pytest.mark.parametrize("m", [2, 3, 17, 18, 33, 65, 66, 129, 130, 256,
+                                   257, 513])
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("average", [False, True])
     def test_agrees_with_the_per_call_loop(self, monkeypatch, caplog, m,
@@ -523,7 +531,7 @@ class TestCayleyLoop:
         assert calls == [(3, False), (3, True)]
 
     def test_threads_follow_the_grid_and_the_cpus(self, monkeypatch, caplog):
-        for m, cpus, threads in ((511, 2, 1), (512, 2, 2), (512, 1, 1)):
+        for m, cpus, threads in ((255, 2, 1), (256, 2, 2), (256, 1, 1)):
             monkeypatch.setattr(operators, "_cpus", lambda: cpus)
             op = paper_operator(m)
             with caplog.at_level(logging.DEBUG, logger="adisplit.operators"):

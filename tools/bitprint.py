@@ -4,11 +4,16 @@ loop thread count.
     OPENBLAS_NUM_THREADS=1 python3 tools/bitprint.py [SRC]
 
 For each loop thread count (1, then 2) it prints one line
-``kernel threads=<t> <sha256>``.  The hash covers, at m in ``GRIDS`` on
-the paper's coefficients and a seeded random field, the DR, PR and CN
-``evolve`` runs of ``STEPS`` steps at every k in ``STEP_SIZES``, and
-after them a second CN run on the same operator at the same k from
-another seeded field, as the ``cn_m256`` workload runs CN, and one
+``kernel threads=<t> <sha256>``.  ``GRIDS`` puts n = m - 1 lines on each
+side of the kernel's edges: whole and partial 16-line tiles (n = 16,
+17), 64- and 128-column blocks with a partial one after them (n = 65,
+129), and the two-thread split from m = 256 on, whose 255 columns split
+127 + 128, the first half ending in a partial block.  The hash covers,
+at every m in ``GRIDS`` on the paper's coefficients and a seeded random
+field, the DR, PR and CN ``evolve`` runs of ``STEPS`` steps at every k
+in ``STEP_SIZES``, and after them a second CN run on the same operator
+at the same k from another seeded field, as the ``cn_m256`` workload
+runs CN, and one
 standalone ``cn_step(op, k, u)`` at the first k, which makes its own run
 instead of ``evolve``'s; ``apply_l`` plain and with sigma = -0.25 and
 0.25; ``solve_resolvent_a/b`` and ``cayley_a/b`` at every kappa in
@@ -50,7 +55,7 @@ from adisplit.experiments import ETA0, PAPER_LAMBDA, PAPER_MU  # noqa: E402
 from adisplit.grid import Field, Grid, interpolate, prolong_to  # noqa: E402
 from adisplit.steppers import SchemeKind, cn_step, evolve  # noqa: E402
 
-GRIDS = (2, 3, 17, 18, 64, 91, 257, 513)
+GRIDS = (2, 3, 17, 18, 64, 66, 91, 130, 256, 257, 513)
 STEP_SIZES = (2.0 ** -6, 2.0 ** -10)
 STEPS = 3
 SIGMAS = (None, -0.25, 0.25)
