@@ -46,8 +46,8 @@ VECTOR_MACROS = ("__SSE2__", "__AVX__", "__AVX2__", "__AVX512F__",
 _C_TYPES = {"l": ctypes.c_long, "i": ctypes.c_int, "d": ctypes.c_double,
             "p": ctypes.c_void_p, "": None}
 SIGNATURES = {
-    "adisplit_solve_strided": ("i", "lppppi"),
-    "adisplit_solve_contiguous": ("i", "lppppi"),
+    "adisplit_solve_strided": ("i", "lpppp"),
+    "adisplit_solve_contiguous": ("i", "lpppp"),
     "adisplit_factor": ("i", "llppp"),
     "adisplit_stencil": ("", "lidpppppppp"),
     "adisplit_cayley_loop": ("i", "lliipppppp"),

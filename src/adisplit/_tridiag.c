@@ -21,12 +21,14 @@
  * contraction, the results equal dpttrs bit for bit.  The undivided t[p]
  * is carried to the next position in a buffer of one value per line.
  * Many lines run side by side, which removes the wait of each unknown on
- * the one before it.  With `reflect` set the back sweep also overwrites
- * x[p+1] with 2 x[p+1] - r[p+1] as soon as x[p] no longer needs it, so
- * the output holds the Cayley transform 2 R r - r.  `r` and `x` must not
- * overlap.  Lines along the slow axis sweep in blocks of BLOCK columns,
- * so a block's rows stay in cache between the forward and the back pass,
- * and each pass prefetches the rows of its next position.
+ * the one before it.  `r` and `x` must not overlap.  The standalone
+ * solves write R r, from which a caller forms a Cayley transform
+ * 2 R r - r.  Only the Cayley loop's A sweep sets `reflect`, with which
+ * the back sweep also overwrites x[p+1] with 2 x[p+1] - r[p+1] as soon
+ * as x[p] no longer needs it, so the tile holds the Cayley transform.
+ * Lines along the slow axis sweep in blocks of BLOCK columns, so a
+ * block's rows stay in cache between the forward and the back pass, and
+ * each pass prefetches the rows of its next position.
  *
  * adisplit_cayley_loop runs many time steps of the Cayley recurrence in
  * one call.  Its B sweep writes R_B u, and the A sweep's gather forms
@@ -135,20 +137,20 @@ static void sweep(long n, long w, long ld, const double *restrict c,
  * BLOCK side by side.  e is stored [p][i]. */
 static void columns(long n, long i0, long i1, const double *restrict c,
                     const double *restrict e, const double *restrict r,
-                    double *restrict x, int reflect)
+                    double *restrict x)
 {
     double carry[BLOCK];
     for (long i = i0; i < i1; i += BLOCK)
         sweep(n, i1 - i < BLOCK ? i1 - i : BLOCK, n, c, GAMMA(c, n) + i,
-              e + i, r + i, x + i, carry, reflect);
+              e + i, r + i, x + i, carry, 0);
 }
 
 /* All n lines along the slow axis.  Allocates nothing, and returns 0
  * like adisplit_solve_contiguous, so one caller serves both. */
 int adisplit_solve_strided(long n, const double *c, const double *e,
-                           const double *r, double *x, int reflect)
+                           const double *r, double *x)
 {
-    columns(n, 0, n, c, e, r, x, reflect);
+    columns(n, 0, n, c, e, r, x);
     return 0;
 }
 
@@ -202,12 +204,12 @@ static void tiles(long n, long b0, long b1, const double *restrict c,
 /* All contiguous lines in tiles of TILE.  Returns -1 if the tile cannot
  * be allocated. */
 int adisplit_solve_contiguous(long n, const double *c, const double *e,
-                              const double *r, double *x, int reflect)
+                              const double *r, double *x)
 {
     double *tile = calloc(2 * TILE * (size_t)n, sizeof(double));
     if (tile == NULL)
         return -1;
-    tiles(n, 0, (n + TILE - 1) / TILE, c, e, r, x, reflect, 0, 0, tile);
+    tiles(n, 0, (n + TILE - 1) / TILE, c, e, r, x, 0, 0, 0, tile);
     free(tile);
     return 0;
 }
@@ -256,7 +258,7 @@ static void run_part(struct loop *s, int part)
     const double *ca = s->ca, *ea = s->ea, *cb = s->cb, *eb = s->eb;
     double *u = s->u, *v = s->v, *tile = s->tile + part * 2 * TILE * n;
     for (long step = 0; step < steps; step++) {
-        columns(n, i0, i1, cb, eb, u, v, 0);
+        columns(n, i0, i1, cb, eb, u, v);
         meet(s);
         if (average)
             tiles(n, b0, b1, ca, ea, v, u, 1, 1, 1, tile);

@@ -19,9 +19,9 @@ the first resolvent solve or application in a process (never on import)
 into a per-user cache, by :mod:`adisplit._kernel`, which raises
 KernelUnavailableError where it cannot be built.  The package needs numpy
 and ``cc`` only.
-``apply_l``, the resolvents and the Cayley transforms return a new field,
-or, given ``out=``, write into that (n, n) array (``grid.check_buffers``),
-which must not overlap the input, and return it wrapped as a field.  A
+``apply_l`` and the resolvents return a new field, or, given ``out=``,
+write into that (n, n) array (``grid.check_buffers``), which must not
+overlap the input, and return it wrapped as a field.  A
 Crank-Nicolson run binds its preconditioner, an ADI product, to its own
 fields once (``bind_adi_product``), and CG calls it as it is.
 
@@ -176,22 +176,12 @@ class SplitDiffusionOperator:
     def solve_resolvent_a(self, kappa: float, rhs: Field, *,
                           out: np.ndarray | None = None) -> Field:
         """Solve (I - kappa*A) w = rhs, one tridiagonal system per x-line."""
-        return self._line_solve("a", kappa, rhs, False, out)
+        return self._line_solve("a", kappa, rhs, out)
 
     def solve_resolvent_b(self, kappa: float, rhs: Field, *,
                           out: np.ndarray | None = None) -> Field:
         """Solve (I - kappa*B) w = rhs, one tridiagonal system per y-line."""
-        return self._line_solve("b", kappa, rhs, False, out)
-
-    def cayley_a(self, kappa: float, u: Field, *,
-                 out: np.ndarray | None = None) -> Field:
-        """Cayley transform (I + kappa*A)(I - kappa*A)^{-1} u = 2 R_A u - u."""
-        return self._line_solve("a", kappa, u, True, out)
-
-    def cayley_b(self, kappa: float, u: Field, *,
-                 out: np.ndarray | None = None) -> Field:
-        """Cayley transform (I + kappa*B)(I - kappa*B)^{-1} u = 2 R_B u - u."""
-        return self._line_solve("b", kappa, u, True, out)
+        return self._line_solve("b", kappa, rhs, out)
 
     def cayley_loop(self, kappa: float, n_steps: int, u: Field, *,
                     out: np.ndarray, average: bool) -> Field:
@@ -199,14 +189,14 @@ class SplitDiffusionOperator:
         ``average`` of t <- (t + C_A C_B t) / 2, where
         C_X = (I + kappa X)(I - kappa X)^{-1}.
 
-        Every transform has the bits of ``cayley_a``/``cayley_b``.  u's
-        array (C-contiguous float64) is overwritten with the result, which
-        is returned as u; ``out`` is scratch.  The compiled kernel runs the
-        loop in calls of about ``_LOOP_WORK`` unknowns x steps, none for
-        n_steps = 0, on two threads from m = ``_LOOP_THREADS_FROM_M``
-        (256) where the process may use two CPUs: a PR step at m = 256
-        then takes about 0.17 ms, against 0.21 ms on one.  Logs one DEBUG
-        line.
+        Every transform has the bits of 2 R_X - I formed from
+        ``solve_resolvent_a``/``_b``.  u's array (C-contiguous float64)
+        is overwritten with the result, which is returned as u; ``out``
+        is scratch.  The compiled kernel runs the loop in calls of about
+        ``_LOOP_WORK`` unknowns x steps, none for n_steps = 0, on two
+        threads from m = ``_LOOP_THREADS_FROM_M`` (256) where the process
+        may use two CPUs: a PR step at m = 256 then takes about 0.17 ms,
+        against 0.21 ms on one.  Logs one DEBUG line.
         """
         if n_steps < 0:
             raise ValueError(f"n_steps must be non-negative, got {n_steps}")
@@ -255,17 +245,16 @@ class SplitDiffusionOperator:
         at_r, at_w, at_o, at_s = (a.ctypes.data for a in arrays.values())
 
         def product(arrays=arrays):  # the default keeps the arrays alive
-            fac_b.solve_at(at_r, at_o, False)
-            fac_a.solve_at(at_o, at_s, False)
-            fac_b.solve_at(at_s, at_o, False)
+            fac_b.solve_at(at_r, at_o)
+            fac_a.solve_at(at_o, at_s)
+            fac_b.solve_at(at_s, at_o)
             add(size, at_w, at_r, at_o)
         return product
 
-    def _line_solve(self, axis: str, kappa: float, rhs: Field, reflect: bool,
+    def _line_solve(self, axis: str, kappa: float, rhs: Field,
                     out: np.ndarray | None) -> Field:
         self._check(rhs, out)
-        return Field(self.grid,
-                     self._factors(axis, kappa).solve(rhs.values, reflect, out))
+        return Field(self.grid, self._factors(axis, kappa).solve(rhs.values, out))
 
     def _factors(self, axis: str, kappa: float):
         """L D L^T factor of I - kappa*A (axis "a") or I - kappa*B (axis "b").
@@ -341,19 +330,17 @@ class _KernelFactor:
                 "resolvent factor has a non-positive pivot: the line system "
                 "is not positive definite")
 
-    def solve(self, rhs: np.ndarray, reflect: bool,
-              out: np.ndarray | None = None) -> np.ndarray:
-        """R rhs, or 2 R rhs - rhs with ``reflect``, into ``out`` or a new
-        C-ordered array."""
+    def solve(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """R rhs into ``out`` or a new C-ordered array."""
         r = np.ascontiguousarray(rhs, dtype=np.float64)
         x = np.empty_like(r) if out is None else out
-        self.solve_at(r.ctypes.data, x.ctypes.data, reflect)
+        self.solve_at(r.ctypes.data, x.ctypes.data)
         return x
 
-    def solve_at(self, r: int, x: int, reflect: bool) -> None:
+    def solve_at(self, r: int, x: int) -> None:
         """``solve`` between the C-ordered float64 fields at addresses r
         and x."""
-        if self._solve(self.n, self.c_ptr, self.e_ptr, r, x, reflect) != 0:
+        if self._solve(self.n, self.c_ptr, self.e_ptr, r, x) != 0:
             raise MemoryError("tridiagonal kernel could not allocate its scratch")
 
 

@@ -1,9 +1,9 @@
 """One-step time integrators over an abstract split operator.
 
 The step maps only require the capability set apply_a / apply_b / apply_l /
-solve_resolvent_a / solve_resolvent_b, with cayley_a and cayley_loop for
-``evolve``, and diagonal_l and bind_adi_product for Crank-Nicolson, so
-any pair of dissipative operators with computable resolvents plugs in;
+solve_resolvent_a / solve_resolvent_b, with cayley_loop for ``evolve``
+and diagonal_l and bind_adi_product for Crank-Nicolson, so any pair of
+dissipative operators with computable resolvents plugs in;
 cayley_loop(kappa, n, u, out=, average=) runs n steps of the Cayley
 recurrence t <- C_A C_B t, averaged with t for DR, on u's array with
 ``out`` as scratch (see ``evolve``);
@@ -178,6 +178,8 @@ def evolve(
     recurrence is one ``op.cayley_loop`` call on t's array, with a second
     buffer as its scratch and the final solve's output; the start is
     formed in B u0's array, and ``u0`` is never written and not kept.
+    PR's leading C_A is 2 R_A t - t, one resolvent solve into the second
+    buffer and two numpy passes, with the bits of the loop's transforms.
     Crank-Nicolson allocates its six fields and binds its preconditioner
     to them once per run, and returns the field of the last iterate, which
     no later run writes.  A step size that is not positive
@@ -206,8 +208,13 @@ def evolve(
         (np.add if pr else np.subtract)(u0.values, t.values, out=t.values)
         del u0, u  # a caller's temporary input is freed before the factors
         w = np.empty_like(t.values)
-        if pr:
-            t, w = op.cayley_a(kappa, t, out=w), t.values
+        if pr:  # C_A t = 2 R_A t - t into w, which swaps roles with t
+            t, w = op.solve_resolvent_a(kappa, t, out=w), t.values
+            # as in the kernel, an overflow shows only as the non-finite
+            # field checked below
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply(t.values, 2.0, out=t.values)
+                np.subtract(t.values, w, out=t.values)
         op.cayley_loop(kappa, n_steps - pr, t, out=w, average=not pr)
         u = op.solve_resolvent_b(kappa, t, out=w)
     # NaN propagates through max and min, which allocate no mask

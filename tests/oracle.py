@@ -12,7 +12,7 @@ numpy expressions, so the tests require the kernel's results to equal them
 bit for bit: the A, B and L stencil (``apply``), dpttrf's line factors and
 dpttrs's solves one position of all lines at a time (``LineFactor``, itself
 checked against SciPy's LAPACK through ``lapack_factor``), the Cayley
-recurrence as one ``cayley_b``/``cayley_a`` call per transform
+recurrence as one ``LineFactor`` reflection 2 R - I per transform
 (``cayley_calls``), CN's preconditioner product (``adi_product``), textbook
 CG with numpy's vector updates (``reference_cg``) and a CN step built from
 them (``crank_nicolson_step``).  The package itself never imports this
@@ -25,6 +25,7 @@ import numpy as np
 import scipy.fft
 import scipy.linalg
 
+from adisplit.experiments import PAPER_LAMBDA, PAPER_MU
 from adisplit.grid import (
     Field,
     Grid,
@@ -33,10 +34,16 @@ from adisplit.grid import (
     padded_values,
 )
 from adisplit.linsolve import conjugate_gradient
+from adisplit.operators import assemble_split_operator
 from adisplit.steppers import CN_JACOBI_WEIGHT, SchemeKind
 
 DENSE_BUDGET = 4096  # max (m-1)^2 entries per dense operator
 EXPM_DIM_BUDGET = 128
+
+
+def paper_operator(m: int):
+    """The split operator of the paper's coefficients on grid m."""
+    return assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(m))
 
 
 def random_field(grid: Grid, seed: int = 0) -> Field:
@@ -241,14 +248,18 @@ def lapack_factor(op, axis: str, kappa: float):
 
 
 def cayley_calls(op, kappa: float, n_steps: int, u: Field, average: bool) -> Field:
-    """``op.cayley_loop``'s result as one ``op.cayley_b``/``op.cayley_a``
-    call per transform: n_steps steps of t <- C_A C_B t, or with
-    ``average`` of t <- (t + C_A C_B t) / 2, from u, which is not written."""
-    t = u
+    """``op.cayley_loop``'s result with each transform C_X = 2 R_X - I
+    from a ``LineFactor`` reflection: n_steps steps of t <- C_A C_B t, or
+    with ``average`` of t <- (t + C_A C_B t) / 2, from u, which is not
+    written."""
+    if n_steps == 0:
+        return u
+    fac_a, fac_b = LineFactor(op, "a", kappa), LineFactor(op, "b", kappa)
+    t = u.values
     for _ in range(n_steps):
-        s = op.cayley_a(kappa, op.cayley_b(kappa, t))
-        t = Field(u.grid, (t.values + s.values) * 0.5) if average else s
-    return t
+        s = fac_a.solve(fac_b.solve(t, reflect=True), reflect=True)
+        t = (t + s) * 0.5 if average else s
+    return Field(u.grid, t)
 
 
 def adi_product(op, kappa_a: float, kappa_b: float, r: np.ndarray,

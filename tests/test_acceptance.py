@@ -1,7 +1,7 @@
 """Acceptance suite: end-to-end reproduction of the published error tables
 plus the structural and solver contracts, one printed PASS/FAIL line per
 criterion.  The shared fine-grid reference run dominates the wall time
-(the m=1024 PR run, 16-21 s of a run of 31-38 s on two shared cores);
+(the m=1024 PR run, 11-12 s of a run of 27-29 s on two shared cores);
 it is computed once per session."""
 
 import numpy as np
@@ -21,12 +21,11 @@ from adisplit.experiments import (
     run_convergence,
     verify_assumptions,
 )
-from adisplit.grid import Grid, discrete_norm, prolong_to
-from adisplit.operators import assemble_split_operator
+from adisplit.grid import discrete_norm, prolong_to
 from adisplit.steppers import SchemeKind, cn_step, dr_step, pr_step
 
 import oracle
-from oracle import random_field
+from oracle import paper_operator, random_field
 
 T_END = 0.5
 REFERENCE = ReferenceSpec(m=1024, k=2.0 ** -13)
@@ -41,11 +40,6 @@ def announce(capsys):
         return ok
 
     return _announce
-
-
-def paper_operator(m):
-    lam, mu = experiments.coefficient_pair("paper")
-    return assemble_split_operator(lam, mu, Grid(m))
 
 
 @pytest.fixture(scope="module")

@@ -33,11 +33,7 @@ from adisplit.operators import (
 from adisplit.steppers import SchemeKind
 
 import oracle
-
-
-def paper_operator(m):
-    lam, mu = coefficient_pair("paper")
-    return assemble_split_operator(lam, mu, Grid(m))
+from oracle import paper_operator
 
 
 class TestHelpers:
@@ -311,11 +307,13 @@ class TestRunConvergence:
             "(initial data) do not match the reference grid m=32")
 
     def test_render_and_csv(self, tmp_path):
-        report = ConvergenceReport(
+        config = ExperimentConfig(
             scheme=SchemeKind.DOUGLAS_RACHFORD,
+            rows=[(0.25, 4), (0.125, 8)],
             reference=ReferenceSpec(m=8, k=0.125),
-            t_end=0.5,
-            coeff="paper",
+        )
+        report = ConvergenceReport(
+            config,
             rows=[
                 RowResult(k=0.25, h=0.25, m=4, error=4e-3, order=2.0),
                 RowResult(k=0.125, h=0.125, m=8, error=1e-3, order=None),
@@ -366,16 +364,19 @@ class TestVerifyAssumptions:
         assert worst > 1e-12
 
     def test_cayley_check_measures_the_operator_cayley(self, monkeypatch):
-        # a 1% gain in the operator's own Cayley transform must fail the
-        # check; rebuilding the transform from the resolvent would miss it
-        cayley_a = SplitDiffusionOperator.cayley_a
+        # the check forms C_A = 2 R_A - I from the operator's own
+        # resolvent, so R_A' = 1.01 R_A - 0.005 I, which gives C_A a 1%
+        # gain, must fail it.  A 1% gain in R_A alone does not: its C_A
+        # read 0.99992 at most
+        solve = SplitDiffusionOperator.solve_resolvent_a
 
         def amplified(self, kappa, u, **kwargs):
-            w = cayley_a(self, kappa, u, **kwargs).values
+            w = solve(self, kappa, u, **kwargs).values
             w *= 1.01
+            w -= 0.005 * u.values
             return Field(self.grid, w)
 
-        monkeypatch.setattr(SplitDiffusionOperator, "cayley_a", amplified)
+        monkeypatch.setattr(SplitDiffusionOperator, "solve_resolvent_a", amplified)
         report = verify_assumptions(m_list=[8])
         check = next(c for c in report.checks if c.name == "cayley nonexpansivity")
         assert not check.passed, check.detail

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from adisplit import _kernel, steppers
-from adisplit.experiments import PAPER_LAMBDA, PAPER_MU, coefficient_pair
+from adisplit.experiments import coefficient_pair
 from adisplit.grid import Grid, discrete_norm
 from adisplit.linsolve import (
     KroneckerFactorization,
@@ -21,13 +21,9 @@ from adisplit.linsolve import (
 from adisplit.operators import assemble_split_operator
 
 import oracle
-from oracle import random_field, reference_cg, zero_field
+from oracle import paper_operator, random_field, reference_cg, zero_field
 
 ONE = lambda x: np.ones_like(np.asarray(x, dtype=float))
-
-
-def paper_operator(m):
-    return assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(m))
 
 
 def ill_conditioned_system(n=60, seed=2, decades=6):

@@ -15,7 +15,7 @@ import pytest
 
 from adisplit import (KernelUnavailableError, _kernel, cli, experiments,
                       operators, steppers)
-from adisplit.experiments import PAPER_LAMBDA, PAPER_MU, coefficient_pair
+from adisplit.experiments import PAPER_LAMBDA, PAPER_MU
 from adisplit.grid import Field, Grid, discrete_inner_product, discrete_norm
 from adisplit.linsolve import conjugate_gradient
 from adisplit.operators import (
@@ -28,13 +28,9 @@ from adisplit.operators import (
 )
 
 import oracle
-from oracle import random_field
+from oracle import paper_operator, random_field
 
 ONE = lambda x: np.ones_like(np.asarray(x, dtype=float))
-
-
-def paper_operator(m):
-    return assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(m))
 
 
 class TestStiffnessAssembly:
@@ -241,8 +237,6 @@ class TestResolvents:
         z = Field(op.grid, np.zeros((7, 7)))
         assert np.all(op.solve_resolvent_a(1.0, z).values == 0.0)
         assert np.all(op.solve_resolvent_b(1.0, z).values == 0.0)
-        assert np.all(op.cayley_a(1.0, z).values == 0.0)
-        assert np.all(op.cayley_b(1.0, z).values == 0.0)
 
     def test_residual_and_dense_match(self):
         op = paper_operator(8)
@@ -271,14 +265,6 @@ class TestResolvents:
                 assert discrete_norm(op.solve_resolvent_a(kappa, u)) <= bound
                 assert discrete_norm(op.solve_resolvent_b(kappa, u)) <= bound
 
-    def test_cayley_nonexpansive(self):
-        op = paper_operator(16)
-        for kappa in (1e-3, 1.0, 1e3):
-            u = random_field(op.grid, 1)
-            w = op.solve_resolvent_a(kappa, u)
-            cay = w + kappa * op.apply_a(w)
-            assert discrete_norm(cay) <= (1.0 + 1e-12) * discrete_norm(u)
-
     @pytest.mark.parametrize("kappa", [0.0, -1.0])
     def test_nonpositive_kappa_rejected(self, kappa):
         op = paper_operator(4)
@@ -292,7 +278,7 @@ class TestResolvents:
         u = random_field(op.grid)
         op.solve_resolvent_a(0.1, u)
         for kappa in [np.nan] * FACTOR_CACHE_CAPACITY + [np.inf]:
-            for method in (op.solve_resolvent_a, op.cayley_b):
+            for method in (op.solve_resolvent_a, op.solve_resolvent_b):
                 with pytest.raises(ValueError, match="finite"):
                     method(kappa, u)
         assert list(op._factor_cache) == [("a", 0.1)]
@@ -310,22 +296,23 @@ class TestLinePaths:
         op = paper_operator(m)
         u = random_field(op.grid, m)
         for kappa in (1e-3, 1.0, 1e3):
-            for name in ("solve_resolvent_a", "solve_resolvent_b", "cayley_a",
-                         "cayley_b"):
-                got = getattr(op, name)(kappa, u).values
-                want = oracle.LineFactor(op, name[-1], kappa).solve(
-                    u.values, reflect=name.startswith("cayley"))
+            for axis in "ab":
+                got = getattr(op, f"solve_resolvent_{axis}")(kappa, u).values
+                want = oracle.LineFactor(op, axis, kappa).solve(u.values)
                 assert got.flags.c_contiguous
                 assert np.array_equal(got, want)
 
-    def test_cayley_is_the_reflected_resolvent(self):
-        op = paper_operator(40)
-        u = random_field(op.grid, 2)
+    @pytest.mark.parametrize("m", [17, 257])
+    def test_loop_transforms_are_the_reflected_resolvents(self, m):
+        # one loop step is C_A C_B u with each C_X = 2 R_X - I formed by
+        # numpy from the operator's resolvent
+        op = paper_operator(m)
+        u = random_field(op.grid, m)
         for kappa in (1e-3, 1.0, 1e3):
-            for solve, cayley in ((op.solve_resolvent_a, op.cayley_a),
-                                  (op.solve_resolvent_b, op.cayley_b)):
-                want = 2.0 * solve(kappa, u).values - u.values
-                assert np.array_equal(cayley(kappa, u).values, want)
+            c_b = 2.0 * op.solve_resolvent_b(kappa, u).values - u.values
+            r_a = op.solve_resolvent_a(kappa, Field(op.grid, c_b)).values
+            got = run_loop(op, kappa, 1, u, average=False)
+            assert np.array_equal(got.values, 2.0 * r_a - c_b)
 
     def test_evolve_agrees(self):
         # evolve's start, Cayley recurrence and final solve from the
@@ -353,8 +340,7 @@ class TestLinePaths:
         floats = Field(op.grid, ints.astype(float))
         for field in (Field(op.grid, np.asfortranarray(ints.astype(float))),
                       Field(op.grid, ints)):
-            for name in ("solve_resolvent_a", "solve_resolvent_b",
-                         "cayley_a", "cayley_b"):
+            for name in ("solve_resolvent_a", "solve_resolvent_b"):
                 got = getattr(op, name)(0.5, field).values
                 assert np.array_equal(got, getattr(op, name)(0.5, floats).values)
 
@@ -418,8 +404,8 @@ class TestFactorBits:
         # the sweep touches an array; the factor turns -1 into MemoryError
         # (the strided solve allocates nothing)
         lib = _kernel.load()
-        assert lib.adisplit_solve_contiguous(2 ** 58, None, None, None, None,
-                                             0) == -1
+        assert lib.adisplit_solve_contiguous(2 ** 58, None, None, None,
+                                             None) == -1
         op = paper_operator(8)
         fac = op._factors("a", 0.5)
         fac._solve = lambda *args: -1
@@ -460,7 +446,8 @@ def count_kernel_loops(monkeypatch):
 
 
 class TestCayleyLoop:
-    """The compiled Cayley loop against one Cayley call per transform."""
+    """The compiled Cayley loop against the oracle's recurrence, one
+    reflection 2 R - I per transform."""
 
     # n = m - 1 lines: 1 and 2 give a thread no B column or no A tile, 16
     # one whole tile, 17 an odd column split and a partial tile; 64 and
@@ -618,12 +605,11 @@ class TestCayleyLoop:
 
 def out_calls(op):
     """(name, call) for every method that takes ``out=``: L shifted and
-    unshifted, and each resolvent and Cayley transform at a small and a
-    large kappa."""
+    unshifted, and each resolvent at a small and a large kappa."""
     calls = [("apply_l", lambda u, **kw: op.apply_l(u, **kw))]
     calls += [(f"apply_l({sigma})", lambda u, s=sigma, **kw: op.apply_l(u, s, **kw))
               for sigma in (0.25, -0.25)]
-    for name in ("solve_resolvent_a", "solve_resolvent_b", "cayley_a", "cayley_b"):
+    for name in ("solve_resolvent_a", "solve_resolvent_b"):
         for kappa in (1e-3, 1e3):
             method = getattr(op, name)
             calls.append((f"{name}({kappa})",
@@ -813,14 +799,14 @@ class TestKernelBuild:
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         started = counting_subprocess_run(monkeypatch)
         u = random_field(Grid(20))
-        first = paper_operator(20).cayley_a(0.5, u).values
+        first = paper_operator(20).solve_resolvent_a(0.5, u).values
         cache = tmp_path / "adisplit"
         built = list(cache.iterdir())
         assert started.count("compile") == 1
         assert [p.name[:9] for p in built] == ["_tridiag-"]  # no temporary left
         assert stat.S_IMODE(cache.stat().st_mode) & 0o077 == 0
         _kernel._build_and_load.cache_clear()  # as in a new process
-        second = paper_operator(20).cayley_a(0.5, u).values
+        second = paper_operator(20).solve_resolvent_a(0.5, u).values
         assert started.count("compile") == 1
         assert _kernel.load()._name == str(built[0])
         assert np.array_equal(first, second)
@@ -869,8 +855,7 @@ class TestKernelBuild:
             u = random_field(op.grid, 4)
             results += [op.apply_l(u, sigma).values for sigma in (0.25, -0.25)]
             results += [getattr(op, name)(kappa, u).values
-                        for name in ("solve_resolvent_a", "solve_resolvent_b",
-                                     "cayley_a", "cayley_b")
+                        for name in ("solve_resolvent_a", "solve_resolvent_b")
                         for kappa in (1e-3, 1.0, 1e3)]
             return _kernel.load()._name, results
 
@@ -891,7 +876,7 @@ class TestKernelBuild:
         hide_the_compiler(monkeypatch, tmp_path)
         cause = "No such file or directory: 'cc'"
         with pytest.raises(KernelUnavailableError, match=cause):
-            paper_operator(20).cayley_b(0.5, random_field(Grid(20)))
+            paper_operator(20).solve_resolvent_b(0.5, random_field(Grid(20)))
         # the command line reports it on one line, with exit status 3
         src = str(Path(operators.__file__).resolve().parent.parent)
         proc = subprocess.run(

@@ -20,13 +20,9 @@ from adisplit.grid import (
 from adisplit.operators import TridiagonalMatrix, assemble_split_operator
 
 import oracle
-from oracle import random_field, zero_field
+from oracle import paper_operator, random_field, zero_field
 
 ONE = lambda x: np.ones_like(np.asarray(x, dtype=float))
-
-
-def paper_operator(m):
-    return assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(m))
 
 
 class TestDenseAssemble:

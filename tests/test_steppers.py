@@ -86,7 +86,7 @@ class CallCounter:
         return counted
 
 
-LOOP_METHODS = ("cayley_a", "cayley_b", "solve_resolvent_a", "solve_resolvent_b")
+LOOP_METHODS = ("solve_resolvent_a", "solve_resolvent_b")
 
 
 class MethodRecorder:
@@ -251,13 +251,13 @@ class TestStepContracts:
     )
     def test_evolve_applies_one_operator_per_run(self, monkeypatch, scheme):
         # one B before the loop and one R_B after it; PR's leading C_A is
-        # one Cayley call from evolve.  The kernel runs the remaining steps
-        # in one call and makes no other Cayley call from Python
+        # 2 R_A - I from one resolvent call in evolve.  The kernel runs the
+        # remaining steps in one call and makes no other solve from Python
         dr = scheme is SchemeKind.DOUGLAS_RACHFORD
         rec = recorded_evolve(monkeypatch, scheme)
         want = {"apply_b": 1, "cayley_loop": 1, "solve_resolvent_b": 1}
         if not dr:
-            want["cayley_a"] = 1
+            want["solve_resolvent_a"] = 1
         assert rec.kernel_calls == [(7, True) if dr else (6, False)]
         assert rec.calls == want
 
@@ -272,8 +272,9 @@ class TestStepContracts:
         monkeypatch.setattr(operators, "_LOOP_WORK", 3 * op.grid.interior_count)
         got = evolve(op, scheme, 0.05, 7, random_field(op.grid, 4))
         assert rec.kernel_calls == calls
-        assert rec.calls["cayley_a"] == (scheme is SchemeKind.PEACEMAN_RACHFORD)
-        assert "cayley_b" not in rec.calls
+        pr = scheme is SchemeKind.PEACEMAN_RACHFORD
+        assert rec.calls["solve_resolvent_a"] == pr
+        assert rec.calls["solve_resolvent_b"] == 1
         assert np.array_equal(got.values, want.values)
 
     @pytest.mark.parametrize(
@@ -281,18 +282,14 @@ class TestStepContracts:
     def test_evolve_steps_allocate_no_field(self, monkeypatch, scheme):
         # the loop runs on the run's two buffers, and the final R_B reads
         # the loop's result and writes into its scratch buffer.  PR's
-        # leading C_A writes into that buffer too, which then swaps roles
-        # with the start
+        # leading R_A, from which evolve forms C_A in place, writes into
+        # that buffer too, which then swaps roles with the start
         rec = recorded_evolve(monkeypatch, scheme)
         [(start, out)] = rec.arrays["cayley_loop"]
         assert start != out
         assert rec.arrays["solve_resolvent_b"] == [(start, out)]
-        outs = [dest for name in ("cayley_a", "cayley_b")
-                for _, dest in rec.arrays[name]]
         pr = scheme is SchemeKind.PEACEMAN_RACHFORD
-        if pr:
-            assert rec.arrays["cayley_a"][0] == (out, start)
-        assert outs == [start] * pr
+        assert rec.arrays["solve_resolvent_a"] == [(out, start)] * pr
 
     @pytest.mark.parametrize("scheme", list(SchemeKind))
     @pytest.mark.parametrize("n_steps", [1, 5])
@@ -732,6 +729,14 @@ class TestNonFinite:
         message = rf"{scheme.value}.*k=0\.01.*5 steps"
         with pytest.raises(FloatingPointError, match=message):
             evolve(op8, scheme, 0.01, 5, Field(op8.grid, values))
+
+    @pytest.mark.filterwarnings("error")
+    def test_pr_overflow_raises_without_a_warning(self, op8):
+        # numpy forms PR's leading C_A; an overflow there, as one in the
+        # kernel, reaches the caller only as the non-finite field
+        huge = Field(op8.grid, np.full((op8.grid.n, op8.grid.n), 1e308))
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            evolve(op8, SchemeKind.PEACEMAN_RACHFORD, 1.0 / 16, 8, huge)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("scheme", list(SchemeKind))

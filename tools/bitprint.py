@@ -16,8 +16,9 @@ at the same k from another seeded field, as the ``cn_m256`` workload
 runs CN, and one
 standalone ``cn_step(op, k, u)`` at the first k, which makes its own run
 instead of ``evolve``'s; ``apply_l`` plain and with sigma = -0.25 and
-0.25; ``solve_resolvent_a/b`` and ``cayley_a/b`` at every kappa in
-``KAPPAS``; and the multipliers e of
+0.25; ``solve_resolvent_a/b`` at every kappa in ``KAPPAS``, then the
+Cayley transforms 2 R u - u numpy forms from them (an older tree's
+``cayley_a/b`` returned the same bytes); and the multipliers e of
 both axes' factors at those kappas, in [line][position] order whatever
 the layout the kernel stores them in; and ``solve_lh`` with the
 eigenvalues theta of its Kronecker factorization.  It also covers the experiments' building blocks
@@ -76,9 +77,11 @@ def results(m: int):
     for sigma in SIGMAS:
         yield op.apply_l(u, sigma).values
     for kappa in KAPPAS:
-        for f in (op.solve_resolvent_a, op.solve_resolvent_b,
-                  op.cayley_a, op.cayley_b):
-            yield f(kappa, u).values
+        resolvents = [f(kappa, u).values
+                      for f in (op.solve_resolvent_a, op.solve_resolvent_b)]
+        yield from resolvents
+        for r in resolvents:
+            yield 2.0 * r - u.values
         for axis in ("a", "b"):
             yield multipliers(op._factors(axis, kappa).e, n)
     yield linsolve.solve_lh(op, u).values
