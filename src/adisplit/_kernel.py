@@ -50,7 +50,7 @@ SIGNATURES = {
     "adisplit_solve_contiguous": ("i", "lpppp"),
     "adisplit_factor": ("i", "llppp"),
     "adisplit_stencil": ("", "lidpppppppp"),
-    "adisplit_cayley_loop": ("i", "lliipppppp"),
+    "adisplit_cayley_loop": ("i", "lliiipppppp"),
     "adisplit_add_weighted": ("", "lppp"),
     "adisplit_cg_step": ("", "ldpppp"),
     "adisplit_cg_direction": ("", "ldpp"),

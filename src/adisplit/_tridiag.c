@@ -23,21 +23,28 @@
  * Many lines run side by side, which removes the wait of each unknown on
  * the one before it.  `r` and `x` must not overlap.  The standalone
  * solves write R r, from which a caller forms a Cayley transform
- * 2 R r - r.  Only the Cayley loop's A sweep sets `reflect`, with which
- * the back sweep also overwrites x[p+1] with 2 x[p+1] - r[p+1] as soon
- * as x[p] no longer needs it, so the tile holds the Cayley transform.
- * Lines along the slow axis sweep in blocks of BLOCK columns, so a
- * block's rows stay in cache between the forward and the back pass, and
- * each pass prefetches the rows of its next position.
+ * 2 R r - r.  Only the Cayley loop reflects.  Its A sweep sets `reflect`,
+ * with which the back sweep also overwrites x[p+1] with 2 x[p+1] - r[p+1]
+ * as soon as x[p] no longer needs it, so the tile holds the Cayley
+ * transform.  Lines along the slow axis sweep in blocks of BLOCK columns,
+ * so a block's rows stay in cache between the forward and the back pass,
+ * and each pass prefetches the rows of its next position.
  *
  * adisplit_cayley_loop runs many time steps of the Cayley recurrence in
- * one call.  Its B sweep writes R_B u, and the A sweep's gather forms
- * C_B u = 2 R_B u - u from that and u, with the back pass's operation,
- * so the B sweep never reads u a second time.  It may split every
- * sweep's lines between the calling thread and one worker thread that
- * lives for the call; the two meet at a barrier after each sweep.  Every
- * line keeps the arithmetic of a single-threaded solve, so the split
- * does not change a bit of the result.
+ * one call, and may open with an A half-step and close with a plain B
+ * sweep, so a Peaceman-Rachford run R_B (C_A C_B)^(n-1) C_A takes one
+ * field.  Its B sweep works in place (sweep_over): the forward pass
+ * writes R_B u into a block of scratch, whose 64 columns stay in cache,
+ * and each row of u is overwritten with 2 R_B u - u as soon as its row of
+ * R_B u is final, the operation the A gather formed C_B u with while R_B u
+ * had a field of its own.  The A sweep then gathers u alone and scatters
+ * C_A u over it through its tile.  Douglas-Rachford's average needs u
+ * beside C_A C_B u, so its B sweep writes R_B u into a second field and
+ * the A gather forms C_B u from both.  The loop may split every sweep's
+ * lines between the calling thread and one worker thread that lives for
+ * the call; the two meet at a barrier after each sweep.  Every line keeps
+ * the arithmetic of a single-threaded solve, so the split does not change
+ * a bit of the result.
  *
  * Three element-wise entries at the end of the file serve Crank-Nicolson's
  * preconditioned CG: the Jacobi term of its preconditioner and the two
@@ -145,6 +152,73 @@ static void columns(long n, long i0, long i1, const double *restrict c,
               e + i, r + i, x + i, carry, 0);
 }
 
+/* sweep's strided case in place, for the Cayley loop: w lines of the
+ * field u, element p of line l at u[p*n + l], become R u, or with
+ * `reflect` C u = 2 R u - u.  x lives in `keep`, w n doubles of scratch
+ * [p][l] with stride BLOCK, and each row of u is overwritten as soon as
+ * its x is final, at the forward pass's last position and then at every
+ * position of the back pass, with 2 x - u (reflect) or x: the A gather
+ * formed C u from R u and u with that operation.  Copying a row of keep
+ * into u after a pass instead made gcc call memcpy, a new PLT entry. */
+static void sweep_over(long n, long w, const double *restrict c,
+                       const double *restrict g, const double *restrict e,
+                       double *restrict u, double *restrict keep,
+                       double *restrict t, int reflect)
+{
+    const double *diag = c, *off = c + n;
+    long p, l;
+    const double *tq = u; /* the undivided x of position p - 1 */
+    for (l = 0; l < w; l++) {
+        double x = u[l] / (1.0 + g[l] * diag[0]);
+        keep[l] = x;
+        if (n == 1)
+            u[l] = reflect ? 2.0 * x - u[l] : x;
+    }
+    for (p = 1; p < n; p++) {
+        double *up = u + p * n, *kp = keep + p * BLOCK;
+        double dg = diag[p], of = off[p - 1];
+        const double *ep = e + (p - 1) * n;
+        if (p + 1 < n) {
+            ahead(up + n, w);
+            ahead(ep + n, w);
+        }
+        for (l = 0; l < w; l++) {
+            double r = up[l], tp = r - tq[l] * ep[l];
+            double x = tp / ((1.0 + g[l] * dg) - ep[l] * (g[l] * of));
+            kp[l] = x;
+            t[l] = tp;
+            if (p == n - 1)
+                up[l] = reflect ? 2.0 * x - r : x;
+        }
+        tq = t;
+    }
+    for (p = n - 2; p >= 0; p--) {
+        double *up = u + p * n, *kp = keep + p * BLOCK;
+        const double *ep = e + p * n;
+        if (p > 0) {
+            ahead_write(up - n, w);
+            ahead(ep - n, w);
+        }
+        for (l = 0; l < w; l++) {
+            double x = kp[l] - kp[l + BLOCK] * ep[l];
+            kp[l] = x;
+            up[l] = reflect ? 2.0 * x - up[l] : x;
+        }
+    }
+}
+
+/* columns in place, with BLOCK n doubles of `keep`: u's lines i0..i1-1
+ * become C u (reflect) or R u. */
+static void columns_over(long n, long i0, long i1, const double *restrict c,
+                         const double *restrict e, double *restrict u,
+                         double *restrict keep, int reflect)
+{
+    double carry[BLOCK];
+    for (long i = i0; i < i1; i += BLOCK)
+        sweep_over(n, i1 - i < BLOCK ? i1 - i : BLOCK, c, GAMMA(c, n) + i,
+                   e + i, u + i, keep, carry, reflect);
+}
+
 /* All n lines along the slow axis.  Allocates nothing, and returns 0
  * like adisplit_solve_contiguous, so one caller serves both. */
 int adisplit_solve_strided(long n, const double *c, const double *e,
@@ -160,11 +234,15 @@ int adisplit_solve_strided(long n, const double *c, const double *e,
  * `tile` holds 2 TILE n doubles.  With `cayley` the gather forms the
  * right-hand side 2 r - x, the back pass's reflection of r = R x.  With
  * `average` the scatter writes (t + x) * 0.5 over x, t being the tile's
- * result. */
-static void tiles(long n, long b0, long b1, const double *restrict c,
-                  const double *restrict e, const double *restrict r,
-                  double *restrict x, int reflect, int cayley, int average,
-                  double *restrict tile)
+ * result.  r may be x: a tile's rows are gathered before they are
+ * scattered.  Every call is inlined with its constant flags: left to gcc,
+ * the Cayley loop's three calls shared one copy that took `cayley` and
+ * `average` as variables, and the DR loop ran 6-11% slower at m = 16-256
+ * on one thread. */
+static inline __attribute__((always_inline)) void
+tiles(long n, long b0, long b1, const double *restrict c,
+      const double *restrict e, const double *r, double *x, int reflect,
+      int cayley, int average, double *restrict tile)
 {
     double *tr = tile, *tx = tile + TILE * n, carry[TILE];
     for (long b = b0; b < b1; b++) {
@@ -214,11 +292,17 @@ int adisplit_solve_contiguous(long n, const double *c, const double *e,
     return 0;
 }
 
+/* Scratch doubles per line of a loop part: A's tile of 2 TILE lines and
+ * B's block of BLOCK lines, one at a time. */
+#define SCRATCH (2 * TILE > BLOCK ? 2 * TILE : BLOCK)
+#define LEAD 1   /* ends: open the call with an A half-step */
+#define FINISH 2 /* ends: close the call with a plain B sweep */
+
 struct loop {
     long n, steps;
-    int average, parts;
+    int average, ends, parts;
     const double *ca, *ea, *cb, *eb;
-    double *u, *v, *tile;
+    double *u, *v, *scratch;
     atomic_int arrived, phase;
 };
 
@@ -243,12 +327,9 @@ static void meet(struct loop *s)
 }
 
 /* Part `part` of `s->parts`: columns i0..i1-1 of every B sweep and tiles
- * b0..b1-1 of every A sweep, on the part's 2 TILE n doubles of `tile`.
- * The B sweep writes v = R_B u, and the A gather forms C_B u from v and
- * u.  The fields are read into locals once, and each branch passes
- * `cayley` and `average` to `tiles` as constants: with one call taking
- * `average` as a variable, gcc -O3 inlined `tiles` everywhere, and both
- * this loop at m = 16 and adisplit_solve_contiguous ran 3-9% slower. */
+ * b0..b1-1 of every A sweep, on the part's SCRATCH n doubles.  The fields
+ * are read into locals once, and each call passes `tiles` its flags as
+ * constants. */
 static void run_part(struct loop *s, int part)
 {
     long n = s->n, steps = s->steps, nb = (n + TILE - 1) / TILE;
@@ -256,16 +337,25 @@ static void run_part(struct loop *s, int part)
     long b0 = part * nb / s->parts, b1 = (part + 1) * nb / s->parts;
     int average = s->average;
     const double *ca = s->ca, *ea = s->ea, *cb = s->cb, *eb = s->eb;
-    double *u = s->u, *v = s->v, *tile = s->tile + part * 2 * TILE * n;
-    for (long step = 0; step < steps; step++) {
-        columns(n, i0, i1, cb, eb, u, v);
-        meet(s);
-        if (average)
-            tiles(n, b0, b1, ca, ea, v, u, 1, 1, 1, tile);
-        else
-            tiles(n, b0, b1, ca, ea, v, u, 1, 1, 0, tile);
+    double *u = s->u, *v = s->v, *scratch = s->scratch + part * SCRATCH * n;
+    if (s->ends & LEAD) {
+        tiles(n, b0, b1, ca, ea, u, u, 1, 0, 0, scratch);
         meet(s);
     }
+    for (long step = 0; step < steps; step++) {
+        if (average) {
+            columns(n, i0, i1, cb, eb, u, v);
+            meet(s);
+            tiles(n, b0, b1, ca, ea, v, u, 1, 1, 1, scratch);
+        } else {
+            columns_over(n, i0, i1, cb, eb, u, scratch, 1);
+            meet(s);
+            tiles(n, b0, b1, ca, ea, u, u, 1, 0, 0, scratch);
+        }
+        meet(s);
+    }
+    if (s->ends & FINISH)
+        columns_over(n, i0, i1, cb, eb, u, scratch, 0);
 }
 
 static void *worker(void *arg)
@@ -274,28 +364,31 @@ static void *worker(void *arg)
     return NULL;
 }
 
-/* `steps` steps of u = C_A C_B u on two n x n fields, C_X = 2 R_X - I
+/* `steps` steps of u = C_A C_B u on the n x n field u, C_X = 2 R_X - I
  * with the factors of adisplit_solve_contiguous (A) and
- * adisplit_solve_strided (B), v holding R_B u between the sweeps; with
- * `average` set a step is u = (u + C_A C_B u) / 2.  The result is in u.
- * Peaceman-Rachford's t <- C_A C_B t and Douglas-Rachford's
- * t <- (t + C_A C_B t) / 2 are both this loop.  With `threads` >= 2 a
- * worker thread takes half the lines of every sweep, the same half each
- * time; it blocks all signals, so they reach the caller, and is joined
- * before the call returns.  Returns the
- * number of threads used (1 where the worker cannot be started), or -1 if
- * the tiles cannot be allocated. */
-int adisplit_cayley_loop(long n, long steps, int average, int threads,
-                         const double *ca, const double *ea, const double *cb,
-                         const double *eb, double *u, double *v)
+ * adisplit_solve_strided (B); with `average` set a step is
+ * u = (u + C_A C_B u) / 2, with v, a second field, holding R_B u between
+ * the sweeps, else v is not read and may be NULL.  `ends` may add LEAD,
+ * u = C_A u before the steps, and FINISH, u = R_B u after them.  A
+ * Peaceman-Rachford run R_B (C_A C_B)^(n-1) C_A and a Douglas-Rachford
+ * run R_B ((I + C_A C_B) / 2)^n are both this loop, in calls of a few
+ * steps each.  With `threads` >= 2 a worker thread takes half the lines
+ * of every sweep, the same half each time; it blocks all signals, so
+ * they reach the caller, and is joined before the call returns.  Returns
+ * the number of threads used (1 where the worker cannot be started), or
+ * -1 if the scratch cannot be allocated. */
+int adisplit_cayley_loop(long n, long steps, int average, int ends,
+                         int threads, const double *ca, const double *ea,
+                         const double *cb, const double *eb, double *u,
+                         double *v)
 {
-    struct loop s = {.n = n, .steps = steps, .average = average,
+    struct loop s = {.n = n, .steps = steps, .average = average, .ends = ends,
                      .parts = threads >= 2 ? 2 : 1,
                      .ca = ca, .ea = ea, .cb = cb, .eb = eb, .u = u, .v = v};
     atomic_init(&s.arrived, 0);
     atomic_init(&s.phase, 0);
-    s.tile = calloc(s.parts * 2 * TILE * (size_t)n, sizeof(double));
-    if (s.tile == NULL)
+    s.scratch = calloc(s.parts * SCRATCH * (size_t)n, sizeof(double));
+    if (s.scratch == NULL)
         return -1;
     pthread_t other;
     if (s.parts == 2) {
@@ -309,7 +402,7 @@ int adisplit_cayley_loop(long n, long steps, int average, int threads,
     run_part(&s, 0);
     if (s.parts == 2)
         pthread_join(other, NULL);
-    free(s.tile);
+    free(s.scratch);
     return s.parts;
 }
 

@@ -10,13 +10,14 @@ kernel (``_tridiag.c``) that sweeps many lines side by side with the
 arithmetic of LAPACK's dpttrf and dpttrs.  Its factors keep dpttrf's
 multipliers only, one field's worth: each sweep recomputes the pivots from
 them bit for bit.  The same kernel applies A, B or L as one five-point
-stencil pass, and runs the Cayley recurrence t <- C_A C_B t, or its
-average with t, for many steps per call (``cayley_loop``), on two threads
-from m = 256 where two CPUs are available.  The loop knows no scheme:
-``steppers.evolve`` builds the DR and PR runs from it, and this module
-never imports the steppers.  It is built with ``cc`` for the host CPU on
-the first resolvent solve or application in a process (never on import)
-into a per-user cache, by :mod:`adisplit._kernel`, which raises
+stencil pass, and runs the Cayley recurrence, a whole PR run
+R_B (C_A C_B)^(n-1) C_A in one field or DR's steps t <- (t + C_A C_B t) / 2
+in two, for many steps per call (``cayley_loop``), on two threads from
+m = 256 where two CPUs are available.  ``steppers.evolve`` forms the
+runs' starts and DR's final R_B, and this module never imports the
+steppers.  The kernel is built with ``cc`` for the host CPU on the first
+resolvent solve or application in a process (never on import) into a
+per-user cache, by :mod:`adisplit._kernel`, which raises
 KernelUnavailableError where it cannot be built.  The package needs numpy
 and ``cc`` only.
 ``apply_l`` and the resolvents return a new field, or, given ``out=``,
@@ -55,6 +56,8 @@ COEFF_SAMPLE_POINTS = 10_001
 FACTOR_CACHE_CAPACITY = 6
 # parts argument of the compiled stencil
 _PART_A, _PART_B, _PART_SHIFT = 1, 2, 4
+# ends of a compiled Cayley loop call: open with C_A, close with R_B
+_LEAD, _FINISH = 1, 2
 # Interior unknowns x steps per call of the compiled Cayley loop: a few
 # tens of ms, after which Python gets to handle a pending Ctrl-C.
 _LOOP_WORK = 2 ** 23
@@ -184,38 +187,52 @@ class SplitDiffusionOperator:
         return self._line_solve("b", kappa, rhs, out)
 
     def cayley_loop(self, kappa: float, n_steps: int, u: Field, *,
-                    out: np.ndarray, average: bool) -> Field:
-        """n_steps >= 0 steps of t <- C_A C_B t on u's array, or with
-        ``average`` of t <- (t + C_A C_B t) / 2, where
-        C_X = (I + kappa X)(I - kappa X)^{-1}.
+                    average: bool, out: np.ndarray | None = None) -> Field:
+        """n_steps >= 1 steps of the Cayley recurrence on u's array, with
+        C_X = (I + kappa X)(I - kappa X)^{-1} = 2 R_X - I.
 
-        Every transform has the bits of 2 R_X - I formed from
-        ``solve_resolvent_a``/``_b``.  u's array (C-contiguous float64)
-        is overwritten with the result, which is returned as u; ``out``
-        is scratch.  The compiled kernel runs the loop in calls of about
-        ``_LOOP_WORK`` unknowns x steps, none for n_steps = 0, on two
-        threads from m = ``_LOOP_THREADS_FROM_M`` (256) where the process
-        may use two CPUs: a PR step at m = 256 then takes about 0.17 ms,
-        against 0.21 ms on one.  Logs one DEBUG line.
+        With ``average`` a step is t <- (t + C_A C_B t) / 2, Douglas-
+        Rachford's, which needs t beside C_A C_B t: ``out`` is its scratch
+        field.  Without, the call is a whole Peaceman-Rachford run
+        u <- R_B (C_A C_B)^(n_steps - 1) C_A u in u's array alone, and
+        takes no ``out``.  Every transform has the bits of 2 R_X - I
+        formed from ``solve_resolvent_a``/``_b``, and PR's closing R_B
+        those of ``solve_resolvent_b``.  u's array (C-contiguous float64)
+        is overwritten with the result, which is returned as u.  The
+        compiled kernel runs the loop in calls of about ``_LOOP_WORK``
+        unknowns x steps, PR's first opening with its C_A and its last
+        closing with R_B, on two threads from m = ``_LOOP_THREADS_FROM_M``
+        (256) where the process may use two CPUs: a PR step at m = 256
+        then takes about 0.16 ms, against 0.21 ms on one.  Logs one DEBUG
+        line.
         """
-        if n_steps < 0:
-            raise ValueError(f"n_steps must be non-negative, got {n_steps}")
+        if n_steps < 1:
+            raise ValueError(f"n_steps must be positive, got {n_steps}")
+        if bool(average) == (out is None):
+            raise ValueError("out is the average's scratch: give it with "
+                             "average and only then")
         n = self.grid.n
         self._check(u)
-        check_buffers((n, n), u=u.values, out=out)
-        calls, threads = 0, 1
-        if n_steps:
-            fac_a, fac_b = self._factors("a", kappa), self._factors("b", kappa)
-            want = 2 if self.grid.m >= _LOOP_THREADS_FROM_M and _cpus() >= 2 else 1
-            per_call = max(1, _LOOP_WORK // (n * n))
-            for done in range(0, n_steps, per_call):
-                threads = self._lib.adisplit_cayley_loop(
-                    n, min(per_call, n_steps - done), average, want,
-                    fac_a.c_ptr, fac_a.e_ptr, fac_b.c_ptr, fac_b.e_ptr,
-                    u.values.ctypes.data, out.ctypes.data)
-                if threads < 0:
-                    raise MemoryError("Cayley loop could not allocate its tiles")
-                calls += 1
+        buffers = {"u": u.values}
+        if average:
+            buffers["out"] = out
+        check_buffers((n, n), **buffers)
+        fac_a, fac_b = self._factors("a", kappa), self._factors("b", kappa)
+        want = 2 if self.grid.m >= _LOOP_THREADS_FROM_M and _cpus() >= 2 else 1
+        per_call = max(1, _LOOP_WORK // (n * n))
+        # PR's leading C_A and closing R_B take the place of one step
+        steps, calls = n_steps - (not average), 0
+        for done in range(0, max(steps, 1), per_call):
+            now = min(per_call, steps - done)
+            ends = 0 if average else ((_LEAD if done == 0 else 0)
+                                      | (_FINISH if done + now == steps else 0))
+            threads = self._lib.adisplit_cayley_loop(
+                n, now, average, ends, want, fac_a.c_ptr, fac_a.e_ptr,
+                fac_b.c_ptr, fac_b.e_ptr, u.values.ctypes.data,
+                None if out is None else out.ctypes.data)
+            if threads < 0:
+                raise MemoryError("Cayley loop could not allocate its scratch")
+            calls += 1
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug("cayley loop: average=%s m=%d steps=%d kernel_calls=%d "
                          "threads=%d", average, self.grid.m, n_steps, calls,
@@ -355,20 +372,26 @@ def assemble_split_operator(lam, mu, grid: Grid) -> SplitDiffusionOperator:
     """Build the split operator for coefficients lambda(x) and mu(y).
 
     Coefficient extrema are estimated by dense sampling on a uniform grid of
-    COEFF_SAMPLE_POINTS points; a non-positive sample is rejected.
+    COEFF_SAMPLE_POINTS points.  A non-finite sample there or at an
+    interior node, where the operator samples its coefficients too, is
+    rejected with the coefficient's name, and so is a non-positive one.
     """
-    xs = np.linspace(0.0, 1.0, COEFF_SAMPLE_POINTS)
-    lam_s = _sample(lam, xs)
-    mu_s = _sample(mu, xs)
+    xs, xi = np.linspace(0.0, 1.0, COEFF_SAMPLE_POINTS), grid.interior_nodes()
+    samples = []
+    for name, c in (("lambda", lam), ("mu", mu)):
+        dense, nodal = _sample(c, xs), _sample(c, xi)
+        if not (np.isfinite(dense).all() and np.isfinite(nodal).all()):
+            raise ValueError(f"coefficient {name} has a non-finite sample on [0,1]")
+        samples.append((dense, nodal))
+    (lam_s, d_lambda), (mu_s, d_mu) = samples
     if np.min(lam_s) <= 0.0 or np.min(mu_s) <= 0.0:
         raise ValueError("coefficients must be strictly positive on [0,1]")
-    xi = grid.interior_nodes()
     return SplitDiffusionOperator(
         grid=grid,
         k_lambda=assemble_1d_stiffness(lam, grid),
         k_mu=assemble_1d_stiffness(mu, grid),
-        d_lambda=_sample(lam, xi),
-        d_mu=_sample(mu, xi),
+        d_lambda=d_lambda,
+        d_mu=d_mu,
         lambda_inf=float(np.max(lam_s)),
         mu_inf=float(np.max(mu_s)),
         lambda_0=float(np.min(lam_s)),

@@ -4,9 +4,10 @@ The step maps only require the capability set apply_a / apply_b / apply_l /
 solve_resolvent_a / solve_resolvent_b, with cayley_loop for ``evolve``
 and diagonal_l and bind_adi_product for Crank-Nicolson, so any pair of
 dissipative operators with computable resolvents plugs in;
-cayley_loop(kappa, n, u, out=, average=) runs n steps of the Cayley
-recurrence t <- C_A C_B t, averaged with t for DR, on u's array with
-``out`` as scratch (see ``evolve``);
+cayley_loop(kappa, n, u, average=, out=) runs n steps of DR's averaged
+Cayley recurrence t <- (t + C_A C_B t) / 2 on u's array with ``out`` as
+scratch, or a whole PR run R_B (C_A C_B)^(n-1) C_A on u's array alone
+(see ``evolve``);
 bind_adi_product(kappa_a, kappa_b, r=, weight=, out=, scratch=) checks
 four fields once and returns a zero-argument callable that writes
 R_B(kappa_b) R_A(kappa_a) R_B(kappa_b) r + weight * r into ``out``, which
@@ -14,8 +15,8 @@ Crank-Nicolson's CG takes as its preconditioner as it is; and
 Crank-Nicolson calls apply_l(u, sigma) for u + sigma L u.  Each result is
 a new field unless the call passes ``out=``, a C-contiguous float64 array
 that does not overlap the input; ``evolve`` does so inside its loops, so
-a DR or PR run allocates no field per step, and a CN run allocates its
-six fields once and none per step.  The diffusion
+a PR run holds one field, a DR run two and a CN run six, all allocated
+once and none per step.  The diffusion
 instance lives in :mod:`adisplit.operators`, whose compiled kernel runs
 the DR and PR loops in a few calls, and each CG iteration of CN in a few
 passes besides the dot products.
@@ -175,16 +176,16 @@ def evolve(
     t <- (t + C_A C_B t) / 2 n_steps times and returns R_B t, since
     R_A (I + k^2 A B) R_B = (I + C_A C_B) / 2.  A run applies B once and A
     never, and equals the composed one-step maps up to roundoff.  The
-    recurrence is one ``op.cayley_loop`` call on t's array, with a second
-    buffer as its scratch and the final solve's output; the start is
-    formed in B u0's array, and ``u0`` is never written and not kept.
-    PR's leading C_A is 2 R_A t - t, one resolvent solve into the second
-    buffer and two numpy passes, with the bits of the loop's transforms.
-    Crank-Nicolson allocates its six fields and binds its preconditioner
-    to them once per run, and returns the field of the last iterate, which
-    no later run writes.  A step size that is not positive
-    and finite and an n_steps that is not a non-negative integer raise
-    before any work; a non-finite final field raises FloatingPointError,
+    start is formed in B u0's array, and ``u0`` is never written and not
+    kept.  A PR run is then one ``op.cayley_loop`` call, leading C_A and
+    final R_B included, on t's array alone, so it holds one field besides
+    the two resolvent factors.  DR's average needs t beside C_A C_B t: its
+    loop takes a second buffer as scratch, into which the final R_B
+    writes.  Crank-Nicolson allocates its six fields and binds its
+    preconditioner to them once per run, and returns the field of the
+    last iterate, which no later run writes.  A step size that is not
+    positive and finite and an n_steps that is not a non-negative integer
+    raise before any work; a non-finite final field raises FloatingPointError,
     and so does CN's CG on a non-finite right-hand side
     (``linsolve.NonFiniteError``).
     """
@@ -207,16 +208,12 @@ def evolve(
         np.multiply(t.values, kappa, out=t.values)
         (np.add if pr else np.subtract)(u0.values, t.values, out=t.values)
         del u0, u  # a caller's temporary input is freed before the factors
-        w = np.empty_like(t.values)
-        if pr:  # C_A t = 2 R_A t - t into w, which swaps roles with t
-            t, w = op.solve_resolvent_a(kappa, t, out=w), t.values
-            # as in the kernel, an overflow shows only as the non-finite
-            # field checked below
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.multiply(t.values, 2.0, out=t.values)
-                np.subtract(t.values, w, out=t.values)
-        op.cayley_loop(kappa, n_steps - pr, t, out=w, average=not pr)
-        u = op.solve_resolvent_b(kappa, t, out=w)
+        if pr:
+            u = op.cayley_loop(kappa, n_steps, t, average=False)
+        else:  # the average needs t beside C_A C_B t: a second field
+            w = np.empty_like(t.values)
+            op.cayley_loop(kappa, n_steps, t, out=w, average=True)
+            u = op.solve_resolvent_b(kappa, t, out=w)
     # NaN propagates through max and min, which allocate no mask
     if not (np.isfinite(u.values.max()) and np.isfinite(u.values.min())):
         raise FloatingPointError(

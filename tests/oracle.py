@@ -12,8 +12,8 @@ numpy expressions, so the tests require the kernel's results to equal them
 bit for bit: the A, B and L stencil (``apply``), dpttrf's line factors and
 dpttrs's solves one position of all lines at a time (``LineFactor``, itself
 checked against SciPy's LAPACK through ``lapack_factor``), the Cayley
-recurrence as one ``LineFactor`` reflection 2 R - I per transform
-(``cayley_calls``), CN's preconditioner product (``adi_product``), textbook
+loop's DR steps and PR runs as one ``LineFactor`` reflection 2 R - I per
+transform (``cayley_calls``), CN's preconditioner product (``adi_product``), textbook
 CG with numpy's vector updates (``reference_cg``) and a CN step built from
 them (``crank_nicolson_step``).  The package itself never imports this
 module.
@@ -249,17 +249,19 @@ def lapack_factor(op, axis: str, kappa: float):
 
 def cayley_calls(op, kappa: float, n_steps: int, u: Field, average: bool) -> Field:
     """``op.cayley_loop``'s result with each transform C_X = 2 R_X - I
-    from a ``LineFactor`` reflection: n_steps steps of t <- C_A C_B t, or
-    with ``average`` of t <- (t + C_A C_B t) / 2, from u, which is not
-    written."""
-    if n_steps == 0:
-        return u
+    from a ``LineFactor`` reflection, from u, which is not written: with
+    ``average`` n_steps >= 1 steps of t <- (t + C_A C_B t) / 2, else the
+    PR run R_B (C_A C_B)^(n_steps - 1) C_A u."""
     fac_a, fac_b = LineFactor(op, "a", kappa), LineFactor(op, "b", kappa)
-    t = u.values
-    for _ in range(n_steps):
-        s = fac_a.solve(fac_b.solve(t, reflect=True), reflect=True)
-        t = (t + s) * 0.5 if average else s
-    return Field(u.grid, t)
+    if average:
+        t = u.values
+        for _ in range(n_steps):
+            t = (t + fac_a.solve(fac_b.solve(t, reflect=True), reflect=True)) * 0.5
+        return Field(u.grid, t)
+    t = fac_a.solve(u.values, reflect=True)
+    for _ in range(n_steps - 1):
+        t = fac_a.solve(fac_b.solve(t, reflect=True), reflect=True)
+    return Field(u.grid, fac_b.solve(t))
 
 
 def adi_product(op, kappa_a: float, kappa_b: float, r: np.ndarray,

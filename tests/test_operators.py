@@ -91,6 +91,18 @@ class TestOperatorAssembly:
         with pytest.raises(ValueError):
             assemble_split_operator(lambda x: np.cos(2 * np.pi * x), ONE, Grid(8))
 
+    @pytest.mark.parametrize("bad", [
+        lambda x: np.where(x > 0.5, np.nan, 1.0),  # NaN passes min <= 0
+        lambda x: 1.0 / x,  # inf at x = 0 only
+        # NaN at the node 1/3 of Grid(3) alone, which no dense sample hits
+        lambda x: np.where(np.abs(x - 1.0 / 3.0) < 1e-9, np.nan, 1.0),
+    ], ids=["nan-half", "inverse", "nan-at-a-node"])
+    def test_nonfinite_coefficient_rejected_by_name(self, bad):
+        for lam, mu, name in ((bad, ONE, "lambda"), (ONE, bad, "mu")):
+            with np.errstate(divide="ignore"), pytest.raises(
+                    ValueError, match=f"^coefficient {name} has a non-finite"):
+                assemble_split_operator(lam, mu, Grid(3))
+
     def test_grid_mismatch(self):
         op = paper_operator(8)
         with pytest.raises(ValueError):
@@ -304,15 +316,24 @@ class TestLinePaths:
 
     @pytest.mark.parametrize("m", [17, 257])
     def test_loop_transforms_are_the_reflected_resolvents(self, m):
-        # one loop step is C_A C_B u with each C_X = 2 R_X - I formed by
-        # numpy from the operator's resolvent
+        # a two-step PR run is R_B C_A C_B C_A u and one DR step
+        # (u + C_A C_B u) / 2, with each C_X = 2 R_X - I formed by numpy
+        # from the operator's resolvent
         op = paper_operator(m)
         u = random_field(op.grid, m)
+
+        def solve(resolvent, v):
+            return resolvent(kappa, Field(op.grid, v)).values
+
+        def cayley(resolvent, v):
+            return 2.0 * solve(resolvent, v) - v
+
+        a, b = op.solve_resolvent_a, op.solve_resolvent_b
         for kappa in (1e-3, 1.0, 1e3):
-            c_b = 2.0 * op.solve_resolvent_b(kappa, u).values - u.values
-            r_a = op.solve_resolvent_a(kappa, Field(op.grid, c_b)).values
-            got = run_loop(op, kappa, 1, u, average=False)
-            assert np.array_equal(got.values, 2.0 * r_a - c_b)
+            pr = solve(b, cayley(a, cayley(b, cayley(a, u.values))))
+            assert np.array_equal(run_loop(op, kappa, 2, u, False).values, pr)
+            dr = (u.values + cayley(a, cayley(b, u.values))) * 0.5
+            assert np.array_equal(run_loop(op, kappa, 1, u, True).values, dr)
 
     def test_evolve_agrees(self):
         # evolve's start, Cayley recurrence and final solve from the
@@ -418,10 +439,11 @@ DR = steppers.SchemeKind.DOUGLAS_RACHFORD
 
 
 def run_loop(op, kappa, n_steps, u, average):
-    """op.cayley_loop on a copy of u's array and a fresh ``out``."""
+    """op.cayley_loop on a copy of u's array, with a fresh ``out`` for DR's
+    average."""
     start = Field(op.grid, u.values.copy())
-    return op.cayley_loop(kappa, n_steps, start,
-                          out=np.full_like(start.values, np.nan), average=average)
+    out = np.full_like(start.values, np.nan) if average else None
+    return op.cayley_loop(kappa, n_steps, start, out=out, average=average)
 
 
 def force_threads(monkeypatch, threads):
@@ -432,14 +454,15 @@ def force_threads(monkeypatch, threads):
 
 
 def count_kernel_loops(monkeypatch):
-    """The (steps, average) of every call of the compiled Cayley loop."""
+    """The (steps, average, ends) of every call of the compiled Cayley
+    loop."""
     kernel = _kernel.load()
     loop = kernel.adisplit_cayley_loop
     calls = []
 
-    def counted(n, steps, average, *args):
-        calls.append((steps, average))
-        return loop(n, steps, average, *args)
+    def counted(n, steps, average, ends, *args):
+        calls.append((steps, average, ends))
+        return loop(n, steps, average, ends, *args)
 
     monkeypatch.setattr(kernel, "adisplit_cayley_loop", counted)
     return calls
@@ -470,11 +493,15 @@ class TestCayleyLoop:
                 got = run_loop(op, kappa, n_steps, u, average)
             assert np.array_equal(got.values, want.values)
             assert caplog.records[-1].getMessage().endswith(f"threads={threads}")
-            # two steps per call
-            with monkeypatch.context() as mp:
-                mp.setattr(operators, "_LOOP_WORK", 2 * op.grid.interior_count)
-                got = run_loop(op, kappa, n_steps, u, average)
-            assert np.array_equal(got.values, want.values)
+            # one and two steps per call: PR's 5 steps take a call that
+            # opens with C_A, calls of plain steps and one that closes with
+            # R_B
+            for per_call in (1, 2):
+                with monkeypatch.context() as mp:
+                    mp.setattr(operators, "_LOOP_WORK",
+                               per_call * op.grid.interior_count)
+                    got = run_loop(op, kappa, n_steps, u, average)
+                assert np.array_equal(got.values, want.values)
 
     def test_concurrent_loops_agree(self, monkeypatch):
         # six loop threads on the machine's cores: every barrier still
@@ -500,22 +527,20 @@ class TestCayleyLoop:
         assert all(np.array_equal(g, want) for g in got)
 
     def test_result_buffer(self, monkeypatch):
-        # the result overwrites u's array, which is returned; out is
-        # scratch; zero steps leave u as it is and call no kernel
+        # the result overwrites u's array, which is returned; DR's out is
+        # scratch and PR takes none.  A PR run's first call opens with C_A
+        # and its last closes with R_B (ends 1 | 2), so one step is a call
+        # of no plain step
         calls = count_kernel_loops(monkeypatch)
         op = paper_operator(9)
         u = random_field(op.grid, 1)
-        for average in (False, True):
+        for average, n_steps in ((False, 3), (True, 3), (False, 1)):
             start = Field(op.grid, u.values.copy())
-            got = op.cayley_loop(0.1, 3, start, out=np.empty((8, 8)),
-                                 average=average)
+            got = op.cayley_loop(0.1, n_steps, start, average=average,
+                                 out=np.empty((8, 8)) if average else None)
             assert got is start
             assert not np.array_equal(start.values, u.values)
-            start = Field(op.grid, u.values.copy())
-            got = op.cayley_loop(0.1, 0, start, out=np.empty((8, 8)),
-                                 average=average)
-            assert got is start and np.array_equal(start.values, u.values)
-        assert calls == [(3, False), (3, True)]
+        assert calls == [(2, False, 3), (3, True, 0), (0, False, 3)]
 
     def test_threads_follow_the_grid_and_the_cpus(self, monkeypatch, caplog):
         for m, cpus, threads in ((255, 2, 1), (256, 2, 2), (256, 1, 1)):
@@ -524,7 +549,7 @@ class TestCayleyLoop:
             with caplog.at_level(logging.DEBUG, logger="adisplit.operators"):
                 steppers.evolve(op, PR, 1.0 / 64, 2, random_field(op.grid))
             assert caplog.records[-1].getMessage() == (
-                f"cayley loop: average=False m={m} steps=1 kernel_calls=1 "
+                f"cayley loop: average=False m={m} steps=2 kernel_calls=1 "
                 f"threads={threads}")
 
     def test_no_thread_outlives_evolve(self, monkeypatch):
@@ -559,14 +584,21 @@ class TestCayleyLoop:
     def test_rejects_bad_step_counts_and_buffers(self):
         op = paper_operator(9)
         u = random_field(op.grid)
-        with pytest.raises(ValueError, match="n_steps"):
-            op.cayley_loop(0.1, -1, u.copy(), out=np.empty((8, 8)), average=False)
+        for n_steps in (0, -1):
+            with pytest.raises(ValueError, match="n_steps"):
+                op.cayley_loop(0.1, n_steps, u.copy(), average=False)
         with pytest.raises(ValueError, match="^u must"):
             op.cayley_loop(0.1, 2, Field(op.grid, np.asfortranarray(u.values)),
-                           out=np.empty((8, 8)), average=False)
+                           average=False)
         with pytest.raises(ValueError, match="overlap"):
             v = u.copy()
             op.cayley_loop(0.1, 2, v, out=v.values, average=True)
+        # DR's average needs its scratch field, and PR takes none
+        for average, out in ((True, None), (False, np.empty((8, 8)))):
+            v = u.copy()
+            with pytest.raises(ValueError, match="scratch"):
+                op.cayley_loop(0.1, 2, v, out=out, average=average)
+            assert np.array_equal(v.values, u.values)
 
     def test_ctrl_c_stops_a_long_run(self):
         # 2^19 PR steps at m=1024 would take most of an hour; Python handles

@@ -93,7 +93,7 @@ class MethodRecorder:
     """Counts every call of the operator class's methods, the operator's
     calls of its own methods included, and records each call's (input
     address, ``out=`` address or None), and each call of the compiled
-    Cayley loop as (steps, average)."""
+    Cayley loop as (steps, average, ends)."""
 
     NAMES = ("apply_a", "apply_b", "cayley_loop") + LOOP_METHODS
 
@@ -107,9 +107,9 @@ class MethodRecorder:
         kernel = _kernel.load()
         loop = kernel.adisplit_cayley_loop
 
-        def counted_loop(n, steps, average, *args):
-            self.kernel_calls.append((steps, average))
-            return loop(n, steps, average, *args)
+        def counted_loop(n, steps, average, ends, *args):
+            self.kernel_calls.append((steps, average, ends))
+            return loop(n, steps, average, ends, *args)
 
         monkeypatch.setattr(kernel, "adisplit_cayley_loop", counted_loop)
 
@@ -250,46 +250,49 @@ class TestStepContracts:
         "scheme", [SchemeKind.DOUGLAS_RACHFORD, SchemeKind.PEACEMAN_RACHFORD]
     )
     def test_evolve_applies_one_operator_per_run(self, monkeypatch, scheme):
-        # one B before the loop and one R_B after it; PR's leading C_A is
-        # 2 R_A - I from one resolvent call in evolve.  The kernel runs the
-        # remaining steps in one call and makes no other solve from Python
+        # one B before the loop; DR's R_B after it.  The kernel runs the
+        # recurrence in one call, PR's with its leading C_A and closing
+        # R_B (ends 1 | 2), and evolve makes no other solve from Python
         dr = scheme is SchemeKind.DOUGLAS_RACHFORD
         rec = recorded_evolve(monkeypatch, scheme)
-        want = {"apply_b": 1, "cayley_loop": 1, "solve_resolvent_b": 1}
-        if not dr:
-            want["solve_resolvent_a"] = 1
-        assert rec.kernel_calls == [(7, True) if dr else (6, False)]
+        want = {"apply_b": 1, "cayley_loop": 1}
+        if dr:
+            want["solve_resolvent_b"] = 1
+        assert rec.kernel_calls == [(7, True, 0) if dr else (6, False, 3)]
         assert rec.calls == want
 
     @pytest.mark.parametrize("scheme,calls", [
-        (SchemeKind.DOUGLAS_RACHFORD, [(3, True), (3, True), (1, True)]),
-        (SchemeKind.PEACEMAN_RACHFORD, [(3, False), (3, False)])])
+        (SchemeKind.DOUGLAS_RACHFORD, [(3, True, 0), (3, True, 0), (1, True, 0)]),
+        (SchemeKind.PEACEMAN_RACHFORD, [(3, False, 1), (3, False, 2)])])
     def test_evolve_loop_calls_are_bounded(self, op, monkeypatch, scheme, calls):
         # three steps of work per compiled call: DR's 7 steps take three
-        # calls, PR's 6 steps after its leading C_A two
+        # calls; PR's leading C_A and closing R_B take the place of one
+        # step, so its other 6 take two, the first opening with C_A and
+        # the last closing with R_B
         want = evolve(op, scheme, 0.05, 7, random_field(op.grid, 4))
         rec = MethodRecorder(monkeypatch)
         monkeypatch.setattr(operators, "_LOOP_WORK", 3 * op.grid.interior_count)
         got = evolve(op, scheme, 0.05, 7, random_field(op.grid, 4))
         assert rec.kernel_calls == calls
-        pr = scheme is SchemeKind.PEACEMAN_RACHFORD
-        assert rec.calls["solve_resolvent_a"] == pr
-        assert rec.calls["solve_resolvent_b"] == 1
+        dr = scheme is SchemeKind.DOUGLAS_RACHFORD
+        assert rec.calls["solve_resolvent_a"] == 0
+        assert rec.calls["solve_resolvent_b"] == dr
         assert np.array_equal(got.values, want.values)
 
     @pytest.mark.parametrize(
         "scheme", [SchemeKind.DOUGLAS_RACHFORD, SchemeKind.PEACEMAN_RACHFORD])
     def test_evolve_steps_allocate_no_field(self, monkeypatch, scheme):
-        # the loop runs on the run's two buffers, and the final R_B reads
-        # the loop's result and writes into its scratch buffer.  PR's
-        # leading R_A, from which evolve forms C_A in place, writes into
-        # that buffer too, which then swaps roles with the start
+        # PR runs in the start's array alone.  DR's loop runs on the run's
+        # two buffers, and the final R_B reads the loop's result and
+        # writes into its scratch buffer
         rec = recorded_evolve(monkeypatch, scheme)
         [(start, out)] = rec.arrays["cayley_loop"]
-        assert start != out
-        assert rec.arrays["solve_resolvent_b"] == [(start, out)]
-        pr = scheme is SchemeKind.PEACEMAN_RACHFORD
-        assert rec.arrays["solve_resolvent_a"] == [(out, start)] * pr
+        if scheme is SchemeKind.PEACEMAN_RACHFORD:
+            assert out is None and "solve_resolvent_b" not in rec.arrays
+        else:
+            assert out not in (None, start)
+            assert rec.arrays["solve_resolvent_b"] == [(start, out)]
+        assert "solve_resolvent_a" not in rec.arrays
 
     @pytest.mark.parametrize("scheme", list(SchemeKind))
     @pytest.mark.parametrize("n_steps", [1, 5])
@@ -300,14 +303,15 @@ class TestStepContracts:
         assert np.array_equal(u0.values, before)
         assert not np.may_share_memory(got.values, u0.values)
 
-    @pytest.mark.parametrize(
-        "scheme", [SchemeKind.PEACEMAN_RACHFORD, SchemeKind.DOUGLAS_RACHFORD])
-    def test_a_run_holds_four_fields(self, scheme):
+    @pytest.mark.parametrize("scheme,fields", [
+        (SchemeKind.PEACEMAN_RACHFORD, 3), (SchemeKind.DOUGLAS_RACHFORD, 4)])
+    def test_a_run_holds_its_fields(self, scheme, fields):
         # numpy reports its allocations to tracemalloc.  The start is formed
         # in B u0's array, and an input only the call holds is freed before
         # the factors are made, so the peak above the call's start is the
-        # loop's two buffers and the two resolvent factors, each one field
-        # of multipliers and O(n) line coefficients
+        # two resolvent factors, each one field of multipliers and O(n)
+        # line coefficients, and the recurrence's buffers: PR's start
+        # alone, DR's start and the scratch field its average needs
         op = assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(256))
         _kernel.load()
         tracemalloc.start()
@@ -318,7 +322,7 @@ class TestStepContracts:
         finally:
             tracemalloc.stop()
         nbytes = got.values.nbytes
-        assert 3 * nbytes < peak <= 4 * nbytes + 2 ** 16
+        assert (fields - 1) * nbytes < peak <= fields * nbytes + 2 ** 16
 
     def test_evolve_keeps_the_resolvent_recurrences(self, op16):
         # PR's Cayley loop does the operations of the resolvent recurrence
@@ -732,8 +736,8 @@ class TestNonFinite:
 
     @pytest.mark.filterwarnings("error")
     def test_pr_overflow_raises_without_a_warning(self, op8):
-        # numpy forms PR's leading C_A; an overflow there, as one in the
-        # kernel, reaches the caller only as the non-finite field
+        # an overflow in the kernel, which forms PR's leading C_A, reaches
+        # the caller only as the non-finite field
         huge = Field(op8.grid, np.full((op8.grid.n, op8.grid.n), 1e308))
         with pytest.raises(FloatingPointError, match="non-finite"):
             evolve(op8, SchemeKind.PEACEMAN_RACHFORD, 1.0 / 16, 8, huge)

@@ -21,7 +21,12 @@ Cayley transforms 2 R u - u numpy forms from them (an older tree's
 ``cayley_a/b`` returned the same bytes); and the multipliers e of
 both axes' factors at those kappas, in [line][position] order whatever
 the layout the kernel stores them in; and ``solve_lh`` with the
-eigenvalues theta of its Kronecker factorization.  It also covers the experiments' building blocks
+eigenvalues theta of its Kronecker factorization.  It also covers
+PR and DR ``evolve`` runs of ``CHUNKED_STEPS`` steps at m = 256, which
+the Cayley loop takes in three compiled calls (``_LOOP_WORK // 255**2``
+= 129 steps each), on two loop threads in the second line: the first
+call opens PR's run with its A half-step and the last closes it with a
+plain B sweep.  It also covers the experiments' building blocks
 (``experiment_results``): ``interpolate`` of ETA0 and a sine mode,
 ``prepare_initial_data``, ``prolong_to`` onto a finer, a nested coarser
 and a non-nested grid, and the errors of a small ``run_convergence``
@@ -61,6 +66,7 @@ STEP_SIZES = (2.0 ** -6, 2.0 ** -10)
 STEPS = 3
 SIGMAS = (None, -0.25, 0.25)
 KAPPAS = (1e-3, 1.0, 1e3)
+CHUNKED_STEPS = 260
 
 
 def results(m: int):
@@ -97,6 +103,15 @@ def multipliers(e: np.ndarray, n: int) -> np.ndarray:
     return blocks.transpose(0, 2, 1).reshape(-1, n)[:n]
 
 
+def chunked_results():
+    """PR and DR runs at m = 256 long enough for three loop calls."""
+    op = operators.assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(256))
+    n = op.grid.n
+    u = Field(op.grid, np.random.default_rng(256).standard_normal((n, n)))
+    for scheme in (SchemeKind.PEACEMAN_RACHFORD, SchemeKind.DOUGLAS_RACHFORD):
+        yield evolve(op, scheme, 2.0 ** -10, CHUNKED_STEPS, u).values
+
+
 def sine_mode(x, y):
     return np.sin(np.pi * x) * np.sin(2.0 * np.pi * y)
 
@@ -126,6 +141,8 @@ def fingerprint() -> str:
     for m in GRIDS:
         for values in results(m):
             digest.update(np.ascontiguousarray(values).tobytes())
+    for values in chunked_results():
+        digest.update(np.ascontiguousarray(values).tobytes())
     for values in experiment_results():
         digest.update(np.ascontiguousarray(values).tobytes())
     return digest.hexdigest()
