@@ -11,18 +11,17 @@ arithmetic of LAPACK's dpttrf and dpttrs.  Its factors keep dpttrf's
 multipliers only, one field's worth: each sweep recomputes the pivots from
 them bit for bit.  The same kernel applies A, B or L as one five-point
 stencil pass, and runs the Cayley recurrence, a whole PR run
-R_B (C_A C_B)^(n-1) C_A in one field or DR's steps t <- (t + C_A C_B t) / 2
+R_B (C_A C_B)^(n-1) C_A in one field or DR run R_B ((I + C_A C_B) / 2)^n
 in two, for many steps per call (``cayley_loop``), on two threads from
 m = 256 where two CPUs are available.  ``steppers.evolve`` forms the
-runs' starts and DR's final R_B, and this module never imports the
-steppers.  The kernel is built with ``cc`` for the host CPU on the first
-resolvent solve or application in a process (never on import) into a
-per-user cache, by :mod:`adisplit._kernel`, which raises
-KernelUnavailableError where it cannot be built.  The package needs numpy
-and ``cc`` only.
-``apply_l`` and the resolvents return a new field, or, given ``out=``,
-write into that (n, n) array (``grid.check_buffers``), which must not
-overlap the input, and return it wrapped as a field.  A
+runs' starts, and this module never imports the steppers.  The kernel is
+built with ``cc`` for the host CPU on the first resolvent solve or
+application in a process (never on import) into a per-user cache, by
+:mod:`adisplit._kernel`, which raises KernelUnavailableError where it
+cannot be built.  The package needs numpy and ``cc`` only.
+The resolvents return a new field.  ``apply_l`` does too, or, given
+``out=``, writes into that (n, n) array (``grid.check_buffers``), which
+must not overlap the input, and returns it wrapped as a field.  A
 Crank-Nicolson run binds its preconditioner, an ADI product, to its own
 fields once (``bind_adi_product``), and CG calls it as it is.
 
@@ -176,47 +175,39 @@ class SplitDiffusionOperator:
 
     # -- resolvents -----------------------------------------------------------
 
-    def solve_resolvent_a(self, kappa: float, rhs: Field, *,
-                          out: np.ndarray | None = None) -> Field:
+    def solve_resolvent_a(self, kappa: float, rhs: Field) -> Field:
         """Solve (I - kappa*A) w = rhs, one tridiagonal system per x-line."""
-        return self._line_solve("a", kappa, rhs, out)
+        return self._line_solve("a", kappa, rhs)
 
-    def solve_resolvent_b(self, kappa: float, rhs: Field, *,
-                          out: np.ndarray | None = None) -> Field:
+    def solve_resolvent_b(self, kappa: float, rhs: Field) -> Field:
         """Solve (I - kappa*B) w = rhs, one tridiagonal system per y-line."""
-        return self._line_solve("b", kappa, rhs, out)
+        return self._line_solve("b", kappa, rhs)
 
     def cayley_loop(self, kappa: float, n_steps: int, u: Field, *,
-                    average: bool, out: np.ndarray | None = None) -> Field:
-        """n_steps >= 1 steps of the Cayley recurrence on u's array, with
+                    average: bool) -> Field:
+        """A whole Douglas-Rachford or Peaceman-Rachford run of n_steps >= 1
+        steps of the Cayley recurrence on u's array, with
         C_X = (I + kappa X)(I - kappa X)^{-1} = 2 R_X - I.
 
-        With ``average`` a step is t <- (t + C_A C_B t) / 2, Douglas-
-        Rachford's, which needs t beside C_A C_B t: ``out`` is its scratch
-        field.  Without, the call is a whole Peaceman-Rachford run
-        u <- R_B (C_A C_B)^(n_steps - 1) C_A u in u's array alone, and
-        takes no ``out``.  Every transform has the bits of 2 R_X - I
-        formed from ``solve_resolvent_a``/``_b``, and PR's closing R_B
-        those of ``solve_resolvent_b``.  u's array (C-contiguous float64)
-        is overwritten with the result, which is returned as u.  The
-        compiled kernel runs the loop in calls of about ``_LOOP_WORK``
-        unknowns x steps, PR's first opening with its C_A and its last
-        closing with R_B, on two threads from m = ``_LOOP_THREADS_FROM_M``
-        (256) where the process may use two CPUs: a PR step at m = 256
-        then takes about 0.16 ms, against 0.21 ms on one.  Logs one DEBUG
-        line.
+        With ``average`` the run is u <- R_B ((I + C_A C_B) / 2)^n_steps u,
+        DR's, whose step t <- (t + C_A C_B t) / 2 needs t beside
+        C_A C_B t: the call allocates that second field.  Without, it is
+        u <- R_B (C_A C_B)^(n_steps - 1) C_A u, PR's, in u's array alone.
+        Every transform has the bits of 2 R_X - I formed from
+        ``solve_resolvent_a``/``_b``, and the closing R_B those of
+        ``solve_resolvent_b``.  u's array (C-contiguous float64) is
+        overwritten with the result, which is returned as u.  The compiled
+        kernel runs the loop in calls of about ``_LOOP_WORK`` unknowns x
+        steps, PR's first opening with its C_A and each run's last closing
+        with R_B, on two threads from m = ``_LOOP_THREADS_FROM_M`` where
+        the process may use two CPUs.  Logs one DEBUG line.
         """
         if n_steps < 1:
             raise ValueError(f"n_steps must be positive, got {n_steps}")
-        if bool(average) == (out is None):
-            raise ValueError("out is the average's scratch: give it with "
-                             "average and only then")
         n = self.grid.n
         self._check(u)
-        buffers = {"u": u.values}
-        if average:
-            buffers["out"] = out
-        check_buffers((n, n), **buffers)
+        check_buffers((n, n), u=u.values)
+        v = np.empty_like(u.values) if average else None
         fac_a, fac_b = self._factors("a", kappa), self._factors("b", kappa)
         want = 2 if self.grid.m >= _LOOP_THREADS_FROM_M and _cpus() >= 2 else 1
         per_call = max(1, _LOOP_WORK // (n * n))
@@ -224,12 +215,12 @@ class SplitDiffusionOperator:
         steps, calls = n_steps - (not average), 0
         for done in range(0, max(steps, 1), per_call):
             now = min(per_call, steps - done)
-            ends = 0 if average else ((_LEAD if done == 0 else 0)
-                                      | (_FINISH if done + now == steps else 0))
+            ends = ((_LEAD if done == 0 and not average else 0)
+                    | (_FINISH if done + now == steps else 0))
             threads = self._lib.adisplit_cayley_loop(
                 n, now, average, ends, want, fac_a.c_ptr, fac_a.e_ptr,
                 fac_b.c_ptr, fac_b.e_ptr, u.values.ctypes.data,
-                None if out is None else out.ctypes.data)
+                v.ctypes.data if average else None)
             if threads < 0:
                 raise MemoryError("Cayley loop could not allocate its scratch")
             calls += 1
@@ -268,10 +259,9 @@ class SplitDiffusionOperator:
             add(size, at_w, at_r, at_o)
         return product
 
-    def _line_solve(self, axis: str, kappa: float, rhs: Field,
-                    out: np.ndarray | None) -> Field:
-        self._check(rhs, out)
-        return Field(self.grid, self._factors(axis, kappa).solve(rhs.values, out))
+    def _line_solve(self, axis: str, kappa: float, rhs: Field) -> Field:
+        self._check(rhs)
+        return Field(self.grid, self._factors(axis, kappa).solve(rhs.values))
 
     def _factors(self, axis: str, kappa: float):
         """L D L^T factor of I - kappa*A (axis "a") or I - kappa*B (axis "b").
@@ -347,10 +337,10 @@ class _KernelFactor:
                 "resolvent factor has a non-positive pivot: the line system "
                 "is not positive definite")
 
-    def solve(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """R rhs into ``out`` or a new C-ordered array."""
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """R rhs in a new C-ordered array."""
         r = np.ascontiguousarray(rhs, dtype=np.float64)
-        x = np.empty_like(r) if out is None else out
+        x = np.empty_like(r)
         self.solve_at(r.ctypes.data, x.ctypes.data)
         return x
 

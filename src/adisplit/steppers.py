@@ -1,25 +1,25 @@
 """One-step time integrators over an abstract split operator.
 
-The step maps only require the capability set apply_a / apply_b / apply_l /
-solve_resolvent_a / solve_resolvent_b, with cayley_loop for ``evolve``
-and diagonal_l and bind_adi_product for Crank-Nicolson, so any pair of
-dissipative operators with computable resolvents plugs in;
-cayley_loop(kappa, n, u, average=, out=) runs n steps of DR's averaged
-Cayley recurrence t <- (t + C_A C_B t) / 2 on u's array with ``out`` as
-scratch, or a whole PR run R_B (C_A C_B)^(n-1) C_A on u's array alone
+The step maps require only apply_a / apply_b / solve_resolvent_a /
+solve_resolvent_b, so any pair of dissipative operators with computable
+resolvents plugs in.  ``evolve`` needs apply_b and cayley_loop for DR
+and PR, and apply_l, diagonal_l and bind_adi_product for Crank-Nicolson.
+cayley_loop(kappa, n, u, average=) runs a whole run on u's array: with
+``average`` DR's R_B ((I + C_A C_B) / 2)^n, allocating the second field
+its average needs, else PR's R_B (C_A C_B)^(n-1) C_A in u's array alone
 (see ``evolve``);
 bind_adi_product(kappa_a, kappa_b, r=, weight=, out=, scratch=) checks
 four fields once and returns a zero-argument callable that writes
 R_B(kappa_b) R_A(kappa_a) R_B(kappa_b) r + weight * r into ``out``, which
 Crank-Nicolson's CG takes as its preconditioner as it is; and
-Crank-Nicolson calls apply_l(u, sigma) for u + sigma L u.  Each result is
-a new field unless the call passes ``out=``, a C-contiguous float64 array
-that does not overlap the input; ``evolve`` does so inside its loops, so
-a PR run holds one field, a DR run two and a CN run six, all allocated
-once and none per step.  The diffusion
-instance lives in :mod:`adisplit.operators`, whose compiled kernel runs
-the DR and PR loops in a few calls, and each CG iteration of CN in a few
-passes besides the dot products.
+Crank-Nicolson calls apply_l(u, sigma, out=) for u + sigma L u and
+diagonal_l(out=) in fields of its own, C-contiguous float64 arrays that
+do not overlap the input; every other call returns a new field.  So a
+PR run holds one field, a DR run two and a CN run six, all allocated
+once and none per step.  The diffusion instance lives in
+:mod:`adisplit.operators`, whose compiled kernel runs each DR and PR run
+in a few calls, and each CG iteration of CN in a few passes besides the
+dot products.
 """
 
 from __future__ import annotations
@@ -177,11 +177,11 @@ def evolve(
     R_A (I + k^2 A B) R_B = (I + C_A C_B) / 2.  A run applies B once and A
     never, and equals the composed one-step maps up to roundoff.  The
     start is formed in B u0's array, and ``u0`` is never written and not
-    kept.  A PR run is then one ``op.cayley_loop`` call, leading C_A and
-    final R_B included, on t's array alone, so it holds one field besides
-    the two resolvent factors.  DR's average needs t beside C_A C_B t: its
-    loop takes a second buffer as scratch, into which the final R_B
-    writes.  Crank-Nicolson allocates its six fields and binds its
+    kept.  Either run is then one ``op.cayley_loop`` call, final R_B
+    included: PR's, leading C_A included too, on t's array alone, so it
+    holds one field besides the two resolvent factors; DR's with the
+    second field its average needs, t beside C_A C_B t, which the loop
+    allocates.  Crank-Nicolson allocates its six fields and binds its
     preconditioner to them once per run, and returns the field of the
     last iterate, which no later run writes.  A step size that is not
     positive and finite and an n_steps that is not a non-negative integer
@@ -208,12 +208,7 @@ def evolve(
         np.multiply(t.values, kappa, out=t.values)
         (np.add if pr else np.subtract)(u0.values, t.values, out=t.values)
         del u0, u  # a caller's temporary input is freed before the factors
-        if pr:
-            u = op.cayley_loop(kappa, n_steps, t, average=False)
-        else:  # the average needs t beside C_A C_B t: a second field
-            w = np.empty_like(t.values)
-            op.cayley_loop(kappa, n_steps, t, out=w, average=True)
-            u = op.solve_resolvent_b(kappa, t, out=w)
+        u = op.cayley_loop(kappa, n_steps, t, average=not pr)
     # NaN propagates through max and min, which allocate no mask
     if not (np.isfinite(u.values.max()) and np.isfinite(u.values.min())):
         raise FloatingPointError(

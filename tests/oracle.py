@@ -12,7 +12,7 @@ numpy expressions, so the tests require the kernel's results to equal them
 bit for bit: the A, B and L stencil (``apply``), dpttrf's line factors and
 dpttrs's solves one position of all lines at a time (``LineFactor``, itself
 checked against SciPy's LAPACK through ``lapack_factor``), the Cayley
-loop's DR steps and PR runs as one ``LineFactor`` reflection 2 R - I per
+loop's DR and PR runs as one ``LineFactor`` reflection 2 R - I per
 transform (``cayley_calls``), CN's preconditioner product (``adi_product``), textbook
 CG with numpy's vector updates (``reference_cg``) and a CN step built from
 them (``crank_nicolson_step``).  The package itself never imports this
@@ -250,17 +250,18 @@ def lapack_factor(op, axis: str, kappa: float):
 def cayley_calls(op, kappa: float, n_steps: int, u: Field, average: bool) -> Field:
     """``op.cayley_loop``'s result with each transform C_X = 2 R_X - I
     from a ``LineFactor`` reflection, from u, which is not written: with
-    ``average`` n_steps >= 1 steps of t <- (t + C_A C_B t) / 2, else the
-    PR run R_B (C_A C_B)^(n_steps - 1) C_A u."""
+    ``average`` the DR run R_B ((I + C_A C_B) / 2)^n_steps u, n_steps >= 1
+    steps of t <- (t + C_A C_B t) / 2 and a closing R_B, else the PR run
+    R_B (C_A C_B)^(n_steps - 1) C_A u."""
     fac_a, fac_b = LineFactor(op, "a", kappa), LineFactor(op, "b", kappa)
     if average:
         t = u.values
         for _ in range(n_steps):
             t = (t + fac_a.solve(fac_b.solve(t, reflect=True), reflect=True)) * 0.5
-        return Field(u.grid, t)
-    t = fac_a.solve(u.values, reflect=True)
-    for _ in range(n_steps - 1):
-        t = fac_a.solve(fac_b.solve(t, reflect=True), reflect=True)
+    else:
+        t = fac_a.solve(u.values, reflect=True)
+        for _ in range(n_steps - 1):
+            t = fac_a.solve(fac_b.solve(t, reflect=True), reflect=True)
     return Field(u.grid, fac_b.solve(t))
 
 

@@ -316,8 +316,8 @@ class TestLinePaths:
 
     @pytest.mark.parametrize("m", [17, 257])
     def test_loop_transforms_are_the_reflected_resolvents(self, m):
-        # a two-step PR run is R_B C_A C_B C_A u and one DR step
-        # (u + C_A C_B u) / 2, with each C_X = 2 R_X - I formed by numpy
+        # a two-step PR run is R_B C_A C_B C_A u and a one-step DR run
+        # R_B (u + C_A C_B u) / 2, with each C_X = 2 R_X - I formed by numpy
         # from the operator's resolvent
         op = paper_operator(m)
         u = random_field(op.grid, m)
@@ -332,7 +332,7 @@ class TestLinePaths:
         for kappa in (1e-3, 1.0, 1e3):
             pr = solve(b, cayley(a, cayley(b, cayley(a, u.values))))
             assert np.array_equal(run_loop(op, kappa, 2, u, False).values, pr)
-            dr = (u.values + cayley(a, cayley(b, u.values))) * 0.5
+            dr = solve(b, (u.values + cayley(a, cayley(b, u.values))) * 0.5)
             assert np.array_equal(run_loop(op, kappa, 1, u, True).values, dr)
 
     def test_evolve_agrees(self):
@@ -439,11 +439,9 @@ DR = steppers.SchemeKind.DOUGLAS_RACHFORD
 
 
 def run_loop(op, kappa, n_steps, u, average):
-    """op.cayley_loop on a copy of u's array, with a fresh ``out`` for DR's
-    average."""
+    """op.cayley_loop on a copy of u's array."""
     start = Field(op.grid, u.values.copy())
-    out = np.full_like(start.values, np.nan) if average else None
-    return op.cayley_loop(kappa, n_steps, start, out=out, average=average)
+    return op.cayley_loop(kappa, n_steps, start, average=average)
 
 
 def force_threads(monkeypatch, threads):
@@ -495,6 +493,7 @@ class TestCayleyLoop:
             assert caplog.records[-1].getMessage().endswith(f"threads={threads}")
             # one and two steps per call: PR's 5 steps take a call that
             # opens with C_A, calls of plain steps and one that closes with
+            # R_B; DR's take calls of plain steps and one that closes with
             # R_B
             for per_call in (1, 2):
                 with monkeypatch.context() as mp:
@@ -527,20 +526,19 @@ class TestCayleyLoop:
         assert all(np.array_equal(g, want) for g in got)
 
     def test_result_buffer(self, monkeypatch):
-        # the result overwrites u's array, which is returned; DR's out is
-        # scratch and PR takes none.  A PR run's first call opens with C_A
-        # and its last closes with R_B (ends 1 | 2), so one step is a call
-        # of no plain step
+        # the result overwrites u's array, which is returned.  A PR run's
+        # first call opens with C_A and its last closes with R_B (ends
+        # 1 | 2), so one step is a call of no plain step; a DR run's last
+        # call closes with R_B (ends 2)
         calls = count_kernel_loops(monkeypatch)
         op = paper_operator(9)
         u = random_field(op.grid, 1)
         for average, n_steps in ((False, 3), (True, 3), (False, 1)):
             start = Field(op.grid, u.values.copy())
-            got = op.cayley_loop(0.1, n_steps, start, average=average,
-                                 out=np.empty((8, 8)) if average else None)
+            got = op.cayley_loop(0.1, n_steps, start, average=average)
             assert got is start
             assert not np.array_equal(start.values, u.values)
-        assert calls == [(2, False, 3), (3, True, 0), (0, False, 3)]
+        assert calls == [(2, False, 3), (3, True, 2), (0, False, 3)]
 
     def test_threads_follow_the_grid_and_the_cpus(self, monkeypatch, caplog):
         for m, cpus, threads in ((255, 2, 1), (256, 2, 2), (256, 1, 1)):
@@ -590,15 +588,6 @@ class TestCayleyLoop:
         with pytest.raises(ValueError, match="^u must"):
             op.cayley_loop(0.1, 2, Field(op.grid, np.asfortranarray(u.values)),
                            average=False)
-        with pytest.raises(ValueError, match="overlap"):
-            v = u.copy()
-            op.cayley_loop(0.1, 2, v, out=v.values, average=True)
-        # DR's average needs its scratch field, and PR takes none
-        for average, out in ((True, None), (False, np.empty((8, 8)))):
-            v = u.copy()
-            with pytest.raises(ValueError, match="scratch"):
-                op.cayley_loop(0.1, 2, v, out=out, average=average)
-            assert np.array_equal(v.values, u.values)
 
     def test_ctrl_c_stops_a_long_run(self):
         # 2^19 PR steps at m=1024 would take most of an hour; Python handles
@@ -636,21 +625,16 @@ class TestCayleyLoop:
 
 
 def out_calls(op):
-    """(name, call) for every method that takes ``out=``: L shifted and
-    unshifted, and each resolvent at a small and a large kappa."""
+    """(name, call) for every application that takes ``out=``: L shifted
+    and unshifted."""
     calls = [("apply_l", lambda u, **kw: op.apply_l(u, **kw))]
     calls += [(f"apply_l({sigma})", lambda u, s=sigma, **kw: op.apply_l(u, s, **kw))
               for sigma in (0.25, -0.25)]
-    for name in ("solve_resolvent_a", "solve_resolvent_b"):
-        for kappa in (1e-3, 1e3):
-            method = getattr(op, name)
-            calls.append((f"{name}({kappa})",
-                          lambda u, f=method, k=kappa, **kw: f(k, u, **kw)))
     return calls
 
 
 class TestOut:
-    """``out=`` of every method that takes it."""
+    """``out=`` of ``apply_l``, shifted and unshifted."""
 
     @pytest.mark.parametrize("m", [2, 17, 20])
     def test_out_equals_a_fresh_result(self, m):

@@ -357,7 +357,7 @@ class TestCayleyCallsReference:
         cay_a, cay_b = 2.0 * res_a - eye, 2.0 * res_b - eye
         step = cay_a @ cay_b
         if average:
-            run = np.linalg.matrix_power(0.5 * (eye + step), n_steps)
+            run = res_b @ np.linalg.matrix_power(0.5 * (eye + step), n_steps)
         else:
             run = res_b @ np.linalg.matrix_power(step, n_steps - 1) @ cay_a
         want = run @ u.values.ravel()

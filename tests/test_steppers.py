@@ -91,9 +91,9 @@ LOOP_METHODS = ("solve_resolvent_a", "solve_resolvent_b")
 
 class MethodRecorder:
     """Counts every call of the operator class's methods, the operator's
-    calls of its own methods included, and records each call's (input
-    address, ``out=`` address or None), and each call of the compiled
-    Cayley loop as (steps, average, ends)."""
+    calls of its own methods included, and records each call's input
+    address, and each call of the compiled Cayley loop as (steps,
+    average, ends)."""
 
     NAMES = ("apply_a", "apply_b", "cayley_loop") + LOOP_METHODS
 
@@ -117,20 +117,17 @@ class MethodRecorder:
         def recorded(op, *args, **kwargs):
             self.calls[name] += 1
             field = next(a for a in args if isinstance(a, Field))
-            out = kwargs.get("out")
-            self.arrays[name].append(
-                (field.values.ctypes.data, None if out is None else out.ctypes.data))
+            self.arrays[name].append(field.values.ctypes.data)
             return method(op, *args, **kwargs)
 
         return recorded
 
 
 def recorded_evolve(monkeypatch, scheme):
-    """A MethodRecorder of one 7-step evolve at m=8."""
+    """A MethodRecorder of one 7-step evolve at m=8, and its result."""
     op = assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(8))
     rec = MethodRecorder(monkeypatch)
-    evolve(op, scheme, 0.05, 7, random_field(op.grid, 4))
-    return rec
+    return rec, evolve(op, scheme, 0.05, 7, random_field(op.grid, 4))
 
 
 class TestScalarSurrogate:
@@ -250,49 +247,40 @@ class TestStepContracts:
         "scheme", [SchemeKind.DOUGLAS_RACHFORD, SchemeKind.PEACEMAN_RACHFORD]
     )
     def test_evolve_applies_one_operator_per_run(self, monkeypatch, scheme):
-        # one B before the loop; DR's R_B after it.  The kernel runs the
-        # recurrence in one call, PR's with its leading C_A and closing
-        # R_B (ends 1 | 2), and evolve makes no other solve from Python
+        # one B before the loop.  The kernel runs the whole run in one
+        # call, closing R_B included (ends 2), PR's with its leading C_A
+        # too (ends 1 | 2), and evolve makes no solve from Python
         dr = scheme is SchemeKind.DOUGLAS_RACHFORD
-        rec = recorded_evolve(monkeypatch, scheme)
-        want = {"apply_b": 1, "cayley_loop": 1}
-        if dr:
-            want["solve_resolvent_b"] = 1
-        assert rec.kernel_calls == [(7, True, 0) if dr else (6, False, 3)]
-        assert rec.calls == want
+        rec, _ = recorded_evolve(monkeypatch, scheme)
+        assert rec.kernel_calls == [(7, True, 2) if dr else (6, False, 3)]
+        assert rec.calls == {"apply_b": 1, "cayley_loop": 1}
 
     @pytest.mark.parametrize("scheme,calls", [
-        (SchemeKind.DOUGLAS_RACHFORD, [(3, True, 0), (3, True, 0), (1, True, 0)]),
+        (SchemeKind.DOUGLAS_RACHFORD, [(3, True, 0), (3, True, 0), (1, True, 2)]),
         (SchemeKind.PEACEMAN_RACHFORD, [(3, False, 1), (3, False, 2)])])
     def test_evolve_loop_calls_are_bounded(self, op, monkeypatch, scheme, calls):
         # three steps of work per compiled call: DR's 7 steps take three
-        # calls; PR's leading C_A and closing R_B take the place of one
-        # step, so its other 6 take two, the first opening with C_A and
-        # the last closing with R_B
+        # calls, the last closing with R_B; PR's leading C_A and closing
+        # R_B take the place of one step, so its other 6 take two, the
+        # first opening with C_A and the last closing with R_B
         want = evolve(op, scheme, 0.05, 7, random_field(op.grid, 4))
         rec = MethodRecorder(monkeypatch)
         monkeypatch.setattr(operators, "_LOOP_WORK", 3 * op.grid.interior_count)
         got = evolve(op, scheme, 0.05, 7, random_field(op.grid, 4))
         assert rec.kernel_calls == calls
-        dr = scheme is SchemeKind.DOUGLAS_RACHFORD
         assert rec.calls["solve_resolvent_a"] == 0
-        assert rec.calls["solve_resolvent_b"] == dr
+        assert rec.calls["solve_resolvent_b"] == 0
         assert np.array_equal(got.values, want.values)
 
     @pytest.mark.parametrize(
         "scheme", [SchemeKind.DOUGLAS_RACHFORD, SchemeKind.PEACEMAN_RACHFORD])
     def test_evolve_steps_allocate_no_field(self, monkeypatch, scheme):
-        # PR runs in the start's array alone.  DR's loop runs on the run's
-        # two buffers, and the final R_B reads the loop's result and
-        # writes into its scratch buffer
-        rec = recorded_evolve(monkeypatch, scheme)
-        [(start, out)] = rec.arrays["cayley_loop"]
-        if scheme is SchemeKind.PEACEMAN_RACHFORD:
-            assert out is None and "solve_resolvent_b" not in rec.arrays
-        else:
-            assert out not in (None, start)
-            assert rec.arrays["solve_resolvent_b"] == [(start, out)]
+        # both runs end in the start's array, which one loop call takes;
+        # DR's second field is the loop's own, and no resolvent is called
+        rec, got = recorded_evolve(monkeypatch, scheme)
+        assert rec.arrays["cayley_loop"] == [got.values.ctypes.data]
         assert "solve_resolvent_a" not in rec.arrays
+        assert "solve_resolvent_b" not in rec.arrays
 
     @pytest.mark.parametrize("scheme", list(SchemeKind))
     @pytest.mark.parametrize("n_steps", [1, 5])
@@ -311,7 +299,8 @@ class TestStepContracts:
         # the factors are made, so the peak above the call's start is the
         # two resolvent factors, each one field of multipliers and O(n)
         # line coefficients, and the recurrence's buffers: PR's start
-        # alone, DR's start and the scratch field its average needs
+        # alone, DR's start and the second field cayley_loop allocates
+        # for its average
         op = assemble_split_operator(PAPER_LAMBDA, PAPER_MU, Grid(256))
         _kernel.load()
         tracemalloc.start()

@@ -25,8 +25,8 @@ eigenvalues theta of its Kronecker factorization.  It also covers
 PR and DR ``evolve`` runs of ``CHUNKED_STEPS`` steps at m = 256, which
 the Cayley loop takes in three compiled calls (``_LOOP_WORK // 255**2``
 = 129 steps each), on two loop threads in the second line: the first
-call opens PR's run with its A half-step and the last closes it with a
-plain B sweep.  It also covers the experiments' building blocks
+call opens PR's run with its A half-step, and the last closes either
+run with a plain B sweep, its final R_B.  It also covers the experiments' building blocks
 (``experiment_results``): ``interpolate`` of ETA0 and a sine mode,
 ``prepare_initial_data``, ``prolong_to`` onto a finer, a nested coarser
 and a non-nested grid, and the errors of a small ``run_convergence``

@@ -4,13 +4,16 @@
 
 At each m in ``GRIDS``, on the paper's coefficients and a seeded random
 field, it times ``cayley_loop`` for PR (``average=False``) and DR
-(``average=True``) on one and on two threads, ``solve_resolvent_a`` and
-``solve_resolvent_b`` (the kernel's ``adisplit_solve_contiguous`` and
-``adisplit_solve_strided``) and ``apply_l``, all with ``out=``, at
-kappa = ``KAPPA``.  A sample of a loop case is one kernel call of
-``_LOOP_WORK`` unknowns x steps, as ``cayley_loop`` makes them, from the
-same start each time; a sample of another case is ``CALL_WORK`` unknowns'
-worth of calls.  The samples are interleaved: each of ``REPS``
+(``average=True``) on one and on two threads, the line solves of both
+axes (the kernel's ``adisplit_solve_contiguous`` and
+``adisplit_solve_strided``) through the factors' ``solve_at``, as CN's
+bound preconditioner calls them, and ``apply_l`` with ``out=``, at
+kappa = ``KAPPA``; none of these but the DR loop allocates a field per
+call.  A sample of a loop case is one ``cayley_loop`` call of one kernel
+call of ``_LOOP_WORK`` unknowns x steps, from the same start each time:
+a whole run, closing R_B included, and the DR run's second field, which
+``cayley_loop`` allocates.  A sample of another case is ``CALL_WORK``
+unknowns' worth of calls.  The samples are interleaved: each of ``REPS``
 repetitions takes one sample of every case in turn, after one untimed
 round, so the host's drift spreads over all cases alike.
 
@@ -61,14 +64,13 @@ def loop_case(op, u0: Field, average: bool, threads: int):
     """A sample of one kernel call of ``cayley_loop``, in s per unknown-step."""
     n = op.grid.n
     steps = max(1, operators._LOOP_WORK // (n * n))
-    u, out = Field(op.grid, np.empty((n, n))), np.empty((n, n))
+    u = Field(op.grid, np.empty((n, n)))
 
     def sample() -> float:
         np.copyto(u.values, u0.values)
         force_threads(threads)
         start = time.perf_counter()
-        op.cayley_loop(KAPPA, steps, u, out=out if average else None,
-                       average=average)
+        op.cayley_loop(KAPPA, steps, u, average=average)
         return (time.perf_counter() - start) / (steps * n * n)
     return sample
 
@@ -96,10 +98,13 @@ def cases():
         for average, name in ((False, "cayley_loop PR"), (True, "cayley_loop DR")):
             for threads in (1, 2):
                 yield name, m, threads, loop_case(op, u0, average, threads)
-        # the defaults bind this m's arrays; the names move on with m
-        for name in ("solve_resolvent_a", "solve_resolvent_b"):
-            yield name, m, 1, call_case(
-                lambda f=getattr(op, name), u0=u0, out=out: f(KAPPA, u0, out=out), n)
+        # the defaults bind this m's arrays, and the solves their
+        # addresses, as bind_adi_product does; the apply_l case keeps the
+        # arrays alive.  The names move on with m
+        for axis in "ab":
+            yield f"solve_at {axis}", m, 1, call_case(
+                lambda f=op._factors(axis, KAPPA).solve_at, r=u0.values.ctypes.data,
+                x=out.ctypes.data: f(r, x), n)
         yield "apply_l", m, 1, call_case(
             lambda f=op.apply_l, u0=u0, out=out: f(u0, out=out), n)
 
